@@ -11,6 +11,14 @@ rounding depends on the CPU it picks at run time) and libm exp through
 math.exp (numpy's own SIMD exp differs from libm in the last bit on some
 CPUs).  Its bytes therefore depend on neither the BLAS build nor numpy's
 SIMD dispatch level.
+
+kspace_1p takes its incomplete-K0 table from one batched call,
+specfun._k0inc_array, over every positive k3 and every distinct rho^2 xi^2.
+The call returns the bytes of the scalar routine _k0inc_scalar, element by
+element: the same adaptive panel tree and accumulation order, libm exp,
+and the scalar routine itself wherever the budget or the stack depth would
+end its tree early.  The 1p K0 values therefore do not depend on numpy's
+SIMD dispatch level.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from .specfun import EULER_GAMMA, SQRT_PI, _k0inc_scalar
+from .specfun import EULER_GAMMA, SQRT_PI, _k0inc_array
 
 
 def real_space(pos, q, targets, src_index, images, xi, r_cut):
@@ -53,7 +61,12 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume):
 
         phase   (x kx + y ky) + z kz; for the targets one
                 np.multiply.outer per axis, added in place
-        S(k)    cs, sn accumulated one source at a time, n = 0 .. N-1
+        S(k)    cs, sn accumulated one source at a time, n = 0 .. N-1,
+                from q_n times cos and sin of that source's phases
+        targets at the sources (targets equal to pos): cos and sin of
+                source n's phases are written to row n of the (M, K)
+                cos and sin buffers and the target phase step is skipped;
+                the phase arithmetic is the same, so are the bytes
         weight  pref * math.exp(-k^2 quart) / k^2 per k, quart = 1/(4 xi^2)
         re, im  c (w cs) + s (w sn) and c (w sn) - s (w cs) in (M, K)
                 buffers, then a numpy sum along K per target
@@ -74,29 +87,34 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume):
     sn = np.zeros(n_k)
     phase = np.empty(n_k)
     tmp = np.empty(n_k)
-    for (x, y, z), qn in zip(pos.tolist(), q.tolist()):
+    c = np.empty((n_tar, n_k))
+    s = np.empty((n_tar, n_k))
+    at_sources = targets.shape == pos.shape and np.array_equal(targets, pos)
+    cos_n = sin_n = tmp    # off the sources they only feed cs and sn
+    for n, ((x, y, z), qn) in enumerate(zip(pos.tolist(), q.tolist())):
         np.multiply(kx, x, out=phase)
         np.multiply(ky, y, out=tmp)
         phase += tmp
         np.multiply(kz, z, out=tmp)
         phase += tmp
-        np.cos(phase, out=tmp)
-        tmp *= qn
+        if at_sources:    # row n of the target phases is this phase
+            cos_n, sin_n = c[n], s[n]
+        np.cos(phase, out=cos_n)
+        np.multiply(cos_n, qn, out=tmp)
         cs += tmp
-        np.sin(phase, out=tmp)
-        tmp *= qn
+        np.sin(phase, out=sin_n)
+        np.multiply(sin_n, qn, out=tmp)
         sn += tmp
     wc = w * cs
     ws = w * sn
-    s = np.empty((n_tar, n_k))    # phase first, then its sine in place
-    c = np.empty((n_tar, n_k))
-    np.multiply.outer(targets[:, 0], kx, out=s)
-    np.multiply.outer(targets[:, 1], ky, out=c)
-    s += c
-    np.multiply.outer(targets[:, 2], kz, out=c)
-    s += c
-    np.cos(s, out=c)
-    np.sin(s, out=s)
+    if not at_sources:    # s holds the phase first, then its sine in place
+        np.multiply.outer(targets[:, 0], kx, out=s)
+        np.multiply.outer(targets[:, 1], ky, out=c)
+        s += c
+        np.multiply.outer(targets[:, 2], kz, out=c)
+        s += c
+        np.cos(s, out=c)
+        np.sin(s, out=s)
     buf = np.multiply(c, wc)
     buf2 = np.multiply(s, ws)
     buf += buf2
@@ -144,22 +162,36 @@ def kspace_2p(pos, q, targets, xi, kvecs, area):
 
 
 def kspace_1p(pos, q, targets, xi, kz, length, abs_tol, rel_tol, max_sub):
+    """1p k-space sum (1/L) sum_{k3 > 0} sum_n q_n 2 cos(k3 dz) K0(u, v).
+
+    u = k3^2/4xi^2 and v = rho^2 xi^2.  K0 depends only on (k3, rho^2), so
+    the table is built from the distinct values of rho^2 xi^2 (at the
+    sources rho^2 is symmetric, which halves the work): one call of
+    specfun._k0inc_array over every positive k3 and every distinct v, then
+    scattered back to (M, N).  That call gives the bytes of _k0inc_scalar
+    element by element: the same panel tree built a bisection level at a
+    time across all elements, libm exp through math.exp, the accepted
+    panels added right to left as the scalar stack does, and elements whose
+    tree reaches max_sub panels (or v == 0, u < 1e-6) passed to the scalar
+    routine itself.  Per k3 the (M, N) terms q_n 2 cos(k3 dz) K0 are summed
+    along N with numpy, in the order of kz.
+    """
     n_tar = targets.shape[0]
-    n_src = pos.shape[0]
     re = np.zeros(n_tar)
     rho2 = ((targets[:, None, :2] - pos[None, :, :2]) ** 2).sum(axis=-1)
     dz = targets[:, None, 2] - pos[None, :, 2]
     xi2 = xi * xi
-    for k3 in kz:
-        if k3 <= 0.0:
-            continue
-        u = 0.25 * k3 * k3 / xi2
-        table = np.empty((n_tar, n_src))
-        for m in range(n_tar):
-            for n in range(n_src):
-                table[m, n] = _k0inc_scalar(u, rho2[m, n] * xi2,
-                                            abs_tol, rel_tol, max_sub)
-        re += (q[None, :] * 2.0 * np.cos(k3 * dz) * table).sum(axis=1)
+    first = {}    # distinct values by first occurrence: O(MN), no sort
+    inv = np.array([first.setdefault(x, len(first))
+                    for x in (rho2 * xi2).ravel().tolist()])
+    inv = inv.reshape(rho2.shape)
+    v = np.array(list(first))
+    k3s = [k3 for k3 in kz if k3 > 0.0]
+    u = np.array([0.25 * k3 * k3 / xi2 for k3 in k3s])
+    table = _k0inc_array(*np.broadcast_arrays(u[:, None], v[None, :]),
+                         abs_tol, rel_tol, max_sub)
+    for k3, row in zip(k3s, table):
+        re += (q[None, :] * 2.0 * np.cos(k3 * dz) * row[inv]).sum(axis=1)
     return re / length, np.zeros(n_tar)
 
 

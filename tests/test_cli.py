@@ -128,22 +128,18 @@ def test_byte_identical_json_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_golden_files_numpy_lane():
+def test_golden_files_numpy_lane(tmp_path):
     # pinned to the numpy lane so the bytes are lane-independent of numba;
     # the numpy 3p k-space sum runs in a fixed order with no BLAS call and
     # libm exp, so its bytes depend on neither the BLAS kernel nor numpy's
     # SIMD level
     for mode in ("1p", "2p", "3p"):
-        out = GOLDEN.parent / f"_tmp_demo_{mode}.csv"
-        try:
-            r = run_cli([str(DATA / "demo.txt"), "--mode", mode,
-                         "--out", str(out)],
-                        env_extra={"EWALDPOT_BACKEND": "numpy"})
-            assert r.returncode == 0, r.stderr
-            got = out.read_bytes()
-        finally:
-            if out.exists():
-                out.unlink()
+        out = tmp_path / f"demo_{mode}.csv"
+        r = run_cli([str(DATA / "demo.txt"), "--mode", mode,
+                     "--out", str(out)],
+                    env_extra={"EWALDPOT_BACKEND": "numpy"})
+        assert r.returncode == 0, r.stderr
+        got = out.read_bytes()
         want = (GOLDEN / f"demo_{mode}.csv").read_bytes()
         assert got == want, f"golden mismatch for mode {mode}"
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ewaldpot import oracle
+from ewaldpot import kernels_numpy, oracle
 from ewaldpot.core import (
     EwaldParams,
     KGrid,
@@ -28,7 +28,12 @@ from ewaldpot.ewald import (
     zero_mode_1p,
     zero_mode_2p,
 )
-from ewaldpot.specfun import EULER_GAMMA, expint_e1
+from ewaldpot.specfun import (
+    EULER_GAMMA,
+    QuadratureConfig,
+    _k0inc_scalar,
+    expint_e1,
+)
 
 # frozen in test_specfun against the quadrature oracle
 E1_OF_1 = 0.21938393439552029
@@ -283,6 +288,67 @@ def test_kspace_1p_matches_2d_quadrature():
                 want[m] += q[n] * 2.0 * math.cos(k3 * dz) * val
     want /= math.pi * box[2]
     assert np.abs(got - want).max() < 1e-7
+
+
+def _kspace_1p_scalar_reference(pos, q, targets, xi, kz, length, cfg):
+    # one _k0inc_scalar call per (k3, target, source), the per-element loop
+    # the numpy kernel ran before its K0 table was batched
+    rho2 = ((targets[:, None, :2] - pos[None, :, :2]) ** 2).sum(axis=-1)
+    dz = targets[:, None, 2] - pos[None, :, 2]
+    xi2 = xi * xi
+    re = np.zeros(len(targets))
+    for k3 in kz:
+        if k3 <= 0.0:
+            continue
+        u = 0.25 * k3 * k3 / xi2
+        table = np.empty(rho2.shape)
+        for m in range(rho2.shape[0]):
+            for n in range(rho2.shape[1]):
+                table[m, n] = _k0inc_scalar(u, rho2[m, n] * xi2, cfg.abs_tol,
+                                            cfg.rel_tol, cfg.max_subdivisions)
+        re += (q[None, :] * 2.0 * np.cos(k3 * dz) * table).sum(axis=1)
+    return re / length
+
+
+def test_kspace_1p_numpy_kernel_bit_identical_to_scalar_loop():
+    rng = np.random.default_rng(31)
+    box = np.array([1.0, 1.1, 1.3])
+    s = random_neutral(rng, 5, box)
+    xi = 6.0
+    kz = build_kgrid(box, Periodicity.P1, 40.0).vectors
+    # a 3 x 3 (x, y) grid repeated at two heights: every rho^2 occurs twice
+    xy = np.stack(np.meshgrid([0.15, 0.5, 0.85], [0.2, 0.55, 0.9],
+                              indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = np.vstack([np.column_stack([xy, np.full(9, z)])
+                      for z in (0.35, 1.05)])
+    rho2 = ((grid[:, None, :2] - s.positions[None, :, :2]) ** 2).sum(axis=-1)
+    assert len(np.unique(rho2)) < rho2.size
+    for targets in (s.positions, grid):
+        for cfg in (QuadratureConfig(), QuadratureConfig(max_subdivisions=3)):
+            re, im = kernels_numpy.kspace_1p(
+                s.positions, s.charges, targets, xi, kz, float(box[2]),
+                cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+            want = _kspace_1p_scalar_reference(
+                s.positions, s.charges, targets, xi, kz, float(box[2]), cfg)
+            assert np.array_equal(re, want)
+            assert np.all(im == 0.0)
+
+
+def test_kspace_3p_numpy_at_sources_matches_general_path():
+    # the at-source path reuses the source phases; the general path (forced
+    # by one extra target) computes them again, in the same order
+    rng = np.random.default_rng(37)
+    box = np.array([1.1, 0.9, 1.0])
+    s = random_neutral(rng, 7, box)
+    kv = build_kgrid(box, Periodicity.P3, 30.0).vectors
+    vol = float(np.prod(box))
+    re, im = kernels_numpy.kspace_3p(s.positions, s.charges, s.positions,
+                                     2.0, kv, vol)
+    extra = np.vstack([s.positions, [[0.31, 0.47, 0.62]]])
+    re_g, im_g = kernels_numpy.kspace_3p(s.positions, s.charges, extra, 2.0,
+                                         kv, vol)
+    assert np.array_equal(re, re_g[:-1])
+    assert np.array_equal(im, im_g[:-1])
 
 
 # ---------------------------------------------------------------- zero modes
