@@ -9,7 +9,6 @@ parameter.  See :func:`ewald_potential` for the main entry point and
 used in the test suite.
 """
 
-from .backends import active_backend, backend, use_backend
 from .core import (
     EwaldParams,
     KGrid,
@@ -48,8 +47,6 @@ __all__ = [
     "Periodicity",
     "PotentialResult",
     "ValidationReport",
-    "active_backend",
-    "backend",
     "build_image_vectors",
     "build_kgrid",
     "default_params",
@@ -60,7 +57,6 @@ __all__ = [
     "kspace_sum_3p",
     "real_space_sum",
     "self_term",
-    "use_backend",
     "validate_system",
     "wrap_positions",
     "zero_mode_1p",

@@ -12,16 +12,24 @@ with a free positive decomposition parameter xi; totals are xi-independent
 up to truncation error, which is the defining consistency property and the
 backbone of the test suite.  Potentials are in Gaussian units, charge over
 length.
+
+ewald_potential plans each evaluation once: it validates the targets,
+checks neutrality, wraps positions and targets to the primary cell,
+resolves the targets (coincidence check and source index per target) and
+builds the image shifts and the k grid.  The layers then run on those
+plain arrays, each through one kernel of kernels_numpy.  The public
+per-layer functions (real_space_sum, kspace_sum_*, zero_mode_*) validate
+and resolve their own arguments, without wrapping, and run the same layer
+code.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
+from . import kernels_numpy
 from .core import (
     EwaldParams,
     KGrid,
@@ -106,15 +114,23 @@ class EwaldBreakdown:
         return self.real + self.kspace + self.zero_mode + self.self_term
 
 
-def _resolve_targets(system: ParticleSystem, mode: Periodicity,
-                     targets: EvalTargets):
-    """Return (target positions (M,3), source index per target, -1 if none)."""
+def _target_points(targets) -> np.ndarray | None:
+    """The explicit target points, or None to evaluate at the sources."""
     if not isinstance(targets, EvalTargets):
         raise ValueError("targets must be an EvalTargets instance")
-    if targets.is_sources:
+    return targets.points
+
+
+def _resolve_targets(system: ParticleSystem, mode: Periodicity, points):
+    """Return (target positions (M,3), source index per target, -1 if none).
+
+    points is None at the sources; explicit points closer than
+    COINCIDE_EPS_FACTOR * min(L) to a source are rejected.
+    """
+    if points is None:
         n = len(system)
         return np.array(system.positions), np.arange(n, dtype=np.int64)
-    pts = np.array(targets.points)
+    pts = np.array(points)
     eps = COINCIDE_EPS_FACTOR * float(np.min(system.box))
     delta = pts[:, None, :] - system.positions[None, :, :]
     for ax in mode.periodic_axes:
@@ -129,12 +145,68 @@ def _resolve_targets(system: ParticleSystem, mode: Periodicity,
     return pts, np.full(len(pts), -1, dtype=np.int64)
 
 
+def _check_xi(xi):
+    if not xi > 0.0:
+        raise ValueError("xi must be positive")
+
+
 def _check_grid(kgrid: KGrid, mode: Periodicity):
     if not isinstance(kgrid, KGrid):
         raise ValueError("kgrid must be a KGrid")
     if kgrid.mode is not mode:
         raise ValueError(
             f"k grid was built for {kgrid.mode.value}, needed {mode.value}")
+
+
+def _variant_code(variant: str) -> int:
+    if variant not in _VARIANT_CODES:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _VARIANT_CODES[variant]
+
+
+# The layers proper, shared by ewald_potential and the public per-layer
+# functions: validated arguments and resolved targets (tpos, src) in, one
+# kernel call out.
+
+def _real(system, tpos, src, images, xi, r_cut):
+    return kernels_numpy.real_space(system.positions, system.charges, tpos,
+                                    src, images, float(xi), float(r_cut))
+
+
+def _kspace(mode, system, tpos, xi, kgrid, cfg=None):
+    # the kernels also return the imaginary residue; only the real part is
+    # the potential
+    args = (system.positions, system.charges, tpos, float(xi), kgrid.vectors)
+    if mode is Periodicity.P3:
+        volume = float(np.prod(system.box))
+        re, _im = kernels_numpy.kspace_3p(*args, volume)
+    elif mode is Periodicity.P2:
+        area = float(system.box[0] * system.box[1])
+        re, _im = kernels_numpy.kspace_2p(*args, area)
+    else:
+        if cfg is None:
+            cfg = DEFAULT_QUADRATURE
+        length = float(system.box[2])
+        re, _im = kernels_numpy.kspace_1p(*args, length, cfg.abs_tol,
+                                          cfg.rel_tol, cfg.max_subdivisions)
+    return re
+
+
+def _zero(mode, system, tpos, src, xi, code=0):
+    if mode is Periodicity.P3:
+        return np.zeros(len(tpos))    # the k = 0 mode is gauged away
+    if mode is Periodicity.P2:
+        area = float(system.box[0] * system.box[1])
+        return kernels_numpy.zero_mode_2p(system.positions[:, 2],
+                                          system.charges, tpos[:, 2],
+                                          float(xi), area)
+    length = float(system.box[2])
+    if np.all(src >= 0):    # the targets are the sources
+        return kernels_numpy.zero_mode_1p_sources(
+            system.positions, system.charges, tpos, src, float(xi), length,
+            code)
+    return kernels_numpy.zero_mode_1p_points(
+        system.positions, system.charges, tpos, float(xi), length)
 
 
 def real_space_sum(system: ParticleSystem, mode: Periodicity, xi: float,
@@ -147,19 +219,15 @@ def real_space_sum(system: ParticleSystem, mode: Periodicity, xi: float,
     the image lattice differs.
     """
     require_neutral(system)
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
-    tpos, src = _resolve_targets(system, mode, targets)
+    _check_xi(xi)
+    tpos, src = _resolve_targets(system, mode, _target_points(targets))
     images = build_image_vectors(system.box, mode, layers)
-    kern = backends.get_kernels()
-    return kern.real_space(system.positions, system.charges, tpos, src,
-                           images, float(xi), float(r_cut))
+    return _real(system, tpos, src, images, xi, r_cut)
 
 
 def self_term(q_m: float, xi: float) -> float:
     """Self correction -(2 xi / sqrt(pi)) q_m for a charge at its own location."""
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
+    _check_xi(xi)
     return -(2.0 * xi / SQRT_PI) * q_m
 
 
@@ -171,28 +239,20 @@ def kspace_sum_3p(system: ParticleSystem, xi: float, kgrid: KGrid,
     level; the real part is returned.
     """
     _check_grid(kgrid, Periodicity.P3)
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
-    tpos, _ = _resolve_targets(system, Periodicity.P3, targets)
-    volume = float(np.prod(system.box))
-    kern = backends.get_kernels()
-    re, _im = kern.kspace_3p(system.positions, system.charges, tpos,
-                             float(xi), kgrid.vectors, volume)
-    return re
+    _check_xi(xi)
+    tpos, _ = _resolve_targets(system, Periodicity.P3,
+                               _target_points(targets))
+    return _kspace(Periodicity.P3, system, tpos, xi, kgrid)
 
 
 def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
                   targets: EvalTargets):
     """Planar k-space sum (pi/L1L2) sum_n q_n sum_kbar e^{-i kbar.(r-r_n)} g/kbar."""
     _check_grid(kgrid, Periodicity.P2)
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
-    tpos, _ = _resolve_targets(system, Periodicity.P2, targets)
-    area = float(system.box[0] * system.box[1])
-    kern = backends.get_kernels()
-    re, _im = kern.kspace_2p(system.positions, system.charges, tpos,
-                             float(xi), kgrid.vectors, area)
-    return re
+    _check_xi(xi)
+    tpos, _ = _resolve_targets(system, Periodicity.P2,
+                               _target_points(targets))
+    return _kspace(Periodicity.P2, system, tpos, xi, kgrid)
 
 
 def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
@@ -203,17 +263,10 @@ def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
     is legal here because K0(u, 0) = E1(u) is finite.
     """
     _check_grid(kgrid, Periodicity.P1)
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
-    if cfg is None:
-        cfg = DEFAULT_QUADRATURE
-    tpos, _ = _resolve_targets(system, Periodicity.P1, targets)
-    length = float(system.box[2])
-    kern = backends.get_kernels()
-    re, _im = kern.kspace_1p(system.positions, system.charges, tpos,
-                             float(xi), kgrid.vectors, length,
-                             cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
-    return re
+    _check_xi(xi)
+    tpos, _ = _resolve_targets(system, Periodicity.P1,
+                               _target_points(targets))
+    return _kspace(Periodicity.P1, system, tpos, xi, kgrid, cfg)
 
 
 def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
@@ -221,15 +274,10 @@ def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
     -(2 sqrt(pi)/L1L2) sum_n q_n [ e^{-xi^2 dz^2}/xi + sqrt(pi) dz erf(xi dz) ].
     """
     require_neutral(system)
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
-    tpos, _ = _resolve_targets(system, Periodicity.P2, targets)
-    area = float(system.box[0] * system.box[1])
-    kern = backends.get_kernels()
-    return kern.zero_mode_2p(np.ascontiguousarray(system.positions[:, 2]),
-                             system.charges,
-                             np.ascontiguousarray(tpos[:, 2]),
-                             float(xi), area)
+    _check_xi(xi)
+    tpos, src = _resolve_targets(system, Periodicity.P2,
+                                 _target_points(targets))
+    return _zero(Periodicity.P2, system, tpos, src, xi)
 
 
 def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets,
@@ -248,24 +296,11 @@ def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets,
     is the only one consistent with the rest of the decomposition.
     """
     require_neutral(system)
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
-    if _variant not in _VARIANT_CODES:
-        raise ValueError(f"unknown variant {_variant!r}")
-    code = _VARIANT_CODES[_variant]
-    tpos, src = _resolve_targets(system, Periodicity.P1, targets)
-    length = float(system.box[2])
-    kern = backends.get_kernels()
-    if targets.is_sources:
-        return kern.zero_mode_1p_sources(system.positions, system.charges,
-                                         tpos, src, float(xi), length, code)
-    rho2 = ((tpos[:, None, :2] - system.positions[None, :, :2]) ** 2).sum(axis=-1)
-    if np.any(rho2 == 0.0):
-        raise ValueError(
-            "off-particle target lies on the axis of a source "
-            "(rho = 0); the per-term logarithm diverges there")
-    return kern.zero_mode_1p_points(system.positions, system.charges, tpos,
-                                    float(xi), length)
+    _check_xi(xi)
+    code = _variant_code(_variant)
+    tpos, src = _resolve_targets(system, Periodicity.P1,
+                                 _target_points(targets))
+    return _zero(Periodicity.P1, system, tpos, src, xi, code)
 
 
 def ewald_potential(system: ParticleSystem, mode: Periodicity,
@@ -275,37 +310,31 @@ def ewald_potential(system: ParticleSystem, mode: Periodicity,
 
     Positions (and targets, along the periodic axes) are wrapped to the
     primary cell first; the result is invariant under that wrap and, up to
-    truncation error, under the choice of params.xi.
+    truncation error, under the choice of params.xi.  Validation, the wrap,
+    target resolution and the image and k-grid construction each run once
+    per call.
     """
+    points = _target_points(targets)
     require_neutral(system)
     if not isinstance(params, EwaldParams):
         raise ValueError("params must be an EwaldParams")
     mode = Periodicity(mode) if not isinstance(mode, Periodicity) else mode
+    code = _variant_code(_zero_mode_variant)
     wrapped = system.wrapped(mode)
-    if targets.is_sources:
-        wtargets = targets
-    else:
-        wtargets = EvalTargets.at_points(
-            wrap_positions(targets.points, system.box, mode))
-    _, src = _resolve_targets(wrapped, mode, wtargets)
-
-    real = real_space_sum(wrapped, mode, params.xi, params.r_cut,
-                          params.real_layers, wtargets)
+    if points is not None:
+        points = wrap_positions(points, system.box, mode)
+    tpos, src = _resolve_targets(wrapped, mode, points)
+    images = build_image_vectors(wrapped.box, mode, params.real_layers)
+    real = _real(wrapped, tpos, src, images, params.xi, params.r_cut)
+    # built once the real-space temporaries are freed, which keeps the
+    # peak RSS of 3p calls lower than building it first
     kgrid = build_kgrid(wrapped.box, mode, params.k_max)
-    if mode is Periodicity.P3:
-        kspace = kspace_sum_3p(wrapped, params.xi, kgrid, wtargets)
-        zero = np.zeros_like(real)
-    elif mode is Periodicity.P2:
-        kspace = kspace_sum_2p(wrapped, params.xi, kgrid, wtargets)
-        zero = zero_mode_2p(wrapped, params.xi, wtargets)
+    kspace = _kspace(mode, wrapped, tpos, params.xi, kgrid, cfg)
+    zero = _zero(mode, wrapped, tpos, src, params.xi, code)
+    if points is None:
+        self_vec = self_term(wrapped.charges, params.xi)
     else:
-        kspace = kspace_sum_1p(wrapped, params.xi, kgrid, wtargets, cfg)
-        zero = zero_mode_1p(wrapped, params.xi, wtargets,
-                            _variant=_zero_mode_variant)
-    self_vec = np.where(src >= 0,
-                        -(2.0 * params.xi / SQRT_PI)
-                        * wrapped.charges[np.clip(src, 0, None)],
-                        0.0)
+        self_vec = np.zeros(len(tpos))
     breakdown = EwaldBreakdown(real=real, kspace=kspace, zero_mode=zero,
                                self_term=self_vec)
     return PotentialResult(total=breakdown.total(), real=breakdown.real,

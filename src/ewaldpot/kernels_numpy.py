@@ -1,9 +1,11 @@
-"""Vectorized numpy/scipy twins of the kernels in kernels_numba.
+"""Vectorized numpy/scipy kernels of the Ewald layers.
 
-Same signatures and same mathematics; summation uses numpy reductions, so
-results agree with the loop kernels to rounding (~1e-15 relative), not bit
-for bit.  Selected via the EWALDPOT_BACKEND environment variable or
-backends.use_backend.
+One kernel per layer and mode: the real-space pair sum, the 3p, 2p and 1p
+k-space sums, and the 2p and 1p zero modes.  Each takes plain arrays (source
+positions and charges, resolved target positions, source index per target)
+that ewald.py has validated and resolved, and sums with numpy reductions in
+a fixed order, so reruns are bit-identical.  The test suite checks each
+kernel against a plain loop over math and the scalar routines of specfun.
 
 kspace_3p evaluates in a fixed, written-down order with elementwise numpy
 operations and reductions only: no matrix product (so no BLAS kernel, whose
@@ -233,5 +235,9 @@ def zero_mode_1p_sources(pos, q, targets, src_index, xi, length, variant):
 
 def zero_mode_1p_points(pos, q, targets, xi, length):
     rho2 = ((targets[:, None, :2] - pos[None, :, :2]) ** 2).sum(axis=-1)
+    if np.any(rho2 == 0.0):
+        raise ValueError(
+            "off-particle target lies on the axis of a source "
+            "(rho = 0); the per-term logarithm diverges there")
     terms = np.log(rho2) + sp.exp1(rho2 * xi * xi)
     return -(q[None, :] * terms).sum(axis=1) / length

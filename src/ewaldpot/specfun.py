@@ -6,11 +6,12 @@ modified Bessel function K0(u, v) = int_1^inf t^-1 exp(-u*t - v/t) dt,
 the screened planar kernel g(kbar, z, xi), and the zero-wavenumber limit
 function A(z, xi).
 
-All kernels are plain scalar routines compiled with numba when it is
-available; the same source runs uncompiled otherwise.  They are pure and
-reentrant, so they are safe to call from parallel code.  One array routine,
-_k0inc_array, evaluates the incomplete K0 over numpy arrays with the results
-of the scalar routine bit for bit.
+The scalar routines (_erfcx_scalar, _k0_scalar, _e1_scalar, _k0inc_scalar,
+_g_scalar, ...) are plain Python; the test suite checks them against mpmath
+and uses them as the references of the vectorized kernels in kernels_numpy.
+They are pure and reentrant.  One array routine, _k0inc_array, evaluates
+the incomplete K0 over numpy arrays with the results of the scalar routine
+bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._jit import njit
 
 EULER_GAMMA = 0.5772156649015328606
 SQRT_PI = 1.7724538509055160273
@@ -66,7 +65,6 @@ def erfc(x):
     return math.erfc(x)
 
 
-@njit(cache=True)
 def _exp_sq(x):
     # exp(x*x) with the argument split so that the squaring error of x*x
     # (about x^2 * eps, i.e. ~5e-14 relative in exp near x = 26) is removed.
@@ -76,7 +74,6 @@ def _exp_sq(x):
     return math.exp(hi * hi) * math.exp((2.0 * hi + lo) * lo)
 
 
-@njit(cache=True)
 def _erfcx_nonneg(x):
     # x >= 0 only.
     if x >= 26.0:
@@ -92,7 +89,6 @@ def _erfcx_nonneg(x):
     return _exp_sq(x) * math.erfc(x)
 
 
-@njit(cache=True)
 def _erfcx_scalar(x):
     if x >= 0.0:
         return _erfcx_nonneg(x)
@@ -133,7 +129,6 @@ _K0_CHEB = np.array([
 ])
 
 
-@njit(cache=True)
 def _k0_scalar(x):
     if x <= 2.0:
         # K0 = -(log(x/2) + gamma) I0(x) + sum_{k>=1} (x^2/4)^k / (k!)^2 * H_k
@@ -171,7 +166,6 @@ def bessel_k0(x):
 # Exponential integral E1
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def _e1_scalar(v):
     if v <= 1.0:
         # E1(v) = -gamma - log(v) + sum_{k>=1} (-1)^{k+1} v^k / (k k!)
@@ -237,7 +231,6 @@ _GK_WG = np.array([
 ])
 
 
-@njit(cache=True)
 def _k0inc_f(kind, u, v, x):
     # kind 0: integrand in t on [1, t*]:  exp(-u t - v/t) / t
     # kind 1: integrand in s after t = t* e^s (u, v pre-scaled by t*):
@@ -248,7 +241,6 @@ def _k0inc_f(kind, u, v, x):
     return math.exp(-u * e - v / e)
 
 
-@njit(cache=True)
 def _k0inc_panel(kind, u, v, a, b):
     # 15-point Kronrod value and |K15 - G7| error estimate on [a, b].
     half = 0.5 * (b - a)
@@ -267,7 +259,6 @@ def _k0inc_panel(kind, u, v, a, b):
     return half * fk, half * abs(fk - fg)
 
 
-@njit(cache=True)
 def _k0inc_adaptive(kind, u, v, a, b, tol, budget):
     # Stack-driven bisection; a panel is accepted once its error estimate
     # fits its share of the tolerance or the subdivision budget is spent.
@@ -297,7 +288,6 @@ def _k0inc_adaptive(kind, u, v, a, b, tol, budget):
     return total
 
 
-@njit(cache=True)
 def _k0inc_scalar(u, v, abs_tol, rel_tol, max_subdivisions):
     if v == 0.0:
         return _e1_scalar(u)
@@ -484,7 +474,6 @@ def incomplete_bessel_k0(u, v, cfg=None):
 # Screened planar kernel g and its zero-wavenumber limit A
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def _g_half(arg, kz, c):
     # e^{kz} erfc(arg) where arg = kbar/(2 xi) + xi z, kz = kbar z and
     # c = (kbar/(2 xi))^2 + (xi z)^2, so that kz - arg^2 = -c exactly.
@@ -496,7 +485,6 @@ def _g_half(arg, kz, c):
     return math.exp(kz) * math.erfc(arg)
 
 
-@njit(cache=True)
 def _g_scalar(kbar, z, xi):
     h = 0.5 * kbar / xi
     w = xi * z
@@ -518,7 +506,6 @@ def g_screened(kbar, z, xi):
     return _g_scalar(kbar, z, xi)
 
 
-@njit(cache=True)
 def _a_limit_scalar(z, xi):
     zz = xi * z
     return -2.0 * (math.exp(-zz * zz) / (xi * SQRT_PI) - abs(z)

@@ -412,13 +412,12 @@ def test_criterion_12_cli_determinism(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
-    env_np = dict(os.environ, EWALDPOT_BACKEND="numpy")
     for mode in ("1p", "2p", "3p"):
         out = tmp_path / f"g_{mode}.csv"
         r = subprocess.run([sys.executable, "-m", "ewaldpot.cli",
                             str(DATA / "demo.txt"), "--mode", mode,
                             "--out", str(out)],
-                           capture_output=True, text=True, env=env_np)
+                           capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
         assert out.read_bytes() == (GOLDEN / f"demo_{mode}.csv").read_bytes()
     report(12, "CLI runs are byte-deterministic and match golden tables")

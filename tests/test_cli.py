@@ -21,12 +21,9 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "ewaldpot.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def read_table(path):
@@ -129,15 +126,13 @@ def test_byte_identical_json_reruns(tmp_path):
 
 
 def test_golden_files_numpy_lane(tmp_path):
-    # pinned to the numpy lane so the bytes are lane-independent of numba;
-    # the numpy 3p k-space sum runs in a fixed order with no BLAS call and
-    # libm exp, so its bytes depend on neither the BLAS kernel nor numpy's
-    # SIMD level
+    # the 3p k-space sum runs in a fixed order with no BLAS call and libm
+    # exp, so its bytes depend on neither the BLAS kernel nor numpy's SIMD
+    # level
     for mode in ("1p", "2p", "3p"):
         out = tmp_path / f"demo_{mode}.csv"
         r = run_cli([str(DATA / "demo.txt"), "--mode", mode,
-                     "--out", str(out)],
-                    env_extra={"EWALDPOT_BACKEND": "numpy"})
+                     "--out", str(out)])
         assert r.returncode == 0, r.stderr
         got = out.read_bytes()
         want = (GOLDEN / f"demo_{mode}.csv").read_bytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ewaldpot import ewald as ewald_mod
 from ewaldpot import kernels_numpy, oracle
 from ewaldpot.core import (
     EwaldParams,
@@ -589,23 +590,22 @@ def test_breakdown_component_invariants():
 
 def test_kspace_imaginary_residue_small():
     # kernels expose (re, im); negation-closed grids leave only rounding noise
-    from ewaldpot.backends import get_kernels
     rng = np.random.default_rng(23)
     box = np.array([1.1, 0.9, 1.0])
     s = random_neutral(rng, 6, box)
     pts = np.array([[0.3, 0.6, 0.2], [0.85, 0.15, 0.7]])
-    kern = get_kernels()
     g3 = build_kgrid(box, Periodicity.P3, 30.0)
-    re3, im3 = kern.kspace_3p(s.positions, s.charges, pts, 2.0,
-                              g3.vectors, float(np.prod(box)))
+    re3, im3 = kernels_numpy.kspace_3p(s.positions, s.charges, pts, 2.0,
+                                       g3.vectors, float(np.prod(box)))
     assert np.abs(im3).max() <= 1e-13 * max(1.0, np.abs(re3).max())
     g2 = build_kgrid(box, Periodicity.P2, 25.0)
-    re2, im2 = kern.kspace_2p(s.positions, s.charges, pts, 2.0,
-                              g2.vectors, float(box[0] * box[1]))
+    re2, im2 = kernels_numpy.kspace_2p(s.positions, s.charges, pts, 2.0,
+                                       g2.vectors, float(box[0] * box[1]))
     assert np.abs(im2).max() <= 1e-13 * max(1.0, np.abs(re2).max())
     g1 = build_kgrid(box, Periodicity.P1, 25.0)
-    re1, im1 = kern.kspace_1p(s.positions, s.charges, pts, 2.0, g1.vectors,
-                              float(box[2]), 1e-12, 1e-12, 400)
+    re1, im1 = kernels_numpy.kspace_1p(s.positions, s.charges, pts, 2.0,
+                                       g1.vectors, float(box[2]),
+                                       1e-12, 1e-12, 400)
     assert np.all(im1 == 0.0)   # +-k3 pairs are combined into cosines
 
 
@@ -626,6 +626,28 @@ def test_target_coincidence_rejection():
     assert np.isfinite(res.total[0])
 
 
+def test_targets_resolved_once_per_evaluation(monkeypatch):
+    # one plan per ewald_potential call: the targets are resolved once,
+    # not once per layer
+    calls = []
+    resolve = ewald_mod._resolve_targets
+
+    def counting(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(ewald_mod, "_resolve_targets", counting)
+    box = np.array([1.0, 1.1, 0.9])
+    s = random_neutral(np.random.default_rng(5), 4, box)
+    pts = EvalTargets.at_points([[0.31, 0.77, 0.12], [0.92, 0.18, 0.6]])
+    for mode in Periodicity:
+        par = default_params(box, mode)
+        for targets in (EvalTargets.at_sources(), pts):
+            calls.clear()
+            ewald_potential(s, mode, par, targets)
+            assert len(calls) == 1, (mode, targets.is_sources, len(calls))
+
+
 def test_eval_targets_validation():
     with pytest.raises(ValueError):
         EvalTargets.at_points(np.zeros((2, 2)))
@@ -634,6 +656,16 @@ def test_eval_targets_validation():
     t = EvalTargets.at_points([0.1, 0.2, 0.3])  # single point promoted
     assert t.points.shape == (1, 3)
     assert EvalTargets.at_sources().is_sources
+    # a non-EvalTargets argument gets the documented error from the
+    # assembled evaluation as from the layer functions
+    box = np.array([1.0, 1.0, 1.0])
+    s = make_system([[0.2, 0.5, 0.5], [0.7, 0.5, 0.5]], [1.0, -1.0], box)
+    par = default_params(box, Periodicity.P3)
+    msg = "targets must be an EvalTargets instance"
+    with pytest.raises(ValueError, match=msg):
+        ewald_potential(s, Periodicity.P3, par, None)
+    with pytest.raises(ValueError, match=msg):
+        real_space_sum(s, Periodicity.P3, 1.0, 1e30, 1, None)
 
 
 def test_grid_mode_mismatch_errors():
