@@ -25,7 +25,6 @@ from .core import (
 )
 from .ewald import (
     EvalTargets,
-    EwaldBreakdown,
     ewald_potential,
     kspace_sum_1p,
     kspace_sum_2p,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvalTargets",
-    "EwaldBreakdown",
     "EwaldParams",
     "KGrid",
     "ParticleSystem",

@@ -15,12 +15,12 @@ length.
 
 ewald_potential plans each evaluation once: it validates the targets,
 checks neutrality, wraps positions and targets to the primary cell,
-resolves the targets (coincidence check and source index per target) and
-builds the image shifts and the k grid.  The layers then run on those
-plain arrays, each through one kernel of kernels_numpy.  The public
-per-layer functions (real_space_sum, kspace_sum_*, zero_mode_*) validate
-and resolve their own arguments, without wrapping, and run the same layer
-code.
+resolves the targets (coincidence check) and builds the image shifts and
+the k grid.  The layers then run on those plain arrays and on one flag,
+whether the targets are the sources, each through one kernel of
+kernels_numpy.  The public per-layer functions (real_space_sum,
+kspace_sum_*, zero_mode_*) validate and resolve their own arguments,
+without wrapping, and run the same layer code.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import kernels_numpy
 from .core import (
+    COINCIDE_RTOL,
     EwaldParams,
     KGrid,
     ParticleSystem,
@@ -45,7 +46,6 @@ from .specfun import DEFAULT_QUADRATURE, SQRT_PI
 
 __all__ = [
     "EvalTargets",
-    "EwaldBreakdown",
     "real_space_sum",
     "self_term",
     "kspace_sum_3p",
@@ -55,11 +55,6 @@ __all__ = [
     "zero_mode_1p",
     "ewald_potential",
 ]
-
-COINCIDE_EPS_FACTOR = 1e-10
-
-_VARIANT_CODES = {"standard": 0, "flip_e1": 1, "flip_gamma": 2}
-
 
 @dataclass(frozen=True)
 class EvalTargets:
@@ -97,23 +92,6 @@ class EvalTargets:
         return self.points is None
 
 
-@dataclass(frozen=True)
-class EwaldBreakdown:
-    """Per-target component arrays of one evaluation.
-
-    zero_mode is identically zero in P3 mode (the k = 0 Fourier mode is
-    gauged away there); self_term is identically zero off the particles.
-    """
-
-    real: np.ndarray
-    kspace: np.ndarray
-    zero_mode: np.ndarray
-    self_term: np.ndarray
-
-    def total(self) -> np.ndarray:
-        return self.real + self.kspace + self.zero_mode + self.self_term
-
-
 def _target_points(targets) -> np.ndarray | None:
     """The explicit target points, or None to evaluate at the sources."""
     if not isinstance(targets, EvalTargets):
@@ -122,16 +100,15 @@ def _target_points(targets) -> np.ndarray | None:
 
 
 def _resolve_targets(system: ParticleSystem, mode: Periodicity, points):
-    """Return (target positions (M,3), source index per target, -1 if none).
+    """Return the target positions (M, 3).
 
     points is None at the sources; explicit points closer than
-    COINCIDE_EPS_FACTOR * min(L) to a source are rejected.
+    COINCIDE_RTOL * min(L) to a source are rejected.
     """
     if points is None:
-        n = len(system)
-        return np.array(system.positions), np.arange(n, dtype=np.int64)
+        return np.array(system.positions)
     pts = np.array(points)
-    eps = COINCIDE_EPS_FACTOR * float(np.min(system.box))
+    eps = COINCIDE_RTOL * float(np.min(system.box))
     delta = pts[:, None, :] - system.positions[None, :, :]
     for ax in mode.periodic_axes:
         length = system.box[ax]
@@ -142,7 +119,7 @@ def _resolve_targets(system: ParticleSystem, mode: Periodicity, points):
         raise ValueError(
             f"target {m} lies within {eps:.3e} of source {n}; "
             "evaluate at sources instead")
-    return pts, np.full(len(pts), -1, dtype=np.int64)
+    return pts
 
 
 def _check_xi(xi):
@@ -158,41 +135,32 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
             f"k grid was built for {kgrid.mode.value}, needed {mode.value}")
 
 
-def _variant_code(variant: str) -> int:
-    if variant not in _VARIANT_CODES:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _VARIANT_CODES[variant]
-
-
 # The layers proper, shared by ewald_potential and the public per-layer
-# functions: validated arguments and resolved targets (tpos, src) in, one
-# kernel call out.
+# functions: validated arguments, resolved targets tpos and whether they are
+# the sources in, one kernel call out.
 
-def _real(system, tpos, src, images, xi, r_cut):
+def _real(system, tpos, at_sources, images, xi, r_cut):
     return kernels_numpy.real_space(system.positions, system.charges, tpos,
-                                    src, images, float(xi), float(r_cut))
+                                    at_sources, images, float(xi),
+                                    float(r_cut))
 
 
-def _kspace(mode, system, tpos, xi, kgrid, cfg=None):
-    # the kernels also return the imaginary residue; only the real part is
-    # the potential
+def _kspace(mode, system, tpos, at_sources, xi, kgrid, cfg=None):
     args = (system.positions, system.charges, tpos, float(xi), kgrid.vectors)
     if mode is Periodicity.P3:
         volume = float(np.prod(system.box))
-        re, _im = kernels_numpy.kspace_3p(*args, volume)
-    elif mode is Periodicity.P2:
+        return kernels_numpy.kspace_3p(*args, volume, at_sources)
+    if mode is Periodicity.P2:
         area = float(system.box[0] * system.box[1])
-        re, _im = kernels_numpy.kspace_2p(*args, area)
-    else:
-        if cfg is None:
-            cfg = DEFAULT_QUADRATURE
-        length = float(system.box[2])
-        re, _im = kernels_numpy.kspace_1p(*args, length, cfg.abs_tol,
-                                          cfg.rel_tol, cfg.max_subdivisions)
-    return re
+        return kernels_numpy.kspace_2p(*args, area)
+    if cfg is None:
+        cfg = DEFAULT_QUADRATURE
+    length = float(system.box[2])
+    return kernels_numpy.kspace_1p(*args, length, cfg.abs_tol, cfg.rel_tol,
+                                   cfg.max_subdivisions)
 
 
-def _zero(mode, system, tpos, src, xi, code=0):
+def _zero(mode, system, tpos, at_sources, xi):
     if mode is Periodicity.P3:
         return np.zeros(len(tpos))    # the k = 0 mode is gauged away
     if mode is Periodicity.P2:
@@ -201,10 +169,9 @@ def _zero(mode, system, tpos, src, xi, code=0):
                                           system.charges, tpos[:, 2],
                                           float(xi), area)
     length = float(system.box[2])
-    if np.all(src >= 0):    # the targets are the sources
+    if at_sources:
         return kernels_numpy.zero_mode_1p_sources(
-            system.positions, system.charges, tpos, src, float(xi), length,
-            code)
+            system.positions, system.charges, float(xi), length)
     return kernels_numpy.zero_mode_1p_points(
         system.positions, system.charges, tpos, float(xi), length)
 
@@ -220,9 +187,10 @@ def real_space_sum(system: ParticleSystem, mode: Periodicity, xi: float,
     """
     require_neutral(system)
     _check_xi(xi)
-    tpos, src = _resolve_targets(system, mode, _target_points(targets))
+    points = _target_points(targets)
+    tpos = _resolve_targets(system, mode, points)
     images = build_image_vectors(system.box, mode, layers)
-    return _real(system, tpos, src, images, xi, r_cut)
+    return _real(system, tpos, points is None, images, xi, r_cut)
 
 
 def self_term(q_m: float, xi: float) -> float:
@@ -235,14 +203,14 @@ def kspace_sum_3p(system: ParticleSystem, xi: float, kgrid: KGrid,
                   targets: EvalTargets):
     """Fully periodic k-space sum (4 pi/V) sum_k e^{-k^2/4xi^2}/k^2 S_k.
 
-    The grid is negation-closed, so the imaginary residue is at rounding
-    level; the real part is returned.
+    The grid is negation-closed and the kernel even, so the sum is real;
+    its imaginary part is never formed.
     """
     _check_grid(kgrid, Periodicity.P3)
     _check_xi(xi)
-    tpos, _ = _resolve_targets(system, Periodicity.P3,
-                               _target_points(targets))
-    return _kspace(Periodicity.P3, system, tpos, xi, kgrid)
+    points = _target_points(targets)
+    tpos = _resolve_targets(system, Periodicity.P3, points)
+    return _kspace(Periodicity.P3, system, tpos, points is None, xi, kgrid)
 
 
 def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
@@ -250,9 +218,9 @@ def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
     """Planar k-space sum (pi/L1L2) sum_n q_n sum_kbar e^{-i kbar.(r-r_n)} g/kbar."""
     _check_grid(kgrid, Periodicity.P2)
     _check_xi(xi)
-    tpos, _ = _resolve_targets(system, Periodicity.P2,
-                               _target_points(targets))
-    return _kspace(Periodicity.P2, system, tpos, xi, kgrid)
+    points = _target_points(targets)
+    tpos = _resolve_targets(system, Periodicity.P2, points)
+    return _kspace(Periodicity.P2, system, tpos, points is None, xi, kgrid)
 
 
 def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
@@ -264,9 +232,10 @@ def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
     """
     _check_grid(kgrid, Periodicity.P1)
     _check_xi(xi)
-    tpos, _ = _resolve_targets(system, Periodicity.P1,
-                               _target_points(targets))
-    return _kspace(Periodicity.P1, system, tpos, xi, kgrid, cfg)
+    points = _target_points(targets)
+    tpos = _resolve_targets(system, Periodicity.P1, points)
+    return _kspace(Periodicity.P1, system, tpos, points is None, xi, kgrid,
+                   cfg)
 
 
 def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
@@ -275,13 +244,12 @@ def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
     """
     require_neutral(system)
     _check_xi(xi)
-    tpos, src = _resolve_targets(system, Periodicity.P2,
-                                 _target_points(targets))
-    return _zero(Periodicity.P2, system, tpos, src, xi)
+    points = _target_points(targets)
+    tpos = _resolve_targets(system, Periodicity.P2, points)
+    return _zero(Periodicity.P2, system, tpos, points is None, xi)
 
 
-def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets,
-                 _variant: str = "standard"):
+def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets):
     """Axial k3 = 0 mode.
 
     Off the particles: -(1/L3) sum_n q_n [ log(rho_n^2) + E1(rho_n^2 xi^2) ];
@@ -290,22 +258,17 @@ def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets,
     equivalent per-term form
     (1/L3) sum_{n != m} q_n [ -gamma - log(rho^2 xi^2) - E1(rho^2 xi^2) ]
     whose bracket vanishes as rho -> 0, so the n = m term drops.
-
-    _variant is a test-only switch ('flip_e1' / 'flip_gamma') flipping one
-    sign in the at-source bracket to demonstrate that the standard choice
-    is the only one consistent with the rest of the decomposition.
     """
     require_neutral(system)
     _check_xi(xi)
-    code = _variant_code(_variant)
-    tpos, src = _resolve_targets(system, Periodicity.P1,
-                                 _target_points(targets))
-    return _zero(Periodicity.P1, system, tpos, src, xi, code)
+    points = _target_points(targets)
+    tpos = _resolve_targets(system, Periodicity.P1, points)
+    return _zero(Periodicity.P1, system, tpos, points is None, xi)
 
 
 def ewald_potential(system: ParticleSystem, mode: Periodicity,
-                    params: EwaldParams, targets: EvalTargets, cfg=None,
-                    _zero_mode_variant: str = "standard") -> PotentialResult:
+                    params: EwaldParams, targets: EvalTargets,
+                    cfg=None) -> PotentialResult:
     """Assemble real + kspace + zero_mode + self into a PotentialResult.
 
     Positions (and targets, along the periodic axes) are wrapped to the
@@ -319,25 +282,21 @@ def ewald_potential(system: ParticleSystem, mode: Periodicity,
     if not isinstance(params, EwaldParams):
         raise ValueError("params must be an EwaldParams")
     mode = Periodicity(mode) if not isinstance(mode, Periodicity) else mode
-    code = _variant_code(_zero_mode_variant)
     wrapped = system.wrapped(mode)
     if points is not None:
         points = wrap_positions(points, system.box, mode)
-    tpos, src = _resolve_targets(wrapped, mode, points)
+    at_sources = points is None
+    tpos = _resolve_targets(wrapped, mode, points)
     images = build_image_vectors(wrapped.box, mode, params.real_layers)
-    real = _real(wrapped, tpos, src, images, params.xi, params.r_cut)
+    real = _real(wrapped, tpos, at_sources, images, params.xi, params.r_cut)
     # built once the real-space temporaries are freed, which keeps the
     # peak RSS of 3p calls lower than building it first
     kgrid = build_kgrid(wrapped.box, mode, params.k_max)
-    kspace = _kspace(mode, wrapped, tpos, params.xi, kgrid, cfg)
-    zero = _zero(mode, wrapped, tpos, src, params.xi, code)
-    if points is None:
+    kspace = _kspace(mode, wrapped, tpos, at_sources, params.xi, kgrid, cfg)
+    zero = _zero(mode, wrapped, tpos, at_sources, params.xi)
+    if at_sources:
         self_vec = self_term(wrapped.charges, params.xi)
     else:
         self_vec = np.zeros(len(tpos))
-    breakdown = EwaldBreakdown(real=real, kspace=kspace, zero_mode=zero,
-                               self_term=self_vec)
-    return PotentialResult(total=breakdown.total(), real=breakdown.real,
-                           kspace=breakdown.kspace,
-                           zero_mode=breakdown.zero_mode,
-                           self_term=breakdown.self_term)
+    return PotentialResult(total=real + kspace + zero + self_vec, real=real,
+                           kspace=kspace, zero_mode=zero, self_term=self_vec)

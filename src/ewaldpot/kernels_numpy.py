@@ -2,10 +2,16 @@
 
 One kernel per layer and mode: the real-space pair sum, the 3p, 2p and 1p
 k-space sums, and the 2p and 1p zero modes.  Each takes plain arrays (source
-positions and charges, resolved target positions, source index per target)
-that ewald.py has validated and resolved, and sums with numpy reductions in
-a fixed order, so reruns are bit-identical.  The test suite checks each
-kernel against a plain loop over math and the scalar routines of specfun.
+positions and charges, resolved target positions) that ewald.py has
+validated and resolved, and, where a layer treats targets at the sources
+differently, a flag that says they are the sources.  It sums with numpy
+reductions in a fixed order, so reruns are bit-identical.  The test suite checks each kernel against a
+plain loop over math and the scalar routines of specfun.
+
+The k-space sums run over lattices closed under negation with real, even
+kernels, so the potential is real: each k-space kernel returns that real
+part only and never forms the imaginary part, which would be rounding
+noise.
 
 kspace_3p evaluates in a fixed, written-down order with elementwise numpy
 operations and reductions only: no matrix product (so no BLAS kernel, whose
@@ -33,18 +39,16 @@ from scipy import special as sp
 from .specfun import EULER_GAMMA, SQRT_PI, _k0inc_array
 
 
-def real_space(pos, q, targets, src_index, images, xi, r_cut):
-    n_tar = targets.shape[0]
-    out = np.zeros(n_tar)
+def real_space(pos, q, targets, at_sources, images, xi, r_cut):
+    """Real-space sum per target; at the sources (targets are pos) the
+    n = m pair of the p = 0 image is left out."""
+    out = np.zeros(targets.shape[0])
     delta = targets[:, None, :] - pos[None, :, :]  # (M, N, 3)
-    sel = src_index >= 0
-    rows = np.nonzero(sel)[0]
-    cols = src_index[sel]
     for pvec in images:
         d = np.sqrt(((delta + pvec) ** 2).sum(axis=-1))
         excluded = np.zeros(d.shape, dtype=bool)
-        if not pvec.any():
-            excluded[rows, cols] = True
+        if at_sources and not pvec.any():
+            np.fill_diagonal(excluded, True)
         if np.any((d == 0.0) & ~excluded):
             raise ValueError(
                 "zero distance between a target and a periodic image")
@@ -55,30 +59,32 @@ def real_space(pos, q, targets, src_index, images, xi, r_cut):
     return out
 
 
-def kspace_3p(pos, q, targets, xi, kvecs, volume):
+def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
     """3p k-space sum (4 pi/V) sum_k e^{-k^2/4xi^2}/k^2 S(k) e^{-i k.r}.
 
-    Returns the real and imaginary parts per target.  The order of every
-    rounding step is fixed:
+    Returns the potential (the real part) per target; at_sources says the
+    targets are pos.  The order of every rounding step is fixed:
 
         phase   (x kx + y ky) + z kz; for the targets one
                 np.multiply.outer per axis, added in place
         S(k)    cs, sn accumulated one source at a time, n = 0 .. N-1,
                 from q_n times cos and sin of that source's phases
-        targets at the sources (targets equal to pos): cos and sin of
-                source n's phases are written to row n of the (M, K)
-                cos and sin buffers and the target phase step is skipped;
-                the phase arithmetic is the same, so are the bytes
+        targets at the sources: cos and sin of source n's phases are
+                written to row n of the (M, K) cos and sin buffers c, s
+                and the target phase step is skipped; the phase
+                arithmetic is the same, so are the bytes
         weight  pref * math.exp(-k^2 quart) / k^2 per k, quart = 1/(4 xi^2)
-        re, im  c (w cs) + s (w sn) and c (w sn) - s (w cs) in (M, K)
-                buffers, then a numpy sum along K per target
+        re      c (w cs) + s (w sn), formed in place in c and s, then a
+                numpy sum along K per target
+
+    c and s are the only (M, K) arrays.
 
     No BLAS routine is called and exp is libm's, so the result does not
     depend on the BLAS kernel or on numpy's SIMD level.
     """
     n_tar = targets.shape[0]
     if len(kvecs) == 0:
-        return np.zeros(n_tar), np.zeros(n_tar)
+        return np.zeros(n_tar)
     kx, ky, kz = np.ascontiguousarray(kvecs.T)
     k2 = (kx * kx + ky * ky) + kz * kz
     pref = 4.0 * math.pi / volume
@@ -91,7 +97,6 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume):
     tmp = np.empty(n_k)
     c = np.empty((n_tar, n_k))
     s = np.empty((n_tar, n_k))
-    at_sources = targets.shape == pos.shape and np.array_equal(targets, pos)
     cos_n = sin_n = tmp    # off the sources they only feed cs and sn
     for n, ((x, y, z), qn) in enumerate(zip(pos.tolist(), q.tolist())):
         np.multiply(kx, x, out=phase)
@@ -117,15 +122,10 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume):
         s += c
         np.cos(s, out=c)
         np.sin(s, out=s)
-    buf = np.multiply(c, wc)
-    buf2 = np.multiply(s, ws)
-    buf += buf2
-    re = buf.sum(axis=1)
-    np.multiply(c, ws, out=buf)
-    np.multiply(s, wc, out=buf2)
-    buf -= buf2
-    im = buf.sum(axis=1)
-    return re, im
+    c *= wc
+    s *= ws
+    c += s
+    return c.sum(axis=1)
 
 
 def _g_array(kbar, dz, xi):
@@ -146,11 +146,9 @@ def _g_array(kbar, dz, xi):
 
 
 def kspace_2p(pos, q, targets, xi, kvecs, area):
-    n_tar = targets.shape[0]
+    re = np.zeros(targets.shape[0])
     if len(kvecs) == 0:
-        return np.zeros(n_tar), np.zeros(n_tar)
-    re = np.zeros(n_tar)
-    im = np.zeros(n_tar)
+        return re
     dxy = targets[:, None, :2] - pos[None, :, :2]   # (M, N, 2)
     dz = targets[:, None, 2] - pos[None, :, 2]      # (M, N)
     pref = math.pi / area
@@ -159,8 +157,7 @@ def kspace_2p(pos, q, targets, xi, kvecs, area):
         g = _g_array(kb, dz, xi)
         ph = dxy[:, :, 0] * kvec[0] + dxy[:, :, 1] * kvec[1]
         re += (pref / kb) * (q[None, :] * g * np.cos(ph)).sum(axis=1)
-        im -= (pref / kb) * (q[None, :] * g * np.sin(ph)).sum(axis=1)
-    return re, im
+    return re
 
 
 def kspace_1p(pos, q, targets, xi, kz, length, abs_tol, rel_tol, max_sub):
@@ -178,8 +175,7 @@ def kspace_1p(pos, q, targets, xi, kz, length, abs_tol, rel_tol, max_sub):
     routine itself.  Per k3 the (M, N) terms q_n 2 cos(k3 dz) K0 are summed
     along N with numpy, in the order of kz.
     """
-    n_tar = targets.shape[0]
-    re = np.zeros(n_tar)
+    re = np.zeros(targets.shape[0])
     rho2 = ((targets[:, None, :2] - pos[None, :, :2]) ** 2).sum(axis=-1)
     dz = targets[:, None, 2] - pos[None, :, 2]
     xi2 = xi * xi
@@ -194,7 +190,7 @@ def kspace_1p(pos, q, targets, xi, kz, length, abs_tol, rel_tol, max_sub):
                          abs_tol, rel_tol, max_sub)
     for k3, row in zip(k3s, table):
         re += (q[None, :] * 2.0 * np.cos(k3 * dz) * row[inv]).sum(axis=1)
-    return re / length, np.zeros(n_tar)
+    return re / length
 
 
 def zero_mode_2p(zpos, q, ztar, xi, area):
@@ -215,21 +211,11 @@ def _log_e1_bracket_array(x):
     return np.where(x == 0.0, 0.0, np.where(small, series, direct))
 
 
-def zero_mode_1p_sources(pos, q, targets, src_index, xi, length, variant):
-    n_tar = targets.shape[0]
-    dxy = targets[:, None, :2] - pos[None, :, :2]
-    x = (dxy ** 2).sum(axis=-1) * xi * xi
-    if variant == 0:
-        br = _log_e1_bracket_array(x)
-    else:
-        xl = np.where(x == 0.0, 1.0, x)
-        if variant == 1:
-            br = -EULER_GAMMA - np.log(xl) + sp.exp1(xl)
-        else:
-            br = EULER_GAMMA - np.log(xl) - sp.exp1(xl)
-        br = np.where(x == 0.0, 0.0, br)
-    sel = src_index >= 0
-    br[np.nonzero(sel)[0], src_index[sel]] = 0.0
+def zero_mode_1p_sources(pos, q, xi, length):
+    # the targets are the sources; the n = m term drops
+    dxy = pos[:, None, :2] - pos[None, :, :2]
+    br = _log_e1_bracket_array((dxy ** 2).sum(axis=-1) * xi * xi)
+    np.fill_diagonal(br, 0.0)
     return (q[None, :] * br).sum(axis=1) / length
 
 
