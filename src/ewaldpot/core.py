@@ -210,7 +210,11 @@ class KGrid:
     indices : matching integer lattice indices (bookkeeping; same ordering).
 
     The set is closed under negation and ordered lexicographically by integer
-    index, so summation order is deterministic.
+    index, so summation order is deterministic.  A P2 set must also be closed
+    under the sign flip of each axis separately, (kx, ky) -> (-kx, ky) and
+    (kx, -ky): the 2p k-space sum runs over the quadrant kx, ky >= 0 with
+    multiplicities, and kspace_sum_2p rejects a grid without that closure.
+    build_kgrid's norm ball has it in every mode.
     """
 
     mode: Periodicity

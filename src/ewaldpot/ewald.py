@@ -25,6 +25,7 @@ without wrapping, and run the same layer code.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,15 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
     if kgrid.mode is not mode:
         raise ValueError(
             f"k grid was built for {kgrid.mode.value}, needed {mode.value}")
+    if mode is Periodicity.P2:
+        # the 2p kernel sums one quadrant with multiplicities, which needs
+        # each vector's mirror images along x and along y in the grid
+        count = Counter(map(tuple, np.asarray(kgrid.vectors).tolist()))
+        for (kx, ky), c in count.items():
+            if count[(-kx, ky)] != c or count[(kx, -ky)] != c:
+                raise ValueError(
+                    "a 2p k grid must be closed under the sign flip of each "
+                    f"axis; ({kx}, {ky}) lacks a mirror image")
 
 
 # The layers proper, shared by ewald_potential and the public per-layer
@@ -152,7 +162,7 @@ def _kspace(mode, system, tpos, at_sources, xi, kgrid, cfg=None):
         return kernels_numpy.kspace_3p(*args, volume, at_sources)
     if mode is Periodicity.P2:
         area = float(system.box[0] * system.box[1])
-        return kernels_numpy.kspace_2p(*args, area)
+        return kernels_numpy.kspace_2p(*args, area, at_sources)
     if cfg is None:
         cfg = DEFAULT_QUADRATURE
     length = float(system.box[2])

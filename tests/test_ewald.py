@@ -33,6 +33,7 @@ from ewaldpot.ewald import (
 from ewaldpot.specfun import (
     EULER_GAMMA,
     QuadratureConfig,
+    _g_scalar,
     _k0inc_scalar,
     expint_e1,
 )
@@ -231,6 +232,93 @@ def test_kspace_2p_matches_mode_quadrature():
                             * oracle.screened_mode_quadrature(kb, dz, xi))
     want *= 2.0 / (box[0] * box[1])
     assert np.abs(got - want).max() < 1e-8
+
+
+def _quadrant(kvecs):
+    return [k for k in kvecs.tolist() if k[0] >= 0.0 and k[1] >= 0.0]
+
+
+def test_kspace_2p_at_sources_matches_general_path():
+    # at the sources g runs on the upper triangle of |dz| and is scattered
+    # to (N, N); the general path (the sources plus one extra target) runs
+    # it on the full signed dz, and g is even in dz bit for bit
+    rng = np.random.default_rng(37)
+    box = np.array([1.1, 0.9, 1.0])
+    s = random_neutral(rng, 7, box)
+    kv = build_kgrid(box, Periodicity.P2, 30.0).vectors
+    area = float(box[0] * box[1])
+    re = kernels_numpy.kspace_2p(s.positions, s.charges, s.positions, 2.0,
+                                 kv, area, True)
+    extra = np.vstack([s.positions, [[0.31, 0.47, 0.62]]])
+    re_g = kernels_numpy.kspace_2p(s.positions, s.charges, extra, 2.0, kv,
+                                   area, False)
+    assert np.array_equal(re, re_g[:-1])
+
+
+def test_kspace_2p_evaluates_g_once_per_quadrant_vector(monkeypatch):
+    # g depends on kbar only through |kbar|, so one quadrant of the grid
+    # suffices; at the sources g is symmetric in the pair, so each call
+    # covers the N(N+1)/2 unordered pairs, off them the M x N pairs
+    rng = np.random.default_rng(5)
+    box = np.array([1.0, 1.1, 0.9])
+    n = 9
+    s = random_neutral(rng, n, box)
+    par = default_params(box, Periodicity.P2)
+    kv = build_kgrid(box, Periodicity.P2, par.k_max).vectors
+    sizes = []
+    g_array = kernels_numpy._g_array
+
+    def counting(kbar, dz, xi):
+        sizes.append(dz.size)
+        return g_array(kbar, dz, xi)
+
+    monkeypatch.setattr(kernels_numpy, "_g_array", counting)
+    ewald_potential(s, Periodicity.P2, par, EvalTargets.at_sources())
+    assert sizes == [n * (n + 1) // 2] * len(_quadrant(kv))
+    sizes.clear()
+    pts = np.array([[0.3, 0.6, 0.2], [0.85, 0.15, 0.7]])
+    ewald_potential(s, Periodicity.P2, par, EvalTargets.at_points(pts))
+    assert sizes == [2 * n] * len(_quadrant(kv))
+
+
+def test_kspace_2p_rejects_grid_without_axis_flips():
+    # closed under negation but not under the flip of one axis: the
+    # quadrant fold would silently sum something else
+    rng = np.random.default_rng(8)
+    box = np.array([1.0, 1.0, 1.0])
+    s = random_neutral(rng, 4, box)
+    grid = KGrid(mode=Periodicity.P2,
+                 vectors=np.array([[-6.0, -4.0], [6.0, 4.0]]))
+    with pytest.raises(ValueError, match="sign flip"):
+        kspace_sum_2p(s, 1.5, grid, EvalTargets.at_sources())
+
+
+def test_kspace_2p_hand_built_flip_closed_grid_matches_full_loop():
+    # off-lattice vectors, closed under each axis flip, in no particular
+    # order: the folded sum equals a plain loop over every vector
+    rng = np.random.default_rng(14)
+    box = np.array([1.2, 0.9, 1.0])
+    s = random_neutral(rng, 5, box)
+    vecs = [(3.1, 4.7), (-3.1, 4.7), (3.1, -4.7), (-3.1, -4.7),
+            (5.3, 0.0), (-5.3, 0.0), (0.0, 2.9), (0.0, -2.9),
+            (7.7, 1.3), (-7.7, 1.3), (7.7, -1.3), (-7.7, -1.3)]
+    order = rng.permutation(len(vecs))
+    grid = KGrid(mode=Periodicity.P2, vectors=np.array(vecs)[order])
+    xi, area = 1.7, float(box[0] * box[1])
+    pts = np.array([[0.4, 0.3, 0.5], [0.8, 0.1, 1.4]])
+    for targets, tpos in ((EvalTargets.at_sources(), s.positions),
+                          (EvalTargets.at_points(pts), pts)):
+        got = kspace_sum_2p(s, xi, grid, targets)
+        want = np.zeros(len(tpos))
+        for kx, ky in vecs:
+            kb = math.hypot(kx, ky)
+            for m, t in enumerate(tpos):
+                for qn, x in zip(s.charges, s.positions):
+                    ph = kx * (t[0] - x[0]) + ky * (t[1] - x[1])
+                    want[m] += (math.pi / area / kb * qn * math.cos(ph)
+                                * _g_scalar(kb, t[2] - x[2], xi))
+        assert np.abs(got - want).max() < 1e-13 * max(1.0,
+                                                       np.abs(want).max())
 
 
 # ---------------------------------------------------------------- 1P kspace
@@ -626,7 +714,7 @@ def test_kspace_imaginary_residue_small():
     assert np.abs(im3).max() <= 1e-13 * max(1.0, np.abs(re3).max())
     kv2 = build_kgrid(box, Periodicity.P2, 25.0).vectors
     area = float(box[0] * box[1])
-    re2 = kernels_numpy.kspace_2p(pos, q, pts, xi, kv2, area)
+    re2 = kernels_numpy.kspace_2p(pos, q, pts, xi, kv2, area, False)
     dxy = pts[:, None, :2] - pos[None, :, :2]
     dz = pts[:, None, 2] - pos[None, :, 2]
     im2 = np.zeros(len(pts))

@@ -163,7 +163,8 @@ def test_kernels_match_reference_loops(mode):
                    ref_kspace_3p(pos, q, tpos, xi, kvecs, volume))
         elif mode is Periodicity.P2:
             area = float(box[0] * box[1])
-            _close(kernels_numpy.kspace_2p(pos, q, tpos, xi, kvecs, area),
+            _close(kernels_numpy.kspace_2p(pos, q, tpos, xi, kvecs, area,
+                                           at_sources),
                    ref_kspace_2p(pos, q, tpos, xi, kvecs, area))
             _close(kernels_numpy.zero_mode_2p(pos[:, 2], q, tpos[:, 2], xi,
                                               area),
