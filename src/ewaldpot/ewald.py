@@ -299,8 +299,6 @@ def ewald_potential(system: ParticleSystem, mode: Periodicity,
     tpos = _resolve_targets(wrapped, mode, points)
     images = build_image_vectors(wrapped.box, mode, params.real_layers)
     real = _real(wrapped, tpos, at_sources, images, params.xi, params.r_cut)
-    # built once the real-space temporaries are freed, which keeps the
-    # peak RSS of 3p calls lower than building it first
     kgrid = build_kgrid(wrapped.box, mode, params.k_max)
     kspace = _kspace(mode, wrapped, tpos, at_sources, params.xi, kgrid, cfg)
     zero = _zero(mode, wrapped, tpos, at_sources, params.xi)

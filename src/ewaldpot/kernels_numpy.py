@@ -8,6 +8,10 @@ differently, a flag that says they are the sources.  It sums with numpy
 reductions in a fixed order, so reruns are bit-identical.  The test suite checks each kernel against a
 plain loop over math and the scalar routines of specfun.
 
+real_space takes erfc only of the pairs within r_cut: it finds them block
+by block of nearby targets, among the image points near each block, and
+never forms an array over all (target, source, image) triples.
+
 The k-space sums run over lattices closed under negation with real, even
 kernels, so the potential is real: each k-space kernel returns that real
 part only and never forms the imaginary part, which would be rounding
@@ -39,23 +43,102 @@ from scipy import special as sp
 from .specfun import EULER_GAMMA, SQRT_PI, _k0inc_array
 
 
+#: up to this many targets form a single block: below it the work per
+#: block costs more than the pairs that blocks cull
+_FEW_TARGETS = 128
+
+
+def _target_blocks(targets, r_cut):
+    """Index arrays that partition the targets into spatial blocks.
+
+    A block is a cell of side r_cut/2 of a grid anchored at the smallest
+    target coordinates; blocks come in lexicographic cell order and hold
+    their targets in ascending index order.  All targets form one block
+    when r_cut is infinite or they are few.
+    """
+    m = targets.shape[0]
+    if m <= _FEW_TARGETS or not math.isfinite(r_cut):
+        return [np.arange(m)]
+    cell = np.floor((targets - targets.min(axis=0)) / (0.5 * r_cut))
+    order = np.lexsort(cell.T[::-1])
+    cell = cell[order]
+    new = np.any(cell[1:] != cell[:-1], axis=1)
+    return np.split(order, np.flatnonzero(new) + 1)
+
+
 def real_space(pos, q, targets, at_sources, images, xi, r_cut):
-    """Real-space sum per target; at the sources (targets are pos) the
-    n = m pair of the p = 0 image is left out."""
+    """Real-space sum sum_p sum_n q_n erfc(xi d)/d, d = |t - x_n + p| <= r_cut.
+
+    Returns the sum per target; at_sources says the targets are pos, and
+    then the n = m pair of the p = 0 image is left out.  A zero distance
+    of any other pair raises ValueError.
+
+    Image point j = p N + n, source n shifted by image p, sits at
+    x_n - images[p]; the points are held in that (image, source) order.
+    The targets are split into spatial blocks (_target_blocks).  A block
+    takes as candidates the image points inside its bounding box widened
+    by r_cut (and a rounding margin), so every pair within r_cut is a
+    candidate.  The order of every rounding step is fixed:
+
+        d       sqrt(((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2),
+                each component (t - x_n) + p, for every candidate pair
+        term    erfc(xi d) q_n / d, only for the pairs with d <= r_cut
+        sum     per target, its kept terms in ascending j (image by image
+                in the order of images, source by source within an image)
+                through np.add.reduceat: the first term plus numpy's
+                pairwise sum of the others; 0.0 without a kept term
+
+    The terms and their order per target do not depend on the partition
+    into blocks, so neither do the bytes of the result.  Per block only
+    (block targets, candidates) arrays are held, never (M, N) ones.
+    """
+    n = pos.shape[0]
     out = np.zeros(targets.shape[0])
-    delta = targets[:, None, :] - pos[None, :, :]  # (M, N, 3)
-    for pvec in images:
-        d = np.sqrt(((delta + pvec) ** 2).sum(axis=-1))
-        excluded = np.zeros(d.shape, dtype=bool)
-        if at_sources and not pvec.any():
-            np.fill_diagonal(excluded, True)
-        if np.any((d == 0.0) & ~excluded):
+    # (P N,) per axis: image point j of source j % N and image j // N
+    ycols = [(pos[None, :, a] - images[:, None, a]).ravel() for a in range(3)]
+    extent = max(np.abs(targets).max(), max(np.abs(y).max() for y in ycols))
+    reach = r_cut + 1e-12 * (r_cut + extent)
+    p0s = np.flatnonzero(~images.any(axis=1))
+    for blk in _target_blocks(targets, r_cut):
+        tb = targets[blk]
+        lo = tb.min(axis=0) - reach
+        hi = tb.max(axis=0) + reach
+        inbox = (ycols[0] >= lo[0]) & (ycols[0] <= hi[0])
+        for a in (1, 2):
+            inbox &= (ycols[a] >= lo[a]) & (ycols[a] <= hi[a])
+        cand = np.flatnonzero(inbox)
+        img, src = np.divmod(cand, n)
+        d = np.subtract.outer(tb[:, 0], pos[src, 0])
+        d += images[img, 0]
+        d *= d
+        da = np.empty_like(d)
+        for a in (1, 2):
+            np.subtract.outer(tb[:, a], pos[src, a], out=da)
+            da += images[img, a]
+            da *= da
+            d += da
+        del da
+        np.sqrt(d, out=d)
+        if at_sources:
+            # target m's own image point p0 N + m sits on it, so it is a
+            # candidate; NaN drops the pair from both tests below
+            for p0 in p0s:
+                d[np.arange(len(blk)),
+                  np.searchsorted(cand, p0 * n + blk)] = np.nan
+        keep = d <= r_cut
+        dk = d[keep]
+        del d
+        if np.any(dk == 0.0):
             raise ValueError(
                 "zero distance between a target and a periodic image")
-        keep = (d <= r_cut) & ~excluded
-        safe = np.where(keep, d, 1.0)
-        out += np.where(keep, sp.erfc(xi * safe) * q[None, :] / safe,
-                        0.0).sum(axis=1)
+        terms = np.multiply(dk, xi)
+        sp.erfc(terms, out=terms)
+        terms *= q[src[np.nonzero(keep)[1]]]
+        terms /= dk
+        count = np.count_nonzero(keep, axis=1)
+        has = count > 0
+        first = np.cumsum(count) - count
+        out[blk[has]] = np.add.reduceat(terms, first[has])
     return out
 
 

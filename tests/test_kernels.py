@@ -9,11 +9,15 @@ residue of the same sums with a numpy reference.
 """
 
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
-from ewaldpot import kernels_numpy
+from ewaldpot import EvalTargets, kernels_numpy, real_space_sum
 from ewaldpot.core import (
     ParticleSystem,
     Periodicity,
@@ -183,3 +187,234 @@ def test_kernels_match_reference_loops(mode):
                                                         length)
             _close(got, ref_zero_mode_1p(pos, q, tpos, at_sources, xi,
                                          length))
+
+
+# ------------------------------------------------- culled real-space kernel
+
+def _dense_pairs(pos, tpos, at_sources, images, r_cut):
+    # per image: the (M, N) distances and the mask of the pairs summed
+    delta = tpos[:, None, :] - pos[None, :, :]
+    for pvec in images:
+        d = np.sqrt(((delta + pvec) ** 2).sum(axis=-1))
+        keep = d <= r_cut
+        if at_sources and not pvec.any():
+            np.fill_diagonal(keep, False)
+        yield d, keep
+
+
+def dense_real_space(pos, q, tpos, at_sources, images, xi, r_cut):
+    # every (target, source, image) term, summed image by image: the
+    # formula of the kernel before it culled the pairs beyond r_cut
+    out = np.zeros(len(tpos))
+    for d, keep in _dense_pairs(pos, tpos, at_sources, images, r_cut):
+        safe = np.where(keep, d, 1.0)
+        out += np.where(keep, special.erfc(xi * safe) * q[None, :] / safe,
+                        0.0).sum(axis=1)
+    return out
+
+
+def _uniform_system(n, box, seed):
+    rng = np.random.default_rng(seed)
+    box = np.asarray(box, dtype=float)
+    pos = rng.uniform(-0.5, 0.5, (n, 3)) * box
+    q = rng.normal(size=n)
+    q -= q.mean()
+    return ParticleSystem(positions=pos, charges=q, box=box)
+
+
+def _culled_matches_dense(monkeypatch, pos, q, tpos, at_sources, images, xi,
+                          r_cut):
+    # the default partition and one block per occupied cell (blocking
+    # forced on) give the same bytes, within 1e-14 of the dense formula
+    want = dense_real_space(pos, q, tpos, at_sources, images, xi, r_cut)
+    got = kernels_numpy.real_space(pos, q, tpos, at_sources, images, xi,
+                                   r_cut)
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels_numpy, "_FEW_TARGETS", 0)
+        blocked = kernels_numpy.real_space(pos, q, tpos, at_sources, images,
+                                           xi, r_cut)
+    assert got.tobytes() == blocked.tobytes()
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-14 * scale
+    return got
+
+
+def test_real_space_thin_box_many_shells(monkeypatch):
+    # L3 = 0.15 with r_cut = 0.68: five image shells, 11^3 images
+    box = [1.0, 1.0, 0.15]
+    s = _uniform_system(40, box, 1)
+    xi = 8.0
+    par = default_params(box, Periodicity.P3, xi=xi)
+    assert par.real_layers >= 5
+    images = build_image_vectors(box, Periodicity.P3, par.real_layers)
+    grid = np.stack(np.meshgrid(*[np.linspace(-0.45, 0.45, 4)] * 2,
+                                [0.05], indexing="ij"), axis=-1)
+    for tpos, at_sources in ((s.positions, True),
+                             (grid.reshape(-1, 3) * box, False)):
+        _culled_matches_dense(monkeypatch, s.positions, s.charges, tpos,
+                              at_sources, images, xi, par.r_cut)
+
+
+def test_real_space_infinite_cutoff(monkeypatch):
+    box = [1.0, 1.1, 0.9]
+    images = build_image_vectors(box, Periodicity.P3, 1)
+    s = _uniform_system(200, box, 2)
+    assert len(kernels_numpy._target_blocks(s.positions, math.inf)) == 1
+    _culled_matches_dense(monkeypatch, s.positions, s.charges, s.positions,
+                          True, images, 3.0, math.inf)
+
+
+def test_real_space_cutoff_below_block_side(monkeypatch):
+    # r_cut = 0.05: the one block of 120 targets spans the cell, about 20
+    # r_cut wide; with blocking forced on, most blocks hold one target.
+    # Most targets have no pair within r_cut.
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(120, box, 3)
+    assert len(kernels_numpy._target_blocks(s.positions, 0.05)) == 1
+    images = build_image_vectors(box, Periodicity.P3, 1)
+    got = _culled_matches_dense(monkeypatch, s.positions, s.charges,
+                                s.positions, True, images, 60.0, 0.05)
+    assert np.count_nonzero(got == 0.0) > 60
+
+
+def test_real_space_targets_on_block_edges(monkeypatch):
+    # targets spaced exactly r_cut/2 apart sit on the cell boundaries of
+    # the blocks; one source lies exactly r_cut below a corner target, on
+    # the edge of that block's candidate box
+    box = np.array([1.0, 1.0, 1.0])
+    r_cut = 0.25
+    axis = -0.4 + 0.125 * np.arange(6)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    s = _uniform_system(24, box, 4)
+    pos = np.array(s.positions)
+    pos[0] = [-0.4, -0.4, -0.4 - r_cut]
+    assert np.linalg.norm(grid[0] - pos[0]) == r_cut
+    images = build_image_vectors(box, Periodicity.P3, 1)
+    assert len(kernels_numpy._target_blocks(grid, r_cut)) > 1
+    _culled_matches_dense(monkeypatch, pos, s.charges, grid, False, images,
+                          20.0, r_cut)
+
+
+@pytest.mark.parametrize("mode", [Periodicity.P1, Periodicity.P2],
+                         ids=lambda m: m.value)
+def test_real_space_wire_and_slab(monkeypatch, mode):
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(160, box, 5)
+    par = default_params(box, mode)
+    images = build_image_vectors(box, mode, par.real_layers)
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-0.5, 0.5, (150, 3)) * box
+    for tpos, at_sources in ((s.positions, True), (pts, False)):
+        _culled_matches_dense(monkeypatch, s.positions, s.charges, tpos,
+                              at_sources, images, par.xi, par.r_cut)
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_real_space_sum_outside_the_cell(monkeypatch, mode):
+    # real_space_sum does not wrap: sources and targets outside the primary
+    # cell, far out along a free axis where there is one, keep their places
+    box = np.array([1.0, 1.1, 0.9])
+    s = _uniform_system(140, box, 7)
+    pos = np.array(s.positions)
+    pos[::3] += 1.7 * box
+    far = 1 if mode is Periodicity.P1 else 2
+    pos[1::3, far] += 4.0
+    moved = ParticleSystem(positions=pos, charges=s.charges, box=box)
+    par = default_params(box, mode)
+    images = build_image_vectors(box, mode, par.real_layers)
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.5, 1.5, (140, 3)) * box
+    for targets, tpos, at_sources in (
+            (EvalTargets.at_sources(), pos, True),
+            (EvalTargets.at_points(pts), pts, False)):
+        got = real_space_sum(moved, mode, par.xi, par.r_cut,
+                             par.real_layers, targets)
+        want = _culled_matches_dense(monkeypatch, pos, s.charges, tpos,
+                                     at_sources, images, par.xi, par.r_cut)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_real_space_erfc_sees_only_pairs_within_cutoff(monkeypatch):
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(300, box, 9)
+    par = default_params(box, Periodicity.P3)
+    images = build_image_vectors(box, Periodicity.P3, par.real_layers)
+    args = []
+    erfc = kernels_numpy.sp.erfc
+
+    def counted(x, *rest, **kw):
+        args.append(np.array(x, copy=True))
+        return erfc(x, *rest, **kw)
+
+    monkeypatch.setattr(kernels_numpy.sp, "erfc", counted)
+    kernels_numpy.real_space(s.positions, s.charges, s.positions, True,
+                             images, par.xi, par.r_cut)
+    seen = np.concatenate(args)
+    want = sum(int(keep.sum()) for _, keep in _dense_pairs(
+        s.positions, s.positions, True, images, par.r_cut))
+    assert seen.size == want
+    assert want < 0.1 * len(images) * len(s) ** 2
+    assert np.all((seen > 0.0) & (seen <= par.xi * par.r_cut))
+
+
+def test_real_space_memory_stays_below_the_pair_table():
+    # the dense kernel's (M, N, 3) difference array alone took 24 M N bytes
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(512, box, 10)
+    par = default_params(box, Periodicity.P3)
+    images = build_image_vectors(box, Periodicity.P3, par.real_layers)
+    tracemalloc.start()
+    try:
+        kernels_numpy.real_space(s.positions, s.charges, s.positions, True,
+                                 images, par.xi, par.r_cut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(s) ** 2, peak / len(s) ** 2
+
+
+def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
+        monkeypatch):
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(200, box, 11)
+    par = default_params(box, Periodicity.P3)
+    images = build_image_vectors(box, Periodicity.P3, par.real_layers)
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-0.5, 0.5, (180, 3)) * np.asarray(box)
+    for tpos, at_sources in ((s.positions, True), (pts, False)):
+        args = (s.positions, s.charges, tpos, at_sources, images, par.xi,
+                par.r_cut)
+        default = kernels_numpy.real_space(*args)
+        assert len(kernels_numpy._target_blocks(tpos, par.r_cut)) > 1
+        for blocks in (lambda t, r: [np.array([m]) for m in range(len(t))],
+                       lambda t, r: [np.arange(len(t))]):
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels_numpy, "_target_blocks", blocks)
+                got = kernels_numpy.real_space(*args)
+            assert got.tobytes() == default.tobytes()
+    perm = rng.permutation(len(pts))
+    got = kernels_numpy.real_space(s.positions, s.charges, pts[perm], False,
+                                   images, par.xi, par.r_cut)
+    want = kernels_numpy.real_space(s.positions, s.charges, pts, False,
+                                    images, par.xi, par.r_cut)
+    assert got.tobytes() == want[perm].tobytes()
+    perm = rng.permutation(len(s))
+    got = kernels_numpy.real_space(s.positions[perm], s.charges[perm],
+                                   s.positions[perm], True, images, par.xi,
+                                   par.r_cut)
+    want = kernels_numpy.real_space(s.positions, s.charges, s.positions,
+                                    True, images, par.xi, par.r_cut)
+    # at the sources a permutation of the sources also reorders each
+    # target's terms, so only the values are compared
+    assert np.abs(got - want[perm]).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_import_does_not_load_scipy_spatial():
+    # importing scipy.spatial (cKDTree) adds about 11 MB of RSS and 0.15 s
+    # to a fresh process; the real-space kernel finds its pairs without it
+    code = ("import sys, ewaldpot; "
+            "sys.exit('scipy.spatial' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
