@@ -210,11 +210,15 @@ class KGrid:
     indices : matching integer lattice indices (bookkeeping; same ordering).
 
     The set is closed under negation and ordered lexicographically by integer
-    index, so summation order is deterministic.  A P2 set must also be closed
-    under the sign flip of each axis separately, (kx, ky) -> (-kx, ky) and
-    (kx, -ky): the 2p k-space sum runs over the quadrant kx, ky >= 0 with
-    multiplicities, and kspace_sum_2p rejects a grid without that closure.
-    build_kgrid's norm ball has it in every mode.
+    index, so summation order is deterministic.  P3 and P1 sets must be
+    closed under negation, each k as often as -k: the 3p k-space sum runs
+    over one k of each +-k pair with double weight and the 1p sum over
+    k3 > 0 with 2 cos, and kspace_sum_3p and kspace_sum_1p reject a grid
+    without that closure.  A P2 set must be closed under the sign flip of
+    each axis separately, (kx, ky) -> (-kx, ky) and (kx, -ky): the 2p
+    k-space sum runs over the quadrant kx, ky >= 0 with multiplicities, and
+    kspace_sum_2p rejects a grid without that closure.  build_kgrid's norm
+    ball has these closures in every mode.
     """
 
     mode: Periodicity

@@ -25,7 +25,6 @@ without wrapping, and run the same layer code.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +109,21 @@ def _resolve_targets(system: ParticleSystem, mode: Periodicity, points):
         return np.array(system.positions)
     pts = np.array(points)
     eps = COINCIDE_RTOL * float(np.min(system.box))
-    delta = pts[:, None, :] - system.positions[None, :, :]
-    for ax in mode.periodic_axes:
-        length = system.box[ax]
-        delta[:, :, ax] -= length * np.round(delta[:, :, ax] / length)
-    dist = np.sqrt((delta ** 2).sum(axis=-1))
+    # squared minimum-image distance, (M, N), accumulated x, then y, then z
+    dist = np.zeros((len(pts), len(system.positions)))
+    d = np.empty_like(dist)
+    shift = np.empty_like(dist)
+    for ax in range(3):
+        np.subtract.outer(pts[:, ax], system.positions[:, ax], out=d)
+        if ax in mode.periodic_axes:
+            length = system.box[ax]
+            np.divide(d, length, out=shift)
+            np.round(shift, out=shift)
+            shift *= length
+            d -= shift
+        d *= d
+        dist += d
+    np.sqrt(dist, out=dist)
     if np.any(dist < eps):
         m, n = np.unravel_index(np.argmin(dist), dist.shape)
         raise ValueError(
@@ -134,15 +143,26 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
     if kgrid.mode is not mode:
         raise ValueError(
             f"k grid was built for {kgrid.mode.value}, needed {mode.value}")
+    # each kernel folds the grid onto a part of it with multiplicities: 3p
+    # sums one k of each +-k pair with double weight, 1p the k3 > 0 half
+    # with 2 cos and 2p the quadrant kx, ky >= 0.  That needs the grid to
+    # equal, as a multiset, its image under each sign flip below; the rows
+    # are compared in lexicographic order, as a hand-built grid may have no
+    # indices and come in any order
+    vecs = np.asarray(kgrid.vectors, dtype=np.float64)
+    if vecs.ndim == 1:    # P1: one k3 per row
+        vecs = vecs[:, None]
     if mode is Periodicity.P2:
-        # the 2p kernel sums one quadrant with multiplicities, which needs
-        # each vector's mirror images along x and along y in the grid
-        count = Counter(map(tuple, np.asarray(kgrid.vectors).tolist()))
-        for (kx, ky), c in count.items():
-            if count[(-kx, ky)] != c or count[(kx, -ky)] != c:
-                raise ValueError(
-                    "a 2p k grid must be closed under the sign flip of each "
-                    f"axis; ({kx}, {ky}) lacks a mirror image")
+        flips = ((-1.0, 1.0), (1.0, -1.0))
+        closure = "the sign flip of each axis"
+    else:
+        flips, closure = ((-1.0,),), "negation"
+    rows = vecs[np.lexsort(vecs.T[::-1])]
+    for flip in flips:
+        image = vecs * flip
+        if not np.array_equal(rows, image[np.lexsort(image.T[::-1])]):
+            raise ValueError(
+                f"a {mode.value} k grid must be closed under {closure}")
 
 
 # The layers proper, shared by ewald_potential and the public per-layer
@@ -213,8 +233,9 @@ def kspace_sum_3p(system: ParticleSystem, xi: float, kgrid: KGrid,
                   targets: EvalTargets):
     """Fully periodic k-space sum (4 pi/V) sum_k e^{-k^2/4xi^2}/k^2 S_k.
 
-    The grid is negation-closed and the kernel even, so the sum is real;
-    its imaginary part is never formed.
+    The grid must be closed under negation, or it is rejected, and the
+    kernel is even, so the sum is real: its imaginary part is never formed,
+    and each +-k pair is summed once, doubled.
     """
     _check_grid(kgrid, Periodicity.P3)
     _check_xi(xi)

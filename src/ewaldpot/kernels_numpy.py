@@ -15,7 +15,9 @@ never forms an array over all (target, source, image) triples.
 The k-space sums run over lattices closed under negation with real, even
 kernels, so the potential is real: each k-space kernel returns that real
 part only and never forms the imaginary part, which would be rounding
-noise.
+noise.  The terms of k and -k are then equal, so each kernel sums a part of
+the lattice with multiplicities: 3p one k of each +-k pair, 2p the quadrant
+kx, ky >= 0, 1p the k3 > 0 half.
 
 kspace_3p evaluates in a fixed, written-down order with elementwise numpy
 operations and reductions only: no matrix product (so no BLAS kernel, whose
@@ -146,21 +148,29 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
     """3p k-space sum (4 pi/V) sum_k e^{-k^2/4xi^2}/k^2 S(k) e^{-i k.r}.
 
     Returns the potential (the real part) per target; at_sources says the
-    targets are pos.  The order of every rounding step is fixed:
+    targets are pos.  The terms of k and -k are equal, so the sum runs over
+    the half lattice: of each +-k pair the vector whose first nonzero
+    component is positive, in grid order, with weight 8 pi/V.  That is
+    exact on grids closed under negation, which ewald._check_grid enforces.
+    The order of every rounding step is fixed:
 
+        half    the kept vectors of kvecs, K/2 of them, selected on the
+                signs of their components
         phase   (x kx + y ky) + z kz; for the targets one
                 np.multiply.outer per axis, added in place
         S(k)    cs, sn accumulated one source at a time, n = 0 .. N-1,
-                from q_n times cos and sin of that source's phases
+                from q_n times cos and sin of that source's phases over the
+                K/2 kept vectors
         targets at the sources: cos and sin of source n's phases are
-                written to row n of the (M, K) cos and sin buffers c, s
+                written to row n of the (M, K/2) cos and sin buffers c, s
                 and the target phase step is skipped; the phase
                 arithmetic is the same, so are the bytes
-        weight  pref * math.exp(-k^2 quart) / k^2 per k, quart = 1/(4 xi^2)
+        weight  pref * math.exp(-k^2 quart) / k^2 per kept k, pref = 8 pi/V
+                (twice 4 pi/V, exactly), quart = 1/(4 xi^2)
         re      c (w cs) + s (w sn), formed in place in c and s, then a
-                numpy sum along K per target
+                numpy sum along K/2 per target
 
-    c and s are the only (M, K) arrays.
+    c and s are the only target-sized arrays, (M, K/2) each.
 
     No BLAS routine is called and exp is libm's, so the result does not
     depend on the BLAS kernel or on numpy's SIMD level.
@@ -168,9 +178,11 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
     n_tar = targets.shape[0]
     if len(kvecs) == 0:
         return np.zeros(n_tar)
-    kx, ky, kz = np.ascontiguousarray(kvecs.T)
+    kx, ky, kz = kvecs.T
+    half = (kx > 0.0) | (kx == 0.0) & ((ky > 0.0) | (ky == 0.0) & (kz > 0.0))
+    kx, ky, kz = np.ascontiguousarray(kvecs[half].T)
     k2 = (kx * kx + ky * ky) + kz * kz
-    pref = 4.0 * math.pi / volume
+    pref = 8.0 * math.pi / volume
     quart = 0.25 / (xi * xi)
     w = np.array([pref * math.exp(-k * quart) / k for k in k2.tolist()])
     n_k = len(w)
@@ -213,18 +225,23 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
 
 def _g_array(kbar, dz, xi):
     # screened kernel g for one kbar over an array of z separations,
-    # same two-branch overflow-safe evaluation as the scalar version
+    # same two-branch overflow-safe evaluation as the scalar version;
+    # exp(-c) is shared by both branches and a branch without a negative
+    # argument (h + w at the sources, where dz >= 0) needs no masking
     h = 0.5 * kbar / xi
     w = xi * dz
     c = h * h + w * w
-    kz = kbar * dz
+    ec = np.exp(-c)
     out = np.zeros(dz.shape)
-    for arg, ekz in ((h + w, kz), (h - w, -kz)):
+    for arg, sign in ((h + w, 1.0), (h - w, -1.0)):
+        term = sp.erfcx(np.abs(arg)) * ec
         neg = arg < 0.0
-        out += np.where(neg, 0.0, sp.erfcx(np.abs(arg)) * np.exp(-c))
-        if neg.any():
-            out += np.where(neg, np.exp(np.where(neg, ekz, 0.0))
-                            * sp.erfc(arg), 0.0)
+        if not neg.any():
+            out += term
+            continue
+        out += np.where(neg, 0.0, term)
+        ekz = np.where(neg, (sign * kbar) * dz, 0.0)
+        out += np.where(neg, np.exp(ekz) * sp.erfc(arg), 0.0)
     return out
 
 

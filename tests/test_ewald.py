@@ -176,6 +176,64 @@ def test_kspace_3p_kmax_doubling():
     assert np.abs(a - b).max() < 1e-10
 
 
+@pytest.mark.parametrize("mode, vectors", [
+    (Periodicity.P3, [[-6.0, 0.0, 0.0], [6.0, 0.0, 0.0], [0.0, 6.0, -6.0]]),
+    (Periodicity.P1, [-6.0, 6.0, 12.0]),
+])
+def test_kspace_rejects_grid_not_closed_under_negation(mode, vectors):
+    # one vector lacks its negative: the 3p half lattice and the 1p k3 > 0
+    # half would each silently sum something else
+    rng = np.random.default_rng(23)
+    s = random_neutral(rng, 4, np.array([1.0, 1.0, 1.0]))
+    grid = KGrid(mode=mode, vectors=np.array(vectors))
+    kspace_sum = {Periodicity.P3: kspace_sum_3p,
+                  Periodicity.P1: kspace_sum_1p}[mode]
+    with pytest.raises(ValueError, match="closed under negation"):
+        kspace_sum(s, 1.5, grid, EvalTargets.at_sources())
+
+
+@pytest.mark.parametrize("mode, shape", [
+    (Periodicity.P3, (0, 3)), (Periodicity.P2, (0, 2)), (Periodicity.P1, (0,)),
+])
+def test_kspace_empty_grid_passes_the_closure_check(mode, shape):
+    # an empty grid is closed under every sign flip; its sum is zero
+    s = random_neutral(np.random.default_rng(31), 4, np.array([1.0, 1.0, 1.0]))
+    kspace_sum = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
+                  Periodicity.P1: kspace_sum_1p}[mode]
+    got = kspace_sum(s, 1.5, KGrid(mode=mode, vectors=np.zeros(shape)),
+                     EvalTargets.at_sources())
+    assert np.array_equal(got, np.zeros(4))
+
+
+def test_kspace_3p_hand_built_negation_closed_grid_matches_full_loop():
+    # off-lattice vectors, closed under negation, with a zero leading
+    # component in each position and in no particular order: the
+    # half-lattice sum equals a plain loop over every vector
+    rng = np.random.default_rng(29)
+    box = np.array([1.2, 0.9, 1.0])
+    s = random_neutral(rng, 5, box)
+    vecs = [(0.0, 0.0, 4.3), (0.0, 0.0, -4.3), (0.0, 5.9, 0.0),
+            (0.0, -5.9, 0.0), (3.7, 0.0, 2.2), (-3.7, 0.0, -2.2),
+            (3.7, 0.0, -2.2), (-3.7, 0.0, 2.2)]
+    order = rng.permutation(len(vecs))
+    grid = KGrid(mode=Periodicity.P3, vectors=np.array(vecs)[order])
+    xi, vol = 1.7, float(np.prod(box))
+    pts = np.array([[0.4, 0.3, 0.5], [0.8, 0.1, 0.9]])
+    for targets, tpos in ((EvalTargets.at_sources(), s.positions),
+                          (EvalTargets.at_points(pts), pts)):
+        got = kspace_sum_3p(s, xi, grid, targets)
+        want = np.zeros(len(tpos))
+        for k in vecs:
+            k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+            w = 4.0 * math.pi / vol * math.exp(-k2 / (4 * xi * xi)) / k2
+            for m, t in enumerate(tpos):
+                for qn, x in zip(s.charges, s.positions):
+                    ph = sum(k[a] * (t[a] - x[a]) for a in range(3))
+                    want[m] += w * qn * math.cos(ph)
+        assert np.abs(got - want).max() < 1e-13 * max(1.0,
+                                                       np.abs(want).max())
+
+
 # ---------------------------------------------------------------- 2P kspace
 
 def test_kspace_2p_in_plane_reduction():
@@ -461,6 +519,30 @@ def test_kspace_3p_holds_two_target_buffers():
             tracemalloc.stop()
         assert peak <= 2.5 * len(targets) * len(kv) * 8, (
             at_sources, peak / (len(targets) * len(kv) * 8))
+
+
+def test_kspace_3p_buffers_span_half_the_lattice():
+    # one k of each +-k pair: the (M, K/2) cos and sin buffers bound the
+    # kernel's peak at the sources and on a 4^3 grid
+    rng = np.random.default_rng(41)
+    box = np.array([1.0, 1.1, 0.9])
+    s = random_neutral(rng, 64, box)
+    par = default_params(box, Periodicity.P3)
+    kv = build_kgrid(box, Periodicity.P3, par.k_max).vectors
+    vol = float(np.prod(box))
+    axis = (np.arange(4) + 0.5) / 4
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3) * box
+    for targets, at_sources in ((s.positions, True), (grid, False)):
+        half = len(targets) * (len(kv) // 2) * 8
+        tracemalloc.start()
+        try:
+            kernels_numpy.kspace_3p(s.positions, s.charges, targets, par.xi,
+                                    kv, vol, at_sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * half, (at_sources, peak / half)
 
 
 # ---------------------------------------------------------------- zero modes
