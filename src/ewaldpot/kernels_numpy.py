@@ -49,6 +49,11 @@ from .specfun import EULER_GAMMA, SQRT_PI, _k0inc_array
 #: block costs more than the pairs that blocks cull
 _FEW_TARGETS = 128
 
+#: a run of a block's targets forms at most this many (target, candidate)
+#: distances at once, and at least one target's: when r_cut is long against
+#: the cell, one block spans it and its candidates are all the image points
+_RUN_ELEMENTS = 2 ** 16
+
 
 def _target_blocks(targets, r_cut):
     """Index arrays that partition the targets into spatial blocks.
@@ -80,7 +85,9 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut):
     The targets are split into spatial blocks (_target_blocks).  A block
     takes as candidates the image points inside its bounding box widened
     by r_cut (and a rounding margin), so every pair within r_cut is a
-    candidate.  The order of every rounding step is fixed:
+    candidate.  Its targets are taken in runs of consecutive targets, each
+    run with at most _RUN_ELEMENTS (target, candidate) pairs (one target at
+    least).  The order of every rounding step is fixed:
 
         d       sqrt(((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2),
                 each component (t - x_n) + p, for every candidate pair
@@ -91,8 +98,8 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut):
                 pairwise sum of the others; 0.0 without a kept term
 
     The terms and their order per target do not depend on the partition
-    into blocks, so neither do the bytes of the result.  Per block only
-    (block targets, candidates) arrays are held, never (M, N) ones.
+    into blocks and runs, so neither do the bytes of the result.  Per run
+    only (run targets, candidates) arrays are held, never (M, N) ones.
     """
     n = pos.shape[0]
     out = np.zeros(targets.shape[0])
@@ -110,37 +117,45 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut):
             inbox &= (ycols[a] >= lo[a]) & (ycols[a] <= hi[a])
         cand = np.flatnonzero(inbox)
         img, src = np.divmod(cand, n)
-        d = np.subtract.outer(tb[:, 0], pos[src, 0])
-        d += images[img, 0]
-        d *= d
-        da = np.empty_like(d)
-        for a in (1, 2):
-            np.subtract.outer(tb[:, a], pos[src, a], out=da)
-            da += images[img, a]
-            da *= da
-            d += da
-        del da
-        np.sqrt(d, out=d)
-        if at_sources:
-            # target m's own image point p0 N + m sits on it, so it is a
-            # candidate; NaN drops the pair from both tests below
-            for p0 in p0s:
-                d[np.arange(len(blk)),
-                  np.searchsorted(cand, p0 * n + blk)] = np.nan
-        keep = d <= r_cut
-        dk = d[keep]
-        del d
-        if np.any(dk == 0.0):
-            raise ValueError(
-                "zero distance between a target and a periodic image")
-        terms = np.multiply(dk, xi)
-        sp.erfc(terms, out=terms)
-        terms *= q[src[np.nonzero(keep)[1]]]
-        terms /= dk
-        count = np.count_nonzero(keep, axis=1)
-        has = count > 0
-        first = np.cumsum(count) - count
-        out[blk[has]] = np.add.reduceat(terms, first[has])
+        # per axis, the (candidates,) source and image coordinates
+        xs = [pos[src, a] for a in range(3)]
+        ps = [images[img, a] for a in range(3)]
+        qs = q[src]
+        step = max(1, _RUN_ELEMENTS // max(1, len(cand)))
+        for start in range(0, len(blk), step):
+            run = blk[start:start + step]
+            tr = targets[run]
+            d = np.subtract.outer(tr[:, 0], xs[0])
+            d += ps[0]
+            d *= d
+            da = np.empty_like(d)
+            for a in (1, 2):
+                np.subtract.outer(tr[:, a], xs[a], out=da)
+                da += ps[a]
+                da *= da
+                d += da
+            del da
+            np.sqrt(d, out=d)
+            if at_sources:
+                # target m's own image point p0 N + m sits on it, so it is
+                # a candidate; NaN drops the pair from both tests below
+                for p0 in p0s:
+                    d[np.arange(len(run)),
+                      np.searchsorted(cand, p0 * n + run)] = np.nan
+            keep = d <= r_cut
+            dk = d[keep]
+            del d
+            if np.any(dk == 0.0):
+                raise ValueError(
+                    "zero distance between a target and a periodic image")
+            terms = np.multiply(dk, xi)
+            sp.erfc(terms, out=terms)
+            terms *= qs[np.nonzero(keep)[1]]
+            terms /= dk
+            count = np.count_nonzero(keep, axis=1)
+            has = count > 0
+            first = np.cumsum(count) - count
+            out[run[has]] = np.add.reduceat(terms, first[has])
     return out
 
 
@@ -225,23 +240,26 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
 
 def _g_array(kbar, dz, xi):
     # screened kernel g for one kbar over an array of z separations,
-    # same two-branch overflow-safe evaluation as the scalar version;
-    # exp(-c) is shared by both branches and a branch without a negative
-    # argument (h + w at the sources, where dz >= 0) needs no masking
+    # same two-branch overflow-safe evaluation as the scalar version: per
+    # branch, erfcx(arg) exp(-c) where arg >= 0 and exp(+-kbar dz) erfc(arg)
+    # where arg < 0, each formula taken only on its own elements; exp(-c)
+    # is shared by both branches, and a branch without a negative argument
+    # (h + w at the sources, where dz >= 0) needs no masking
     h = 0.5 * kbar / xi
     w = xi * dz
     c = h * h + w * w
     ec = np.exp(-c)
     out = np.zeros(dz.shape)
     for arg, sign in ((h + w, 1.0), (h - w, -1.0)):
-        term = sp.erfcx(np.abs(arg)) * ec
         neg = arg < 0.0
         if not neg.any():
-            out += term
+            out += sp.erfcx(arg) * ec
             continue
-        out += np.where(neg, 0.0, term)
-        ekz = np.where(neg, (sign * kbar) * dz, 0.0)
-        out += np.where(neg, np.exp(ekz) * sp.erfc(arg), 0.0)
+        term = np.empty(dz.shape)
+        nonneg = ~neg
+        term[nonneg] = sp.erfcx(arg[nonneg]) * ec[nonneg]
+        term[neg] = np.exp((sign * kbar) * dz[neg]) * sp.erfc(arg[neg])
+        out += term
     return out
 
 

@@ -176,7 +176,10 @@ def test_criterion_03_oracle_equivalence_1p():
     par1 = default_params(b1, Periodicity.P1)
     ew = ewald_potential(s4, Periodicity.P1, par1,
                          EvalTargets.at_points(pts)).total
-    pf = oracle.pure_fourier_1p(s4, k_max=par1.k_max, targets=pts)
+    # the unscreened oracle's terms decay as K0(k3 rho), not with the
+    # Ewald xi, so its cutoff is fixed here rather than taken from par1
+    k_oracle = default_params(b1, Periodicity.P1, xi=8.0 / b1[2]).k_max
+    pf = oracle.pure_fourier_1p(s4, k_max=k_oracle, targets=pts)
     worst_pf = float(np.abs(ew - pf).max())
     assert worst_pf <= 1e-6
     report(3, "1P Ewald vs direct sum (2000 shells) and pure Fourier",

@@ -9,6 +9,7 @@ from ewaldpot.core import (
     build_image_vectors,
     build_kgrid,
     default_params,
+    default_xi,
     validate_system,
     wrap_positions,
 )
@@ -168,8 +169,27 @@ def test_default_params_balance():
 
 def test_default_params_p1_uses_periodic_length():
     p = default_params([50.0, 50.0, 2.0], Periodicity.P1)
-    assert p.xi == pytest.approx(4.0)
-    assert p.real_layers == 1
+    assert p.xi == pytest.approx(0.5)
+    assert p.real_layers == 6
+
+
+def test_default_params_p2_uses_smallest_periodic_length():
+    p = default_params([3.0, 2.0, 0.5], Periodicity.P2)
+    assert p.xi == pytest.approx(1.5)
+    assert p.real_layers == 2
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+@pytest.mark.parametrize("box", [[1.0, 1.1, 0.9], [1.0, 3.0, 0.9],
+                                 [3.0, 2.0, 0.5]])
+def test_kgrid_nonempty_near_default_xi(box, mode):
+    # the xi-invariance checks run down to 0.7 xi0 at tol 1e-14, and the
+    # benchmark's reference at 0.75 xi0 with tol 1e-16: both must keep a
+    # k-space sum to check
+    for f, tol in ((0.7, 1e-14), (0.75, 1e-16)):
+        par = default_params(box, mode, xi=f * default_xi(box, mode),
+                             tol=tol)
+        assert len(build_kgrid(box, mode, par.k_max)) > 0
 
 
 def test_potential_result_component_sum(rng):

@@ -374,6 +374,48 @@ def test_real_space_memory_stays_below_the_pair_table():
     assert peak < 8 * len(s) ** 2, peak / len(s) ** 2
 
 
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_real_space_bytes_do_not_depend_on_runs(monkeypatch, mode):
+    # runs of one target each against the default runs of up to
+    # _RUN_ELEMENTS pairs, at the sources and off them
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(150, box, 14)
+    par = default_params(box, mode)
+    images = build_image_vectors(box, mode, par.real_layers)
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(-0.5, 0.5, (140, 3)) * np.asarray(box)
+    for tpos, at_sources in ((s.positions, True), (pts, False)):
+        args = (s.positions, s.charges, tpos, at_sources, images, par.xi,
+                par.r_cut)
+        default = kernels_numpy.real_space(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels_numpy, "_RUN_ELEMENTS", 1)
+            single = kernels_numpy.real_space(*args)
+        assert single.tobytes() == default.tobytes()
+
+
+@pytest.mark.parametrize("mode", [Periodicity.P1, Periodicity.P2],
+                         ids=lambda m: m.value)
+def test_real_space_memory_stays_bounded_when_one_block_spans_the_cell(
+        mode):
+    # at the default xi, r_cut is longer than the cell in 1p and 2p, so a
+    # block's candidates are all or most image points: (block, P N) arrays
+    # would take hundreds of MB; runs of _RUN_ELEMENTS pairs keep a few MB
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(1024, box, 13)
+    par = default_params(box, mode)
+    images = build_image_vectors(box, mode, par.real_layers)
+    assert par.r_cut > max(box)
+    tracemalloc.start()
+    try:
+        kernels_numpy.real_space(s.positions, s.charges, s.positions, True,
+                                 images, par.xi, par.r_cut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak / 2 ** 20
+
+
 def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
         monkeypatch):
     box = [1.0, 1.1, 0.9]
