@@ -23,8 +23,6 @@ from ewaldpot import (
     ewald_potential,
 )
 
-_MODES = {"1p": Periodicity.P1, "2p": Periodicity.P2, "3p": Periodicity.P3}
-
 
 def random_system(n, seed):
     rng = np.random.default_rng(seed)
@@ -57,7 +55,7 @@ def main(argv=None):
 
     print(f"{'mode':4} {'N':>6} {'time [s]':>12}")
     for mode_name in modes:
-        mode = _MODES[mode_name]
+        mode = Periodicity(mode_name)
         for n in sizes:
             system = random_system(n, args.seed)
             params = default_params(system.box, mode)

@@ -34,8 +34,6 @@ POTENTIAL_COLUMNS = ("index", "x", "y", "z", "total", "real", "kspace",
                      "zero_mode", "self")
 CONVERGENCE_COLUMNS = ("value", "max_abs_error", "wall_time_s")
 
-_MODES = {"1p": Periodicity.P1, "2p": Periodicity.P2, "3p": Periodicity.P3}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -48,7 +46,6 @@ class RunConfig:
     k_max_values: tuple
     layers: int | None
     targets: EvalTargets
-    target_points: np.ndarray | None
     sweep: str | None
     out_path: str
     fmt: str
@@ -175,22 +172,17 @@ def _params_for(config: RunConfig, xi: float, r_cut: float | None = None,
     )
 
 
-def _target_coords(config: RunConfig) -> np.ndarray:
-    if config.target_points is not None:
-        return config.target_points
-    return np.array(config.system.positions)
-
-
 def run_potential(config: RunConfig):
     """Rows of the potential table: one per target (per xi when sweeping)."""
     sweeping = config.sweep == "xi"
-    coords = _target_coords(config)
+    targets = config.targets
+    coords = config.system.positions if targets.is_sources else targets.points
     rows = []
     for xi in config.xi_values:
         params = _params_for(config, xi,
                              r_cut=config.r_cut_values[0] if config.r_cut_values else None,
                              k_max=config.k_max_values[0] if config.k_max_values else None)
-        res = ewald_potential(config.system, config.mode, params, config.targets)
+        res = ewald_potential(config.system, config.mode, params, targets)
         for i in range(len(res.total)):
             row = [float(i), coords[i, 0], coords[i, 1], coords[i, 2],
                    res.total[i], res.real[i], res.kspace[i],
@@ -225,9 +217,14 @@ def run_convergence(config: RunConfig):
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # mkstemp creates the file 0600; give it the mode open() would.  The
+    # umask can only be read by setting it, so it is set restrictive briefly
+    umask = os.umask(0o077)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -255,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Gaussian units).")
     p.add_argument("input",
                    help="particle file, or random:<N> for a seeded test system")
-    p.add_argument("--mode", choices=sorted(_MODES), required=True,
+    p.add_argument("--mode", choices=[m.value for m in Periodicity],
+                   required=True,
                    help="periodicity: 1p (z), 2p (x,y) or 3p")
     p.add_argument("--xi", default=None,
                    help="decomposition parameter, or comma list with --sweep xi")
@@ -290,7 +288,7 @@ def _parse_values(text: str | None, flag: str, sweep_here: bool):
 
 
 def build_config(args) -> RunConfig:
-    mode = _MODES[args.mode]
+    mode = Periodicity(args.mode)
     if args.input.startswith("random:"):
         n = int(args.input.split(":", 1)[1])
         system = random_system(n, args.seed)
@@ -309,14 +307,12 @@ def build_config(args) -> RunConfig:
         raise ValueError("--sweep kmax needs a comma list in --kmax")
     if args.targets == "sources":
         targets = EvalTargets.at_sources()
-        points = None
     else:
-        points = read_target_points(args.targets)
-        targets = EvalTargets.at_points(points)
+        targets = EvalTargets.at_points(read_target_points(args.targets))
     return RunConfig(system=system, mode=mode, xi_values=xi_values,
                      r_cut_values=rc_values, k_max_values=km_values,
-                     layers=args.layers, targets=targets, target_points=points,
-                     sweep=args.sweep, out_path=args.out, fmt=args.format)
+                     layers=args.layers, targets=targets, sweep=args.sweep,
+                     out_path=args.out, fmt=args.format)
 
 
 def main(argv=None) -> int:

@@ -39,13 +39,6 @@ class Periodicity(enum.Enum):
     def free_axes(self):
         return tuple(i for i in range(3) if i not in self.periodic_axes)
 
-    @classmethod
-    def from_string(cls, name: str) -> "Periodicity":
-        try:
-            return {"1p": cls.P1, "2p": cls.P2, "3p": cls.P3}[name.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown periodicity mode {name!r}; use 1p, 2p or 3p")
-
 
 @dataclass(frozen=True)
 class ParticleSystem:
@@ -198,7 +191,12 @@ def default_params(box, mode: Periodicity, xi: float | None = None,
     xi defaults to default_xi(box, mode).  r_cut solves erfc(xi*r_cut) <=
     tol (about 5.4/xi at tol=1e-14), k_max solves exp(-k_max^2/4xi^2) <=
     tol (about 11.4*xi), and real_layers = ceil(r_cut / min periodic L).
+    An explicit xi must be positive and finite and tol must lie in (0, 1).
     """
+    if xi is not None and not (xi > 0.0 and math.isfinite(xi)):
+        raise ValueError(f"xi must be positive and finite, got {xi}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     box = np.asarray(box, dtype=np.float64)
     if xi is None:
         xi = default_xi(box, mode)

@@ -14,13 +14,23 @@ backbone of the test suite.  Potentials are in Gaussian units, charge over
 length.
 
 ewald_potential plans each evaluation once: it validates the targets,
-checks neutrality, wraps positions and targets to the primary cell,
-resolves the targets (coincidence check) and builds the image shifts and
-the k grid.  The layers then run on those plain arrays and on one flag,
-whether the targets are the sources, each through one kernel of
-kernels_numpy.  The public per-layer functions (real_space_sum,
-kspace_sum_*, zero_mode_*) validate and resolve their own arguments,
+checks neutrality, wraps positions and targets to the primary cell and
+builds the image shifts and the k grid.  The layers then run on those plain
+arrays and on one flag, whether the targets are the sources, each through
+one kernel of kernels_numpy.  The public per-layer functions
+(real_space_sum, kspace_sum_*, zero_mode_*) validate their own arguments,
 without wrapping, and run the same layer code.
+
+Only the real-space layer rejects a target that coincides with a source,
+as erfc(xi r)/r is the only term of the split that diverges there.  Its
+kernel checks the pairs whose term it forms: off the sources it rejects a
+distance below COINCIDE_RTOL * min(L), at the sources a zero distance.
+With default_params, after the wrap, those pairs include the minimum image
+of every pair.  A target near an image that the sum never forms (a
+hand-set real_layers = 0, or r_cut below that distance) is not rejected.
+The k-space and 2p zero-mode terms are finite at a source; the 1p zero
+mode off the sources rejects a target on a source's axis, where its
+logarithm diverges.
 """
 
 from __future__ import annotations
@@ -61,8 +71,9 @@ class EvalTargets:
     """Where to evaluate: at every source (self-interaction removed) or at
     explicit off-particle points.
 
-    Off-particle points closer than 1e-10 * min(L) to any source (minimum
-    image convention along the periodic axes) are rejected on resolution.
+    Off-particle points closer than 1e-10 * min(L) to a source, or to a
+    periodic image of it that the real-space sum forms, are rejected by the
+    real-space layer (see the module docstring).
     """
 
     points: np.ndarray | None = None
@@ -92,44 +103,13 @@ class EvalTargets:
         return self.points is None
 
 
-def _target_points(targets) -> np.ndarray | None:
-    """The explicit target points, or None to evaluate at the sources."""
+def _target_positions(system: ParticleSystem, targets):
+    """The (M, 3) target positions and whether they are the sources."""
     if not isinstance(targets, EvalTargets):
         raise ValueError("targets must be an EvalTargets instance")
-    return targets.points
-
-
-def _resolve_targets(system: ParticleSystem, mode: Periodicity, points):
-    """Return the target positions (M, 3).
-
-    points is None at the sources; explicit points closer than
-    COINCIDE_RTOL * min(L) to a source are rejected.
-    """
-    if points is None:
-        return np.array(system.positions)
-    pts = np.array(points)
-    eps = COINCIDE_RTOL * float(np.min(system.box))
-    # squared minimum-image distance, (M, N), accumulated x, then y, then z
-    dist = np.zeros((len(pts), len(system.positions)))
-    d = np.empty_like(dist)
-    shift = np.empty_like(dist)
-    for ax in range(3):
-        np.subtract.outer(pts[:, ax], system.positions[:, ax], out=d)
-        if ax in mode.periodic_axes:
-            length = system.box[ax]
-            np.divide(d, length, out=shift)
-            np.round(shift, out=shift)
-            shift *= length
-            d -= shift
-        d *= d
-        dist += d
-    np.sqrt(dist, out=dist)
-    if np.any(dist < eps):
-        m, n = np.unravel_index(np.argmin(dist), dist.shape)
-        raise ValueError(
-            f"target {m} lies within {eps:.3e} of source {n}; "
-            "evaluate at sources instead")
-    return pts
+    if targets.is_sources:
+        return system.positions, True
+    return targets.points, False
 
 
 def _check_xi(xi):
@@ -166,16 +146,17 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
 
 
 # The layers proper, shared by ewald_potential and the public per-layer
-# functions: validated arguments, resolved targets tpos and whether they are
-# the sources in, one kernel call out.
+# functions: validated arguments, targets tpos and whether they are the
+# sources in, one kernel call out.
 
 def _real(system, tpos, at_sources, images, xi, r_cut):
+    eps = COINCIDE_RTOL * float(np.min(system.box))
     return kernels_numpy.real_space(system.positions, system.charges, tpos,
                                     at_sources, images, float(xi),
-                                    float(r_cut))
+                                    float(r_cut), eps)
 
 
-def _kspace(mode, system, tpos, at_sources, xi, kgrid, cfg=None):
+def _kspace(mode, system, tpos, at_sources, xi, kgrid):
     args = (system.positions, system.charges, tpos, float(xi), kgrid.vectors)
     if mode is Periodicity.P3:
         volume = float(np.prod(system.box))
@@ -183,8 +164,7 @@ def _kspace(mode, system, tpos, at_sources, xi, kgrid, cfg=None):
     if mode is Periodicity.P2:
         area = float(system.box[0] * system.box[1])
         return kernels_numpy.kspace_2p(*args, area, at_sources)
-    if cfg is None:
-        cfg = DEFAULT_QUADRATURE
+    cfg = DEFAULT_QUADRATURE
     length = float(system.box[2])
     return kernels_numpy.kspace_1p(*args, length, cfg.abs_tol, cfg.rel_tol,
                                    cfg.max_subdivisions)
@@ -217,10 +197,9 @@ def real_space_sum(system: ParticleSystem, mode: Periodicity, xi: float,
     """
     require_neutral(system)
     _check_xi(xi)
-    points = _target_points(targets)
-    tpos = _resolve_targets(system, mode, points)
+    tpos, at_sources = _target_positions(system, targets)
     images = build_image_vectors(system.box, mode, layers)
-    return _real(system, tpos, points is None, images, xi, r_cut)
+    return _real(system, tpos, at_sources, images, xi, r_cut)
 
 
 def self_term(q_m: float, xi: float) -> float:
@@ -239,9 +218,8 @@ def kspace_sum_3p(system: ParticleSystem, xi: float, kgrid: KGrid,
     """
     _check_grid(kgrid, Periodicity.P3)
     _check_xi(xi)
-    points = _target_points(targets)
-    tpos = _resolve_targets(system, Periodicity.P3, points)
-    return _kspace(Periodicity.P3, system, tpos, points is None, xi, kgrid)
+    tpos, at_sources = _target_positions(system, targets)
+    return _kspace(Periodicity.P3, system, tpos, at_sources, xi, kgrid)
 
 
 def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
@@ -249,13 +227,12 @@ def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
     """Planar k-space sum (pi/L1L2) sum_n q_n sum_kbar e^{-i kbar.(r-r_n)} g/kbar."""
     _check_grid(kgrid, Periodicity.P2)
     _check_xi(xi)
-    points = _target_points(targets)
-    tpos = _resolve_targets(system, Periodicity.P2, points)
-    return _kspace(Periodicity.P2, system, tpos, points is None, xi, kgrid)
+    tpos, at_sources = _target_positions(system, targets)
+    return _kspace(Periodicity.P2, system, tpos, at_sources, xi, kgrid)
 
 
 def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
-                  targets: EvalTargets, cfg=None):
+                  targets: EvalTargets):
     """Axial k-space sum (1/L3) sum_{k3!=0} sum_n q_n e^{-i k3 (z-z_n)} K0(u, v).
 
     u = k3^2/4xi^2, v = rho_n^2 xi^2; a target on a source axis (rho_n = 0)
@@ -263,10 +240,8 @@ def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
     """
     _check_grid(kgrid, Periodicity.P1)
     _check_xi(xi)
-    points = _target_points(targets)
-    tpos = _resolve_targets(system, Periodicity.P1, points)
-    return _kspace(Periodicity.P1, system, tpos, points is None, xi, kgrid,
-                   cfg)
+    tpos, at_sources = _target_positions(system, targets)
+    return _kspace(Periodicity.P1, system, tpos, at_sources, xi, kgrid)
 
 
 def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
@@ -275,9 +250,8 @@ def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
     """
     require_neutral(system)
     _check_xi(xi)
-    points = _target_points(targets)
-    tpos = _resolve_targets(system, Periodicity.P2, points)
-    return _zero(Periodicity.P2, system, tpos, points is None, xi)
+    tpos, at_sources = _target_positions(system, targets)
+    return _zero(Periodicity.P2, system, tpos, at_sources, xi)
 
 
 def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets):
@@ -292,36 +266,35 @@ def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets):
     """
     require_neutral(system)
     _check_xi(xi)
-    points = _target_points(targets)
-    tpos = _resolve_targets(system, Periodicity.P1, points)
-    return _zero(Periodicity.P1, system, tpos, points is None, xi)
+    tpos, at_sources = _target_positions(system, targets)
+    return _zero(Periodicity.P1, system, tpos, at_sources, xi)
 
 
 def ewald_potential(system: ParticleSystem, mode: Periodicity,
-                    params: EwaldParams, targets: EvalTargets,
-                    cfg=None) -> PotentialResult:
+                    params: EwaldParams,
+                    targets: EvalTargets) -> PotentialResult:
     """Assemble real + kspace + zero_mode + self into a PotentialResult.
 
     Positions (and targets, along the periodic axes) are wrapped to the
     primary cell first; the result is invariant under that wrap and, up to
-    truncation error, under the choice of params.xi.  Validation, the wrap,
-    target resolution and the image and k-grid construction each run once
-    per call.
+    truncation error, under the choice of params.xi.  Validation, the wrap
+    and the image and k-grid construction each run once per call; a target
+    that coincides with a source is rejected by the real-space layer.
     """
-    points = _target_points(targets)
+    tpos, at_sources = _target_positions(system, targets)
     require_neutral(system)
     if not isinstance(params, EwaldParams):
         raise ValueError("params must be an EwaldParams")
     mode = Periodicity(mode) if not isinstance(mode, Periodicity) else mode
     wrapped = system.wrapped(mode)
-    if points is not None:
-        points = wrap_positions(points, system.box, mode)
-    at_sources = points is None
-    tpos = _resolve_targets(wrapped, mode, points)
+    if at_sources:
+        tpos = wrapped.positions
+    else:
+        tpos = wrap_positions(tpos, system.box, mode)
     images = build_image_vectors(wrapped.box, mode, params.real_layers)
     real = _real(wrapped, tpos, at_sources, images, params.xi, params.r_cut)
     kgrid = build_kgrid(wrapped.box, mode, params.k_max)
-    kspace = _kspace(mode, wrapped, tpos, at_sources, params.xi, kgrid, cfg)
+    kspace = _kspace(mode, wrapped, tpos, at_sources, params.xi, kgrid)
     zero = _zero(mode, wrapped, tpos, at_sources, params.xi)
     if at_sources:
         self_vec = self_term(wrapped.charges, params.xi)

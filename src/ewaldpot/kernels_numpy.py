@@ -2,10 +2,10 @@
 
 One kernel per layer and mode: the real-space pair sum, the 3p, 2p and 1p
 k-space sums, and the 2p and 1p zero modes.  Each takes plain arrays (source
-positions and charges, resolved target positions) that ewald.py has
-validated and resolved, and, where a layer treats targets at the sources
-differently, a flag that says they are the sources.  It sums with numpy
-reductions in a fixed order, so reruns are bit-identical.  The test suite checks each kernel against a
+positions and charges, target positions) that ewald.py has validated, and,
+where a layer treats targets at the sources differently, a flag that says
+they are the sources.  It sums with numpy reductions in a fixed order, so
+reruns are bit-identical.  The test suite checks each kernel against a
 plain loop over math and the scalar routines of specfun.
 
 real_space takes erfc only of the pairs within r_cut: it finds them block
@@ -73,12 +73,16 @@ def _target_blocks(targets, r_cut):
     return np.split(order, np.flatnonzero(new) + 1)
 
 
-def real_space(pos, q, targets, at_sources, images, xi, r_cut):
+def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     """Real-space sum sum_p sum_n q_n erfc(xi d)/d, d = |t - x_n + p| <= r_cut.
 
     Returns the sum per target; at_sources says the targets are pos, and
-    then the n = m pair of the p = 0 image is left out.  A zero distance
-    of any other pair raises ValueError.
+    then the n = m pair of the p = 0 image is left out.  This is the one
+    coincidence check of an evaluation, as erfc(xi d)/d is the only term
+    of the split that diverges at d = 0, and it covers exactly the pairs
+    whose term is formed, those with d <= r_cut: off the sources a pair
+    with d < eps raises ValueError naming its target and source, at the
+    sources a zero distance of any pair but the left-out one does.
 
     Image point j = p N + n, source n shifted by image p, sits at
     x_n - images[p]; the points are held in that (image, source) order.
@@ -145,9 +149,16 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut):
             keep = d <= r_cut
             dk = d[keep]
             del d
-            if np.any(dk == 0.0):
+            close = dk == 0.0 if at_sources else dk < eps
+            if close.any():
+                if at_sources:
+                    raise ValueError(
+                        "zero distance between a target and a periodic image")
+                rows, cols = np.nonzero(keep)
+                i = np.argmax(close)
                 raise ValueError(
-                    "zero distance between a target and a periodic image")
+                    f"target {run[rows[i]]} lies within {eps:.3e} of source "
+                    f"{src[cols[i]]}; evaluate at sources instead")
             terms = np.multiply(dk, xi)
             sp.erfc(terms, out=terms)
             terms *= qs[np.nonzero(keep)[1]]

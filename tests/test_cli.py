@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,28 @@ def test_golden_files_numpy_lane(tmp_path):
         assert got == want, f"golden mismatch for mode {mode}"
 
 
+def test_golden_files_with_simd_dispatch_disabled(tmp_path):
+    # the determinism contract: the goldens keep their bytes with every
+    # dispatch target above numpy's baseline disabled.  numpy refuses to
+    # disable a baseline feature, so only dispatch targets present here
+    # are listed; with none, this is the plain golden run.
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+    present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(present))
+    for mode in ("1p", "2p", "3p"):
+        out = tmp_path / f"demo_{mode}.csv"
+        r = subprocess.run([sys.executable, "-m", "ewaldpot.cli",
+                            str(DATA / "demo.txt"), "--mode", mode,
+                            "--out", str(out)],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        want = (GOLDEN / f"demo_{mode}.csv").read_bytes()
+        assert out.read_bytes() == want, (mode, present)
+
+
 def test_sweep_xi_totals_agree(tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert cli.main([str(DATA / "demo.txt"), "--mode", "1p",
@@ -196,6 +219,22 @@ def test_json_structure(tmp_path):
     assert doc["columns"] == list(cli.POTENTIAL_COLUMNS)
     assert len(doc["rows"]) == 4
     assert set(doc["rows"][0]) == set(cli.POTENTIAL_COLUMNS)
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    # written through a temporary file, the output still gets the mode a
+    # plain open() would give it
+    for umask in (0o022, 0o027):
+        old = os.umask(umask)
+        try:
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"m{umask:o}.{fmt}"
+                assert cli.main([str(DATA / "demo.txt"), "--mode", "3p",
+                                 "--format", fmt, "--out", str(out)]) == 0
+                mode = stat.S_IMODE(out.stat().st_mode)
+                assert mode == 0o666 & ~umask, (fmt, oct(mode))
+        finally:
+            os.umask(old)
 
 
 # --------------------------------------------------------------------- errors

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,16 @@ def test_default_params_balance():
     assert math.erfc(p.xi * p.r_cut) <= 1e-14
     assert p.real_layers == 1
     assert p.check() == []
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"xi": 0.0}, "xi"), ({"xi": -1.0}, "xi"), ({"xi": math.nan}, "xi"),
+    ({"xi": math.inf}, "xi"), ({"tol": 0.0}, "tol"), ({"tol": -1e-3}, "tol"),
+    ({"tol": 1.0}, "tol"), ({"tol": 1.5}, "tol"), ({"tol": math.nan}, "tol"),
+])
+def test_default_params_rejects_bad_arguments(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        default_params([1.0, 1.0, 1.0], Periodicity.P3, **kwargs)
 
 
 def test_default_params_p1_uses_periodic_length():

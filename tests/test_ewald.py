@@ -8,9 +8,9 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from ewaldpot import ewald as ewald_mod
 from ewaldpot import kernels_numpy, oracle
 from ewaldpot.core import (
+    COINCIDE_RTOL,
     EwaldParams,
     KGrid,
     ParticleSystem,
@@ -810,43 +810,73 @@ def test_kspace_imaginary_residue_small():
     assert np.abs(im2).max() <= 1e-13 * max(1.0, np.abs(re2).max())
 
 
-def test_target_coincidence_rejection():
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_target_coincidence_rejection(mode):
     box = np.array([1.0, 1.0, 1.0])
     s = make_system([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]], [1.0, -1.0], box)
-    par = default_params(box, Periodicity.P3)
+    par = default_params(box, mode)
     eps = 1e-10 * box.min()
     bad = s.positions[0] + np.array([0.3 * eps, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        ewald_potential(s, Periodicity.P3, par, EvalTargets.at_points(bad[None]))
+    with pytest.raises(ValueError,
+                       match="target 0 lies within 1.000e-10 of source 0"):
+        ewald_potential(s, mode, par, EvalTargets.at_points(bad[None]))
     # the periodic image of a source is just as coincident
-    bad2 = s.positions[0] + np.array([1.0, 0.0, 0.0])
+    period = np.zeros(3)
+    period[mode.periodic_axes[0]] = 1.0
+    bad2 = EvalTargets.at_points(s.positions[0] + period)
     with pytest.raises(ValueError):
-        ewald_potential(s, Periodicity.P3, par, EvalTargets.at_points(bad2[None]))
+        ewald_potential(s, mode, par, bad2)
+    # real_space_sum does not wrap: it rejects the image where its sum
+    # forms that image's term, and not with no image shell to form it in
+    with pytest.raises(ValueError, match="of source 0"):
+        real_space_sum(s, mode, par.xi, par.r_cut, par.real_layers, bad2)
+    assert np.all(np.isfinite(
+        real_space_sum(s, mode, par.xi, par.r_cut, 0, bad2)))
     ok = s.positions[0] + np.array([1e-6, 0.0, 0.0])
-    res = ewald_potential(s, Periodicity.P3, par, EvalTargets.at_points(ok[None]))
+    res = ewald_potential(s, mode, par, EvalTargets.at_points(ok[None]))
     assert np.isfinite(res.total[0])
 
 
-def test_targets_resolved_once_per_evaluation(monkeypatch):
-    # one plan per ewald_potential call: the targets are resolved once,
-    # not once per layer
-    calls = []
-    resolve = ewald_mod._resolve_targets
-
-    def counting(*args):
-        calls.append(args)
-        return resolve(*args)
-
-    monkeypatch.setattr(ewald_mod, "_resolve_targets", counting)
+def test_kspace_and_planar_zero_mode_are_finite_at_a_source():
+    # only erfc(xi r)/r diverges at r = 0, so only the real-space layer
+    # rejects a coincident target; these layers are continuous there
     box = np.array([1.0, 1.1, 0.9])
-    s = random_neutral(np.random.default_rng(5), 4, box)
-    pts = EvalTargets.at_points([[0.31, 0.77, 0.12], [0.92, 0.18, 0.6]])
-    for mode in Periodicity:
+    s = random_neutral(np.random.default_rng(33), 6, box)
+    eps = COINCIDE_RTOL * box.min()
+    near = EvalTargets.at_points(s.positions[0] + [0.3 * eps, 0.0, 0.0])
+    at = EvalTargets.at_sources()
+    layers = ((Periodicity.P3, kspace_sum_3p), (Periodicity.P2, kspace_sum_2p),
+              (Periodicity.P1, kspace_sum_1p))
+    for mode, layer in layers:
         par = default_params(box, mode)
-        for targets in (EvalTargets.at_sources(), pts):
-            calls.clear()
-            ewald_potential(s, mode, par, targets)
-            assert len(calls) == 1, (mode, targets.is_sources, len(calls))
+        kgrid = build_kgrid(box, mode, par.k_max)
+        got = layer(s, par.xi, kgrid, near)
+        want = layer(s, par.xi, kgrid, at)[0]
+        assert np.isfinite(got[0]), mode
+        assert abs(got[0] - want) <= 1e-6 * (1.0 + abs(want)), mode
+    xi = default_xi(box, Periodicity.P2)
+    got = zero_mode_2p(s, xi, near)
+    want = zero_mode_2p(s, xi, at)[0]
+    assert np.isfinite(got[0])
+    assert abs(got[0] - want) <= 1e-6 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_real_space_sum_off_the_sources_holds_no_pair_table(mode):
+    # the coincidence check runs on the real-space runs of at most
+    # _RUN_ELEMENTS pairs; no (M, N) target-source array is formed
+    box = np.array([1.0, 1.1, 0.9])
+    s = random_neutral(np.random.default_rng(34), 256, box)
+    pts = np.random.default_rng(35).uniform(0.0, 1.0, (4096, 3)) * box
+    targets = EvalTargets.at_points(pts)
+    par = default_params(box, mode)
+    tracemalloc.start()
+    try:
+        real_space_sum(s, mode, par.xi, par.r_cut, par.real_layers, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(pts) * len(s) * 8, peak / 2 ** 20
 
 
 def test_eval_targets_validation():

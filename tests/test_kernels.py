@@ -19,6 +19,7 @@ from scipy import special
 
 from ewaldpot import EvalTargets, kernels_numpy, real_space_sum
 from ewaldpot.core import (
+    COINCIDE_RTOL,
     ParticleSystem,
     Periodicity,
     build_image_vectors,
@@ -157,7 +158,7 @@ def test_kernels_match_reference_loops(mode):
     kvecs = build_kgrid(box, mode, par.k_max).vectors
     for tpos, at_sources in _targets(s):
         _close(kernels_numpy.real_space(pos, q, tpos, at_sources, images, xi,
-                                        par.r_cut),
+                                        par.r_cut, COINCIDE_RTOL),
                ref_real_space(pos, q, tpos, at_sources, images, xi,
                               par.r_cut))
         if mode is Periodicity.P3:
@@ -228,11 +229,11 @@ def _culled_matches_dense(monkeypatch, pos, q, tpos, at_sources, images, xi,
     # forced on) give the same bytes, within 1e-14 of the dense formula
     want = dense_real_space(pos, q, tpos, at_sources, images, xi, r_cut)
     got = kernels_numpy.real_space(pos, q, tpos, at_sources, images, xi,
-                                   r_cut)
+                                   r_cut, COINCIDE_RTOL)
     with monkeypatch.context() as mp:
         mp.setattr(kernels_numpy, "_FEW_TARGETS", 0)
         blocked = kernels_numpy.real_space(pos, q, tpos, at_sources, images,
-                                           xi, r_cut)
+                                           xi, r_cut, COINCIDE_RTOL)
     assert got.tobytes() == blocked.tobytes()
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= 1e-14 * scale
@@ -349,7 +350,7 @@ def test_real_space_erfc_sees_only_pairs_within_cutoff(monkeypatch):
 
     monkeypatch.setattr(kernels_numpy.sp, "erfc", counted)
     kernels_numpy.real_space(s.positions, s.charges, s.positions, True,
-                             images, par.xi, par.r_cut)
+                             images, par.xi, par.r_cut, COINCIDE_RTOL)
     seen = np.concatenate(args)
     want = sum(int(keep.sum()) for _, keep in _dense_pairs(
         s.positions, s.positions, True, images, par.r_cut))
@@ -367,7 +368,7 @@ def test_real_space_memory_stays_below_the_pair_table():
     tracemalloc.start()
     try:
         kernels_numpy.real_space(s.positions, s.charges, s.positions, True,
-                                 images, par.xi, par.r_cut)
+                                 images, par.xi, par.r_cut, COINCIDE_RTOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,7 +387,7 @@ def test_real_space_bytes_do_not_depend_on_runs(monkeypatch, mode):
     pts = rng.uniform(-0.5, 0.5, (140, 3)) * np.asarray(box)
     for tpos, at_sources in ((s.positions, True), (pts, False)):
         args = (s.positions, s.charges, tpos, at_sources, images, par.xi,
-                par.r_cut)
+                par.r_cut, COINCIDE_RTOL)
         default = kernels_numpy.real_space(*args)
         with monkeypatch.context() as mp:
             mp.setattr(kernels_numpy, "_RUN_ELEMENTS", 1)
@@ -409,7 +410,7 @@ def test_real_space_memory_stays_bounded_when_one_block_spans_the_cell(
     tracemalloc.start()
     try:
         kernels_numpy.real_space(s.positions, s.charges, s.positions, True,
-                                 images, par.xi, par.r_cut)
+                                 images, par.xi, par.r_cut, COINCIDE_RTOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -426,7 +427,7 @@ def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
     pts = rng.uniform(-0.5, 0.5, (180, 3)) * np.asarray(box)
     for tpos, at_sources in ((s.positions, True), (pts, False)):
         args = (s.positions, s.charges, tpos, at_sources, images, par.xi,
-                par.r_cut)
+                par.r_cut, COINCIDE_RTOL)
         default = kernels_numpy.real_space(*args)
         assert len(kernels_numpy._target_blocks(tpos, par.r_cut)) > 1
         for blocks in (lambda t, r: [np.array([m]) for m in range(len(t))],
@@ -437,16 +438,17 @@ def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
             assert got.tobytes() == default.tobytes()
     perm = rng.permutation(len(pts))
     got = kernels_numpy.real_space(s.positions, s.charges, pts[perm], False,
-                                   images, par.xi, par.r_cut)
+                                   images, par.xi, par.r_cut, COINCIDE_RTOL)
     want = kernels_numpy.real_space(s.positions, s.charges, pts, False,
-                                    images, par.xi, par.r_cut)
+                                    images, par.xi, par.r_cut, COINCIDE_RTOL)
     assert got.tobytes() == want[perm].tobytes()
     perm = rng.permutation(len(s))
     got = kernels_numpy.real_space(s.positions[perm], s.charges[perm],
                                    s.positions[perm], True, images, par.xi,
-                                   par.r_cut)
+                                   par.r_cut, COINCIDE_RTOL)
     want = kernels_numpy.real_space(s.positions, s.charges, s.positions,
-                                    True, images, par.xi, par.r_cut)
+                                    True, images, par.xi, par.r_cut,
+                                    COINCIDE_RTOL)
     # at the sources a permutation of the sources also reorders each
     # target's terms, so only the values are compared
     assert np.abs(got - want[perm]).max() <= 1e-14 * np.abs(want).max()
