@@ -164,21 +164,22 @@ class EwaldParams:
 
 
 #: default xi times the smallest periodic box length, per mode
-_XI_TIMES_L = {Periodicity.P1: 1.0, Periodicity.P2: 3.0, Periodicity.P3: 8.0}
+_XI_TIMES_L = {Periodicity.P1: 1.0, Periodicity.P2: 2.0, Periodicity.P3: 8.0}
 
 
 def default_xi(box, mode: Periodicity) -> float:
     """Default decomposition parameter: c / (smallest periodic box length).
 
-    c is 1 in 1p (xi = 1/L3), 3 in 2p (xi = 3/min(L1, L2)) and 8 in 3p
-    (xi = 8/min L).  In 1p and 2p the real-space and the k-space sums both
-    cost about M N times a count that depends on the box and xi alone, so
-    for a given box shape the fastest xi at a given tol does not move with
-    N: scans over N found it near these constants, at the same accuracy.
-    In 1p a c below about 0.8 empties the k grid at 0.7 xi and tol 1e-14,
-    which would leave the xi-invariance checks no k-space sum to test.
-    The 3p k-space sum costs (M + N) K instead, so its fastest xi moves
-    with N and M, which this function does not see; 3p keeps 8/min L.
+    c is 1 in 1p (xi = 1/L3), 2 in 2p (xi = 2/min(L1, L2)) and 8 in 3p
+    (xi = 8/min L).  Every mode sums its k space as a 3p sum, over the
+    2p and 1p lattices extended along the free axes, at a cost of about
+    (M + N) K; real space costs about M N times a count set by the box and
+    xi.  The fastest xi therefore moves with N and M, which this function
+    does not see.  The 2p constant is the fastest of c in {1.5, 2, 2.5, 3}
+    at the benchmark's N = 64, at the same accuracy.  In 1p a smaller c is
+    faster, but a c below about 0.8 empties the k grid at 0.7 xi and tol
+    1e-14, which would leave the xi-invariance checks no k-space sum to
+    test; 1 is the smallest round constant above that.
     """
     box = np.asarray(box, dtype=np.float64)
     return _XI_TIMES_L[mode] / float(np.min(box[list(mode.periodic_axes)]))
@@ -223,15 +224,12 @@ class KGrid:
     indices : matching integer lattice indices (bookkeeping; same ordering).
 
     The set is closed under negation and ordered lexicographically by integer
-    index, so summation order is deterministic.  P3 and P1 sets must be
-    closed under negation, each k as often as -k: the 3p k-space sum runs
-    over one k of each +-k pair with double weight and the 1p sum over
-    k3 > 0 with 2 cos, and kspace_sum_3p and kspace_sum_1p reject a grid
-    without that closure.  A P2 set must be closed under the sign flip of
-    each axis separately, (kx, ky) -> (-kx, ky) and (kx, -ky): the 2p
-    k-space sum runs over the quadrant kx, ky >= 0 with multiplicities, and
-    kspace_sum_2p rejects a grid without that closure.  build_kgrid's norm
-    ball has these closures in every mode.
+    index, so summation order is deterministic.  Every mode's k-space sum
+    runs over one k of each +-k pair with double weight (in 2p and 1p on
+    the lattice extended along the free axes, which inherits the closure),
+    so the sets of all three modes must be closed under negation, each k
+    as often as -k, and the kspace_sum_* functions reject a grid without
+    that closure.  build_kgrid's norm ball has it in every mode.
     """
 
     mode: Periodicity

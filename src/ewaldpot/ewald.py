@@ -4,7 +4,7 @@ The bare image sum  phi(x) = sum_n sum_p q_n / |x - x_n + p|  is split,
 per periodicity mode, into
 
     real space   sum_n sum_p q_n erfc(xi r)/r            (all modes)
-    k space      Gaussian-damped lattice Fourier sum     (mode-specific)
+    k space      Gaussian-damped lattice Fourier sum     (all modes)
     zero mode    the k = 0 contribution                  (2P and 1P only)
     self term    -(2 xi/sqrt(pi)) q_m                    (at sources only)
 
@@ -21,6 +21,36 @@ one kernel of kernels_numpy.  The public per-layer functions
 (real_space_sum, kspace_sum_*, zero_mode_*) validate their own arguments,
 without wrapping, and run the same layer code.
 
+Every mode sums its k space with one kernel, kernels_numpy.kspace_3p.  In
+2p and 1p the k space is a Fourier integral along the free axes,
+
+    g(kbar, z, xi)/kbar = (2/pi) int dk3 e^{-k^2/4xi^2}/k^2 e^{i k3 z}
+    K0(k3^2/4xi^2, rho^2 xi^2) = (1/pi) int d^2kappa e^{-k^2/4xi^2}/k^2
+                                 e^{i kappa.rho}
+
+with k^2 = kbar^2 + k3^2 and k^2 = kappa^2 + k3^2, and _kspace takes it by
+the trapezoid rule with spacing 2 pi/L_eff per free axis.  That is the 3p
+sum over an extended lattice: (kx, ky, 2 pi j/L_eff) with kbar != 0 in 2p,
+(2 pi i/Lx_eff, 2 pi j/Ly_eff, k3) with k3 != 0 in 1p (kappa = 0
+included), and volume V = L1 L2 L_eff or Lx_eff Ly_eff L3, so the prefactor
+4 pi/V is the 3p one.  The rule sums, besides the wanted pair term, its
+aliases L_eff apart along the free axes, where the kernel has decayed like
+e^{-k_min d}; k_min is the shortest grid vector, 2 pi/max(L1, L2) in 2p
+and 2 pi/L3 in 1p for a build_kgrid grid.  With C = _FREE_DECAY = 40:
+
+    split    the sources and targets are split at every gap wider than
+             C/k_min along a free axis (in 1p along x and along y, and
+             the parts again); each group gets its own lattice, and a
+             target in a group with no source gets a k-space term of 0,
+             its true value being below e^-C sum |q|
+    L_eff    per free axis, the extent of the group's sources and targets
+             plus C/k_min, so that every alias lies C/k_min away or more
+    cut      the free components stop where k^2/4xi^2 > C
+
+Both truncations cost about e^-C.  The lattice depends on the extent of
+the whole group, so in 2p and 1p a target's last bits may depend on the
+free-axis coordinates of the other targets in the same call.
+
 Only the real-space layer rejects a target that coincides with a source,
 as erfc(xi r)/r is the only term of the split that diverges there.  Its
 kernel checks the pairs whose term it forms: off the sources it rejects a
@@ -35,6 +65,7 @@ logarithm diverges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +83,7 @@ from .core import (
     require_neutral,
     wrap_positions,
 )
-from .specfun import DEFAULT_QUADRATURE, SQRT_PI
+from .specfun import SQRT_PI
 
 __all__ = [
     "EvalTargets",
@@ -65,6 +96,11 @@ __all__ = [
     "zero_mode_1p",
     "ewald_potential",
 ]
+
+#: C of the 2p and 1p k-space sums (see the module docstring): their
+#: free-axis aliases lie C/k_min away or more, their free components stop
+#: where k^2/4 xi^2 > C, and both truncations cost about e^-C
+_FREE_DECAY = 40.0
 
 @dataclass(frozen=True)
 class EvalTargets:
@@ -123,26 +159,18 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
     if kgrid.mode is not mode:
         raise ValueError(
             f"k grid was built for {kgrid.mode.value}, needed {mode.value}")
-    # each kernel folds the grid onto a part of it with multiplicities: 3p
-    # sums one k of each +-k pair with double weight, 1p the k3 > 0 half
-    # with 2 cos and 2p the quadrant kx, ky >= 0.  That needs the grid to
-    # equal, as a multiset, its image under each sign flip below; the rows
-    # are compared in lexicographic order, as a hand-built grid may have no
-    # indices and come in any order
+    # kspace_3p sums one k of each +-k pair with double weight, which needs
+    # the grid to equal its negation as a multiset (the extended lattices
+    # of 2p and 1p inherit that closure); the rows are compared in
+    # lexicographic order, as a hand-built grid may have no indices and
+    # come in any order
     vecs = np.asarray(kgrid.vectors, dtype=np.float64)
     if vecs.ndim == 1:    # P1: one k3 per row
         vecs = vecs[:, None]
-    if mode is Periodicity.P2:
-        flips = ((-1.0, 1.0), (1.0, -1.0))
-        closure = "the sign flip of each axis"
-    else:
-        flips, closure = ((-1.0,),), "negation"
     rows = vecs[np.lexsort(vecs.T[::-1])]
-    for flip in flips:
-        image = vecs * flip
-        if not np.array_equal(rows, image[np.lexsort(image.T[::-1])]):
-            raise ValueError(
-                f"a {mode.value} k grid must be closed under {closure}")
+    neg = -vecs
+    if not np.array_equal(rows, neg[np.lexsort(neg.T[::-1])]):
+        raise ValueError(f"a {mode.value} k grid must be closed under negation")
 
 
 # The layers proper, shared by ewald_potential and the public per-layer
@@ -156,18 +184,76 @@ def _real(system, tpos, at_sources, images, xi, r_cut):
                                     float(r_cut), eps)
 
 
+def _free_groups(coords, gap):
+    """Index arrays of the rows of coords (free-axis coordinates, one column
+    per free axis) split at every gap wider than gap along any axis.
+
+    A group is split along its first axis with such a gap, and its parts in
+    turn, until no group has one; each group holds ascending indices.
+    """
+    todo, groups = [np.arange(len(coords))], []
+    while todo:
+        idx = todo.pop()
+        for col in coords[idx].T:
+            order = np.argsort(col, kind="stable")
+            cuts = np.flatnonzero(np.diff(col[order]) > gap) + 1
+            if len(cuts):
+                todo += [np.sort(part) for part in np.split(idx[order], cuts)]
+                break
+        else:
+            groups.append(idx)
+    return groups
+
+
+def _extended_lattice(mode, box, kp, lengths, xi):
+    """The 2p or 1p grid as a 3p lattice: (vectors, volume) for kspace_3p.
+
+    kp holds the grid vectors, one row each.  Each is joined with the free
+    components 2 pi j / lengths (j integer per free axis) that keep
+    k^2 = kp^2 + free^2 <= 4 xi^2 _FREE_DECAY.  The vectors come in grid
+    order, and per grid vector in lexicographic order of j; the volume is
+    the product of the periodic box lengths and lengths.
+    """
+    periodic, free = list(mode.periodic_axes), list(mode.free_axes)
+    room = 4.0 * xi * xi * _FREE_DECAY - (kp * kp).sum(axis=1)
+    base = 2.0 * np.pi / lengths
+    span = math.sqrt(max(0.0, room.max()))
+    ranges = [np.arange(-n, n + 1) for n in np.floor(span / base).astype(int)]
+    mesh = np.meshgrid(*ranges, indexing="ij")
+    fk = np.stack([m.ravel() for m in mesh], axis=1) * base
+    ip, jf = np.nonzero((fk * fk).sum(axis=1)[None, :] <= room[:, None])
+    vecs = np.empty((len(ip), 3))
+    vecs[:, periodic] = kp[ip]
+    vecs[:, free] = fk[jf]
+    volume = float(np.prod(box[periodic])) * float(np.prod(lengths))
+    return vecs, volume
+
+
 def _kspace(mode, system, tpos, at_sources, xi, kgrid):
-    args = (system.positions, system.charges, tpos, float(xi), kgrid.vectors)
+    pos, q, box, xi = system.positions, system.charges, system.box, float(xi)
     if mode is Periodicity.P3:
-        volume = float(np.prod(system.box))
-        return kernels_numpy.kspace_3p(*args, volume, at_sources)
-    if mode is Periodicity.P2:
-        area = float(system.box[0] * system.box[1])
-        return kernels_numpy.kspace_2p(*args, area, at_sources)
-    cfg = DEFAULT_QUADRATURE
-    length = float(system.box[2])
-    return kernels_numpy.kspace_1p(*args, length, cfg.abs_tol, cfg.rel_tol,
-                                   cfg.max_subdivisions)
+        return kernels_numpy.kspace_3p(pos, q, tpos, xi, kgrid.vectors,
+                                       float(np.prod(box)), at_sources)
+    out = np.zeros(len(tpos))
+    kp = np.asarray(kgrid.vectors, dtype=np.float64)
+    kp = kp[:, None] if kp.ndim == 1 else kp    # P1: one k3 per row
+    if not len(kp):
+        return out
+    # C/k_min: the split distance and the margin of L_eff
+    reach = _FREE_DECAY / math.sqrt((kp * kp).sum(axis=1).min())
+    free = list(mode.free_axes)
+    coords = pos[:, free] if at_sources else np.vstack([pos, tpos])[:, free]
+    n = len(pos)
+    for group in _free_groups(coords, reach):
+        src = group[group < n]
+        tgt = src if at_sources else group[group >= n] - n
+        if not (len(src) and len(tgt)):
+            continue    # no source within reach: the term is below e^-C
+        lengths = np.ptp(coords[group], axis=0) + reach
+        kvecs, volume = _extended_lattice(mode, box, kp, lengths, xi)
+        out[tgt] = kernels_numpy.kspace_3p(pos[src], q[src], tpos[tgt], xi,
+                                           kvecs, volume, at_sources)
+    return out
 
 
 def _zero(mode, system, tpos, at_sources, xi):
@@ -224,7 +310,11 @@ def kspace_sum_3p(system: ParticleSystem, xi: float, kgrid: KGrid,
 
 def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
                   targets: EvalTargets):
-    """Planar k-space sum (pi/L1L2) sum_n q_n sum_kbar e^{-i kbar.(r-r_n)} g/kbar."""
+    """Planar k-space sum (pi/L1L2) sum_n q_n sum_kbar e^{-i kbar.(r-r_n)} g/kbar.
+
+    Taken as the 3p sum over the grid extended along z (module docstring);
+    the grid must be closed under negation, or it is rejected.
+    """
     _check_grid(kgrid, Periodicity.P2)
     _check_xi(xi)
     tpos, at_sources = _target_positions(system, targets)
@@ -236,7 +326,9 @@ def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
     """Axial k-space sum (1/L3) sum_{k3!=0} sum_n q_n e^{-i k3 (z-z_n)} K0(u, v).
 
     u = k3^2/4xi^2, v = rho_n^2 xi^2; a target on a source axis (rho_n = 0)
-    is legal here because K0(u, 0) = E1(u) is finite.
+    is legal here because K0(u, 0) = E1(u) is finite.  Taken as the 3p sum
+    over the grid extended along x and y (module docstring); the grid must
+    be closed under negation, or it is rejected.
     """
     _check_grid(kgrid, Periodicity.P1)
     _check_xi(xi)

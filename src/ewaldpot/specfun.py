@@ -9,9 +9,11 @@ function A(z, xi).
 The scalar routines (_erfcx_scalar, _k0_scalar, _e1_scalar, _k0inc_scalar,
 _g_scalar, ...) are plain Python; the test suite checks them against mpmath
 and uses them as the references of the vectorized kernels in kernels_numpy.
-They are pure and reentrant.  One array routine, _k0inc_array, evaluates
-the incomplete K0 over numpy arrays with the results of the scalar routine
-bit for bit.
+They are pure and reentrant.  No evaluation calls the incomplete K0 or g:
+the 1p and 2p k-space sums are 3p sums over an extended lattice, and these
+two functions are the closed forms the tests check those sums against.
+The incomplete K0 quadrature raises RuntimeError rather than return a
+value whose error estimate missed the tolerance.
 """
 
 from __future__ import annotations
@@ -261,7 +263,8 @@ def _k0inc_panel(kind, u, v, a, b):
 
 def _k0inc_adaptive(kind, u, v, a, b, tol, budget):
     # Stack-driven bisection; a panel is accepted once its error estimate
-    # fits its share of the tolerance or the subdivision budget is spent.
+    # fits its share of the tolerance.  A panel that misses it when the
+    # subdivision budget is spent or the stack is nearly full raises.
     span = b - a
     stack = np.empty((512, 2))
     stack[0, 0] = a
@@ -275,9 +278,13 @@ def _k0inc_adaptive(kind, u, v, a, b, tol, budget):
         pb = stack[top, 1]
         val, err = _k0inc_panel(kind, u, v, pa, pb)
         used += 1
-        if (err <= 0.5 * tol * (pb - pa) / span or used >= budget
-                or top >= 510):
+        if err <= 0.5 * tol * (pb - pa) / span:
             total += val
+        elif used >= budget or top >= 510:
+            limit = (f"{budget} panels" if used >= budget
+                     else "the bisection depth limit")
+            raise RuntimeError(
+                f"incomplete_bessel_k0 did not converge within {limit}")
         else:
             pm = 0.5 * (pa + pb)
             stack[top, 0] = pa
@@ -311,154 +318,15 @@ def _k0inc_scalar(u, v, abs_tol, rel_tol, max_subdivisions):
     return total
 
 
-# Elements per chunk of _k0inc_array: bounds its working set whatever the
-# number of values one call asks for.
-_K0INC_CHUNK = 512
-# Deepest bisection level _k0inc_array builds.  _k0inc_adaptive pops a panel
-# at depth d with at most d entries left on its 512-slot stack, so its stack
-# guard (top >= 510) cannot fire on a tree no deeper than this.
-_K0INC_MAX_DEPTH = 509
-
-
-def _exp_array(x):
-    # libm exp elementwise through math.exp, as in the scalar routine;
-    # numpy's SIMD exp differs from it in the last bit for some inputs
-    return np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
-
-
-def _k0inc_panels(kind, u, v, a, b):
-    # _k0inc_panel over 1-d arrays of panels [a, b] with per-panel u, v:
-    # the same nodes, operations and accumulation order, one node at a time
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-
-    def f(x):
-        if kind == 0:
-            return _exp_array(-u * x - v / x) / x
-        e = _exp_array(x)
-        return _exp_array(-u * e - v / e)
-
-    fk = np.zeros(len(a))
-    fg = np.zeros(len(a))
-    for i in range(7):
-        pair = f(mid + half * _GK_X[i]) + f(mid - half * _GK_X[i])
-        fk += _GK_WK[i] * pair
-        if i % 2 == 1:
-            fg += _GK_WG[i // 2] * pair
-    f0 = f(mid)
-    fk += _GK_WK[7] * f0
-    fg += _GK_WG[3] * f0
-    return half * fk, half * np.abs(fk - fg)
-
-
-def _k0inc_tree(kind, u, v, a, b, root, tol, budget):
-    # _k0inc_adaptive for every element at once: the same panel tree, built
-    # one bisection level at a time, and the accepted panels summed from
-    # the right-most to the left-most (the scalar stack's depth-first,
-    # right-child-first order), starting from 0.0.  root = (val, err) of
-    # [a, b].  Returns the sums and a mask of the elements whose tree
-    # reaches the budget or the depth limit; those need the scalar routine.
-    #
-    # The frontier holds the leaves and open panels of every element,
-    # grouped by element and ordered right to left: a split panel is
-    # replaced in place by its right child, then its left child.
-    n = len(a)
-    span = b - a
-    el = np.arange(n)
-    pa, pb = a, b
-    val, err = root
-    split = np.ones(n, dtype=bool)    # the open panels
-    used = np.ones(n, dtype=np.int64)
-    fail = used >= budget
-    for depth in range(1, _K0INC_MAX_DEPTH + 2):
-        split &= ~(err <= 0.5 * tol[el] * (pb - pa) / span[el])
-        used += 2 * np.bincount(el[split], minlength=n)
-        fail |= used >= budget
-        if depth > _K0INC_MAX_DEPTH:
-            fail[el[split]] = True
-        split &= ~fail[el]
-        if not split.any():
-            break
-        counts = 1 + split
-        right = (np.cumsum(counts) - counts)[split]
-        left = right + 1
-        pm = 0.5 * (pa[split] + pb[split])
-        el, pa, pb, val, err = (np.repeat(x, counts)
-                                for x in (el, pa, pb, val, err))
-        pa[right] = pm
-        pb[left] = pm
-        kids = np.concatenate((right, left))
-        val[kids], err[kids] = _k0inc_panels(kind, u[el[kids]], v[el[kids]],
-                                             pa[kids], pb[kids])
-        split = np.zeros(len(el), dtype=bool)
-        split[kids] = True
-    count = np.bincount(el, minlength=n)
-    first = np.cumsum(count) - count
-    total = np.zeros(n)
-    for rank in range(count.max(initial=0)):
-        has = count > rank
-        total[has] += val[first[has] + rank]
-    return total, fail
-
-
-def _k0inc_chunk(u, v, abs_tol, rel_tol, max_subdivisions):
-    out = np.empty(len(u))
-    quad = (v > 0.0) & (u >= 1e-6)    # the rest take the scalar branches
-    uq, vq = u[quad], v[quad]
-    tstar = np.maximum(1.0, np.sqrt(vq / uq))
-    us = uq * tstar
-    vs = vq / tstar
-    tail = (30.0 - math.log(abs_tol)) / us
-    s_end = np.fromiter(map(math.log1p, tail.tolist()), np.float64, len(us))
-    zero = np.zeros(len(us))
-    head = _k0inc_panels(1, us, vs, zero, s_end)
-    tol = abs_tol + rel_tol * np.abs(head[0])
-    total, fail = _k0inc_tree(1, us, vs, zero, s_end, head, tol,
-                              max_subdivisions)
-    wide = tstar > 1.0
-    if wide.any():
-        u0, v0, t0 = uq[wide], vq[wide], tstar[wide]
-        one = np.ones(len(t0))
-        root = _k0inc_panels(0, u0, v0, one, t0)
-        total0, fail0 = _k0inc_tree(0, u0, v0, one, t0, root, tol[wide],
-                                    max_subdivisions)
-        total[wide] += total0
-        fail[wide] |= fail0
-    out[quad] = total
-    redo = ~quad
-    redo[np.flatnonzero(quad)[fail]] = True
-    for i in np.flatnonzero(redo).tolist():
-        out[i] = _k0inc_scalar(float(u[i]), float(v[i]), abs_tol, rel_tol,
-                               max_subdivisions)
-    return out
-
-
-def _k0inc_array(u, v, abs_tol, rel_tol, max_subdivisions):
-    """_k0inc_scalar over equal-shape arrays u, v, bit for bit.
-
-    Elements with v == 0 or u < 1e-6, and elements whose panel tree reaches
-    max_subdivisions panels or the scalar stack's depth, are passed to
-    _k0inc_scalar itself; the rest are integrated in chunks of _K0INC_CHUNK
-    elements by the same panel tree, arithmetic (libm exp) and summation
-    order as the scalar routine.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    out = np.empty(u.shape)
-    flat_u, flat_v, flat_out = u.ravel(), v.ravel(), out.reshape(-1)
-    for start in range(0, flat_out.size, _K0INC_CHUNK):
-        part = slice(start, start + _K0INC_CHUNK)
-        flat_out[part] = _k0inc_chunk(flat_u[part], flat_v[part], abs_tol,
-                                      rel_tol, max_subdivisions)
-    return out
-
-
 def incomplete_bessel_k0(u, v, cfg=None):
     """Incomplete modified Bessel function K0(u, v).
 
     Evaluates int_1^inf t^-1 exp(-u*t - v/t) dt for u > 0, v >= 0 to the
     configured tolerance (default absolute 1e-12).  The integral diverges
-    logarithmically at u = 0, so u <= 0 is rejected.
+    logarithmically at u = 0, so u <= 0 is rejected.  RuntimeError is raised
+    when the adaptive quadrature would have to accept a panel above its
+    share of the tolerance: cfg.max_subdivisions panels are spent, or the
+    bisection is about 510 levels deep.
     """
     if not u > 0.0:
         raise ValueError("incomplete_bessel_k0 requires u > 0")

@@ -187,8 +187,8 @@ def test_default_params_p1_uses_periodic_length():
 
 def test_default_params_p2_uses_smallest_periodic_length():
     p = default_params([3.0, 2.0, 0.5], Periodicity.P2)
-    assert p.xi == pytest.approx(1.5)
-    assert p.real_layers == 2
+    assert p.xi == pytest.approx(1.0)
+    assert p.real_layers == 3
 
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)

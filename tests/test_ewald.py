@@ -32,9 +32,7 @@ from ewaldpot.ewald import (
 )
 from ewaldpot.specfun import (
     EULER_GAMMA,
-    QuadratureConfig,
     _g_scalar,
-    _k0inc_scalar,
     expint_e1,
 )
 
@@ -179,14 +177,15 @@ def test_kspace_3p_kmax_doubling():
 @pytest.mark.parametrize("mode, vectors", [
     (Periodicity.P3, [[-6.0, 0.0, 0.0], [6.0, 0.0, 0.0], [0.0, 6.0, -6.0]]),
     (Periodicity.P1, [-6.0, 6.0, 12.0]),
+    (Periodicity.P2, [[-6.0, 0.0], [6.0, 0.0], [6.0, 4.0]]),
 ])
 def test_kspace_rejects_grid_not_closed_under_negation(mode, vectors):
-    # one vector lacks its negative: the 3p half lattice and the 1p k3 > 0
-    # half would each silently sum something else
+    # one vector lacks its negative: the half lattice of the k-space kernel
+    # would silently sum something else
     rng = np.random.default_rng(23)
     s = random_neutral(rng, 4, np.array([1.0, 1.0, 1.0]))
     grid = KGrid(mode=mode, vectors=np.array(vectors))
-    kspace_sum = {Periodicity.P3: kspace_sum_3p,
+    kspace_sum = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
                   Periodicity.P1: kspace_sum_1p}[mode]
     with pytest.raises(ValueError, match="closed under negation"):
         kspace_sum(s, 1.5, grid, EvalTargets.at_sources())
@@ -196,7 +195,7 @@ def test_kspace_rejects_grid_not_closed_under_negation(mode, vectors):
     (Periodicity.P3, (0, 3)), (Periodicity.P2, (0, 2)), (Periodicity.P1, (0,)),
 ])
 def test_kspace_empty_grid_passes_the_closure_check(mode, shape):
-    # an empty grid is closed under every sign flip; its sum is zero
+    # an empty grid is closed under negation; its sum is zero
     s = random_neutral(np.random.default_rng(31), 4, np.array([1.0, 1.0, 1.0]))
     kspace_sum = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
                   Periodicity.P1: kspace_sum_1p}[mode]
@@ -292,68 +291,53 @@ def test_kspace_2p_matches_mode_quadrature():
     assert np.abs(got - want).max() < 1e-8
 
 
-def _quadrant(kvecs):
-    return [k for k in kvecs.tolist() if k[0] >= 0.0 and k[1] >= 0.0]
-
-
 def test_kspace_2p_at_sources_matches_general_path():
-    # at the sources g runs on the upper triangle of |dz| and is scattered
-    # to (N, N); the general path (the sources plus one extra target) runs
-    # it on the full signed dz, and g is even in dz bit for bit
+    # at the sources the kernel reuses the source phases; the general path
+    # (the sources plus one extra target inside their z extent, so the
+    # extended lattice is the same) computes them again, in the same order
     rng = np.random.default_rng(37)
     box = np.array([1.1, 0.9, 1.0])
     s = random_neutral(rng, 7, box)
-    kv = build_kgrid(box, Periodicity.P2, 30.0).vectors
-    area = float(box[0] * box[1])
-    re = kernels_numpy.kspace_2p(s.positions, s.charges, s.positions, 2.0,
-                                 kv, area, True)
-    extra = np.vstack([s.positions, [[0.31, 0.47, 0.62]]])
-    re_g = kernels_numpy.kspace_2p(s.positions, s.charges, extra, 2.0, kv,
-                                   area, False)
+    grid = build_kgrid(box, Periodicity.P2, 30.0)
+    z = s.positions[:, 2]
+    extra = [[0.31, 0.47, 0.5 * (z.min() + z.max())]]
+    re = kspace_sum_2p(s, 2.0, grid, EvalTargets.at_sources())
+    re_g = kspace_sum_2p(s, 2.0, grid, EvalTargets.at_points(
+        np.vstack([s.positions, extra])))
     assert np.array_equal(re, re_g[:-1])
 
 
-def test_kspace_2p_evaluates_g_once_per_quadrant_vector(monkeypatch):
-    # g depends on kbar only through |kbar|, so one quadrant of the grid
-    # suffices; at the sources g is symmetric in the pair, so each call
-    # covers the N(N+1)/2 unordered pairs, off them the M x N pairs
-    rng = np.random.default_rng(5)
-    box = np.array([1.0, 1.1, 0.9])
-    n = 9
-    s = random_neutral(rng, n, box)
-    par = default_params(box, Periodicity.P2)
-    kv = build_kgrid(box, Periodicity.P2, par.k_max).vectors
-    sizes = []
-    g_array = kernels_numpy._g_array
-
-    def counting(kbar, dz, xi):
-        sizes.append(dz.size)
-        return g_array(kbar, dz, xi)
-
-    monkeypatch.setattr(kernels_numpy, "_g_array", counting)
-    ewald_potential(s, Periodicity.P2, par, EvalTargets.at_sources())
-    assert sizes == [n * (n + 1) // 2] * len(_quadrant(kv))
-    sizes.clear()
-    pts = np.array([[0.3, 0.6, 0.2], [0.85, 0.15, 0.7]])
-    ewald_potential(s, Periodicity.P2, par, EvalTargets.at_points(pts))
-    assert sizes == [2 * n] * len(_quadrant(kv))
+def _loop_2p(s, xi, vecs, tpos):
+    # the planar k-space sum as a plain loop over every grid vector
+    area = float(s.box[0] * s.box[1])
+    want = np.zeros(len(tpos))
+    for kx, ky in vecs:
+        kb = math.hypot(kx, ky)
+        for m, t in enumerate(tpos):
+            for qn, x in zip(s.charges, s.positions):
+                ph = kx * (t[0] - x[0]) + ky * (t[1] - x[1])
+                want[m] += (math.pi / area / kb * qn * math.cos(ph)
+                            * _g_scalar(kb, t[2] - x[2], xi))
+    return want
 
 
-def test_kspace_2p_rejects_grid_without_axis_flips():
-    # closed under negation but not under the flip of one axis: the
-    # quadrant fold would silently sum something else
+def test_kspace_2p_accepts_grid_without_axis_flips():
+    # closed under negation but not under the flip of one axis: the 2p sum
+    # runs on the extended 3p lattice, which needs negation closure only
     rng = np.random.default_rng(8)
     box = np.array([1.0, 1.0, 1.0])
     s = random_neutral(rng, 4, box)
-    grid = KGrid(mode=Periodicity.P2,
-                 vectors=np.array([[-6.0, -4.0], [6.0, 4.0]]))
-    with pytest.raises(ValueError, match="sign flip"):
-        kspace_sum_2p(s, 1.5, grid, EvalTargets.at_sources())
+    vecs = [[-6.0, -4.0], [6.0, 4.0]]
+    grid = KGrid(mode=Periodicity.P2, vectors=np.array(vecs))
+    got = kspace_sum_2p(s, 1.5, grid, EvalTargets.at_sources())
+    want = _loop_2p(s, 1.5, vecs, s.positions)
+    assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(want).max())
 
 
 def test_kspace_2p_hand_built_flip_closed_grid_matches_full_loop():
     # off-lattice vectors, closed under each axis flip, in no particular
-    # order: the folded sum equals a plain loop over every vector
+    # order: the sum on the extended lattice equals a plain loop over every
+    # vector
     rng = np.random.default_rng(14)
     box = np.array([1.2, 0.9, 1.0])
     s = random_neutral(rng, 5, box)
@@ -362,19 +346,12 @@ def test_kspace_2p_hand_built_flip_closed_grid_matches_full_loop():
             (7.7, 1.3), (-7.7, 1.3), (7.7, -1.3), (-7.7, -1.3)]
     order = rng.permutation(len(vecs))
     grid = KGrid(mode=Periodicity.P2, vectors=np.array(vecs)[order])
-    xi, area = 1.7, float(box[0] * box[1])
+    xi = 1.7
     pts = np.array([[0.4, 0.3, 0.5], [0.8, 0.1, 1.4]])
     for targets, tpos in ((EvalTargets.at_sources(), s.positions),
                           (EvalTargets.at_points(pts), pts)):
         got = kspace_sum_2p(s, xi, grid, targets)
-        want = np.zeros(len(tpos))
-        for kx, ky in vecs:
-            kb = math.hypot(kx, ky)
-            for m, t in enumerate(tpos):
-                for qn, x in zip(s.charges, s.positions):
-                    ph = kx * (t[0] - x[0]) + ky * (t[1] - x[1])
-                    want[m] += (math.pi / area / kb * qn * math.cos(ph)
-                                * _g_scalar(kb, t[2] - x[2], xi))
+        want = _loop_2p(s, xi, vecs, tpos)
         assert np.abs(got - want).max() < 1e-13 * max(1.0,
                                                        np.abs(want).max())
 
@@ -436,49 +413,6 @@ def test_kspace_1p_matches_2d_quadrature():
                 want[m] += q[n] * 2.0 * math.cos(k3 * dz) * val
     want /= math.pi * box[2]
     assert np.abs(got - want).max() < 1e-7
-
-
-def _kspace_1p_scalar_reference(pos, q, targets, xi, kz, length, cfg):
-    # one _k0inc_scalar call per (k3, target, source), the per-element loop
-    # the numpy kernel ran before its K0 table was batched
-    rho2 = ((targets[:, None, :2] - pos[None, :, :2]) ** 2).sum(axis=-1)
-    dz = targets[:, None, 2] - pos[None, :, 2]
-    xi2 = xi * xi
-    re = np.zeros(len(targets))
-    for k3 in kz:
-        if k3 <= 0.0:
-            continue
-        u = 0.25 * k3 * k3 / xi2
-        table = np.empty(rho2.shape)
-        for m in range(rho2.shape[0]):
-            for n in range(rho2.shape[1]):
-                table[m, n] = _k0inc_scalar(u, rho2[m, n] * xi2, cfg.abs_tol,
-                                            cfg.rel_tol, cfg.max_subdivisions)
-        re += (q[None, :] * 2.0 * np.cos(k3 * dz) * table).sum(axis=1)
-    return re / length
-
-
-def test_kspace_1p_numpy_kernel_bit_identical_to_scalar_loop():
-    rng = np.random.default_rng(31)
-    box = np.array([1.0, 1.1, 1.3])
-    s = random_neutral(rng, 5, box)
-    xi = 6.0
-    kz = build_kgrid(box, Periodicity.P1, 40.0).vectors
-    # a 3 x 3 (x, y) grid repeated at two heights: every rho^2 occurs twice
-    xy = np.stack(np.meshgrid([0.15, 0.5, 0.85], [0.2, 0.55, 0.9],
-                              indexing="ij"), axis=-1).reshape(-1, 2)
-    grid = np.vstack([np.column_stack([xy, np.full(9, z)])
-                      for z in (0.35, 1.05)])
-    rho2 = ((grid[:, None, :2] - s.positions[None, :, :2]) ** 2).sum(axis=-1)
-    assert len(np.unique(rho2)) < rho2.size
-    for targets in (s.positions, grid):
-        for cfg in (QuadratureConfig(), QuadratureConfig(max_subdivisions=3)):
-            re = kernels_numpy.kspace_1p(
-                s.positions, s.charges, targets, xi, kz, float(box[2]),
-                cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
-            want = _kspace_1p_scalar_reference(
-                s.positions, s.charges, targets, xi, kz, float(box[2]), cfg)
-            assert np.array_equal(re, want)
 
 
 def test_kspace_3p_numpy_at_sources_matches_general_path():
@@ -794,9 +728,10 @@ def test_kspace_imaginary_residue_small():
     ph = pts @ kv3.T
     im3 = (np.cos(ph) * (w * sn) - np.sin(ph) * (w * cs)).sum(axis=1)
     assert np.abs(im3).max() <= 1e-13 * max(1.0, np.abs(re3).max())
-    kv2 = build_kgrid(box, Periodicity.P2, 25.0).vectors
+    grid2 = build_kgrid(box, Periodicity.P2, 25.0)
+    kv2 = grid2.vectors
     area = float(box[0] * box[1])
-    re2 = kernels_numpy.kspace_2p(pos, q, pts, xi, kv2, area, False)
+    re2 = kspace_sum_2p(s, xi, grid2, EvalTargets.at_points(pts))
     dxy = pts[:, None, :2] - pos[None, :, :2]
     dz = pts[:, None, 2] - pos[None, :, 2]
     im2 = np.zeros(len(pts))

@@ -3,9 +3,12 @@
 Each reference is a straight loop over targets, sources and images or
 k-vectors that calls math and the scalar routines of specfun one term at a
 time.  The kernels sum in another order, so they agree to rounding: the
-bound is 1e-12 times the largest reference value plus one.  The k-space
-kernels return the real potential only; test_ewald bounds the imaginary
-residue of the same sums with a numpy reference.
+bound is 1e-12 times the largest reference value plus one.  The 2p and 1p
+k-space sums are checked through kspace_sum_2p and kspace_sum_1p, which
+run the one k-space kernel on the extended lattice, against plain loops
+over g and the incomplete K0.  The k-space kernel returns the real
+potential only; test_ewald bounds the imaginary residue of the same sums
+with a numpy reference.
 """
 
 import math
@@ -15,9 +18,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
-from ewaldpot import EvalTargets, kernels_numpy, real_space_sum
+from ewaldpot import (
+    EvalTargets,
+    kernels_numpy,
+    kspace_sum_1p,
+    kspace_sum_2p,
+    kspace_sum_3p,
+    real_space_sum,
+)
 from ewaldpot.core import (
     COINCIDE_RTOL,
     ParticleSystem,
@@ -143,6 +155,11 @@ def ref_zero_mode_1p(pos, q, tpos, at_sources, xi, length):
     return out / length
 
 
+def _eval_targets(tpos, at_sources):
+    return EvalTargets.at_sources() if at_sources else EvalTargets.at_points(
+        tpos)
+
+
 def _close(got, want):
     scale = np.abs(want).max() + 1.0
     assert np.abs(got - want).max() < 1e-12 * scale
@@ -155,8 +172,10 @@ def test_kernels_match_reference_loops(mode):
     par = default_params(box, mode)
     xi = par.xi
     images = build_image_vectors(box, mode, par.real_layers)
-    kvecs = build_kgrid(box, mode, par.k_max).vectors
+    kgrid = build_kgrid(box, mode, par.k_max)
+    kvecs = kgrid.vectors
     for tpos, at_sources in _targets(s):
+        targets = _eval_targets(tpos, at_sources)
         _close(kernels_numpy.real_space(pos, q, tpos, at_sources, images, xi,
                                         par.r_cut, COINCIDE_RTOL),
                ref_real_space(pos, q, tpos, at_sources, images, xi,
@@ -168,8 +187,7 @@ def test_kernels_match_reference_loops(mode):
                    ref_kspace_3p(pos, q, tpos, xi, kvecs, volume))
         elif mode is Periodicity.P2:
             area = float(box[0] * box[1])
-            _close(kernels_numpy.kspace_2p(pos, q, tpos, xi, kvecs, area,
-                                           at_sources),
+            _close(kspace_sum_2p(s, xi, kgrid, targets),
                    ref_kspace_2p(pos, q, tpos, xi, kvecs, area))
             _close(kernels_numpy.zero_mode_2p(pos[:, 2], q, tpos[:, 2], xi,
                                               area),
@@ -177,9 +195,7 @@ def test_kernels_match_reference_loops(mode):
         else:
             length = float(box[2])
             cfg = DEFAULT_QUADRATURE
-            _close(kernels_numpy.kspace_1p(
-                       pos, q, tpos, xi, kvecs, length, cfg.abs_tol,
-                       cfg.rel_tol, cfg.max_subdivisions),
+            _close(kspace_sum_1p(s, xi, kgrid, targets),
                    ref_kspace_1p(pos, q, tpos, xi, kvecs, length, cfg))
             if at_sources:
                 got = kernels_numpy.zero_mode_1p_sources(pos, q, xi, length)
@@ -188,6 +204,134 @@ def test_kernels_match_reference_loops(mode):
                                                         length)
             _close(got, ref_zero_mode_1p(pos, q, tpos, at_sources, xi,
                                          length))
+
+
+# ------------------------------------ 2p and 1p on the extended lattice
+
+def _ref_kspace(mode, s, tpos, xi, kvecs):
+    if mode is Periodicity.P2:
+        return ref_kspace_2p(s.positions, s.charges, tpos, xi, kvecs,
+                             float(s.box[0] * s.box[1]))
+    return ref_kspace_1p(s.positions, s.charges, tpos, xi, kvecs,
+                         float(s.box[2]), DEFAULT_QUADRATURE)
+
+
+def _kspace_sum(mode):
+    return kspace_sum_2p if mode is Periodicity.P2 else kspace_sum_1p
+
+
+def _lattice_sizes(monkeypatch, mode, s, xi, kgrid, targets):
+    # the k-space sum and the size of every lattice it handed kspace_3p
+    sizes = []
+    kspace_3p = kernels_numpy.kspace_3p
+
+    def counted(*args):
+        sizes.append(len(args[4]))
+        return kspace_3p(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels_numpy, "kspace_3p", counted)
+        got = _kspace_sum(mode)(s, xi, kgrid, targets)
+    return got, sizes
+
+
+@pytest.mark.parametrize("mode", [Periodicity.P2, Periodicity.P1],
+                         ids=lambda m: m.value)
+def test_far_targets_and_far_source_groups(monkeypatch, mode):
+    # targets 1e3 out along a free axis form groups without a source, whose
+    # k-space term is 0; a source group 1e3 away gets a lattice of its own.
+    # Neither widens the lattice of the in-cell group.
+    s = _system()
+    par = default_params(s.box, mode)
+    kgrid = build_kgrid(s.box, mode, par.k_max)
+    inside = np.array([[0.31, 0.77, 0.12], [0.92, 0.18, 0.6]])
+    if mode is Periodicity.P2:
+        far = [[0.5, 0.5, 1e3], [0.2, 0.4, -1e3]]
+        shift = np.array([0.0, 0.0, 1e3])
+    else:
+        far = [[1e3, 0.4, 0.3], [0.5, -1e3, 0.7]]
+        shift = np.array([1e3, 0.0, 0.0])
+    tpos = np.vstack([inside, far])
+    _, (k_cell,) = _lattice_sizes(monkeypatch, mode, s, par.xi, kgrid,
+                                  EvalTargets.at_points(inside))
+    got, sizes = _lattice_sizes(monkeypatch, mode, s, par.xi, kgrid,
+                                EvalTargets.at_points(tpos))
+    assert sizes == [k_cell]
+    _close(got, _ref_kspace(mode, s, tpos, par.xi, kgrid.vectors))
+    assert np.all(got[2:] == 0.0)
+    two = ParticleSystem(np.vstack([s.positions, s.positions[:3] + shift]),
+                         np.concatenate([s.charges, -s.charges[:3]]), s.box)
+    both = np.vstack([inside, inside + shift])
+    for targets, tpos in ((EvalTargets.at_sources(), two.positions),
+                          (EvalTargets.at_points(both), both)):
+        got, sizes = _lattice_sizes(monkeypatch, mode, two, par.xi, kgrid,
+                                    targets)
+        assert len(sizes) == 2 and max(sizes) <= k_cell
+        _close(got, _ref_kspace(mode, two, tpos, par.xi, kgrid.vectors))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from([Periodicity.P2, Periodicity.P1]),
+       box=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+       offsets=st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=2),
+       pick=st.integers(0, 1), seed=st.integers(0, 2 ** 16))
+def test_extended_lattice_matches_reference_loops(mode, box, offsets, pick,
+                                                  seed):
+    # any box shape; a source and a target moved out along a free axis, by
+    # less or more than the split distance
+    box = np.array(box)
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-0.5, 0.5, (4, 3)) * box
+    q = rng.normal(size=4)
+    tpos = rng.uniform(-0.5, 0.5, (3, 3)) * box
+    axis = mode.free_axes[pick % len(mode.free_axes)]
+    pos[0, axis] += offsets[0]
+    tpos[0, axis] += offsets[1]
+    s = ParticleSystem(pos, q, box)
+    par = default_params(box, mode)
+    kgrid = build_kgrid(box, mode, par.k_max)
+    for targets, t in ((EvalTargets.at_sources(), pos),
+                       (EvalTargets.at_points(tpos), tpos)):
+        _close(_kspace_sum(mode)(s, par.xi, kgrid, targets),
+               _ref_kspace(mode, s, t, par.xi, kgrid.vectors))
+
+
+def test_kspace_3p_memory_stays_bounded_on_a_spread_slab():
+    # 256 sources spread over z in [-500, 500], no gap wide enough to split
+    # them: one 2p lattice of 2.7e5 vectors, whose (M, K/2) cos and sin
+    # buffers would take 0.55 GB; slices of _K_ELEMENTS keep 160 MiB
+    box = np.array([1.0, 1.1, 0.9])
+    s = _uniform_system(256, box, 16)
+    pos = np.array(s.positions)
+    pos[:, 2] = np.linspace(-500.0, 500.0, len(pos))
+    s = ParticleSystem(pos, s.charges, box)
+    par = default_params(box, Periodicity.P2)
+    kgrid = build_kgrid(box, Periodicity.P2, par.k_max)
+    tracemalloc.start()
+    try:
+        kspace_sum_2p(s, par.xi, kgrid, EvalTargets.at_sources())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * kernels_numpy._K_ELEMENTS, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_kspace_slices_match_one_slice(monkeypatch, mode):
+    # slices of 64 (target, k) elements, 10 k each at the 6 sources and 32
+    # at the 2 points, against the whole half lattice in one slice
+    s = _system()
+    par = default_params(s.box, mode)
+    kgrid = build_kgrid(s.box, mode, par.k_max)
+    layer = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
+             Periodicity.P1: kspace_sum_1p}[mode]
+    for tpos, at_sources in _targets(s):
+        targets = _eval_targets(tpos, at_sources)
+        whole = layer(s, par.xi, kgrid, targets)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels_numpy, "_K_ELEMENTS", 64)
+            sliced = layer(s, par.xi, kgrid, targets)
+        assert np.abs(sliced - whole).max() <= 1e-14 * np.abs(whole).max()
 
 
 # ------------------------------------------------- culled real-space kernel

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ewaldpot import specfun
 from ewaldpot.specfun import (
-    DEFAULT_QUADRATURE,
     EULER_GAMMA,
     QuadratureConfig,
     bessel_k0,
@@ -268,49 +266,16 @@ def test_k0inc_domain_and_config():
         QuadratureConfig(max_subdivisions=0)
 
 
-def _k0inc_scalar_counted(monkeypatch):
-    # count the elements the batched routine hands to the scalar routine
-    scalar = specfun._k0inc_scalar
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return scalar(*args)
-
-    monkeypatch.setattr(specfun, "_k0inc_scalar", counted)
-    return scalar, calls
-
-
-@pytest.mark.parametrize("cfg", [DEFAULT_QUADRATURE,
-                                 QuadratureConfig(max_subdivisions=3)],
-                         ids=["default", "budget3"])
-def test_k0inc_array_bit_identical_to_scalar(cfg, monkeypatch):
-    # u as in the 1p k-space sum (k3 = 2 pi j / L, xi = 8) plus u < 1e-6;
-    # v = 0, v < u (t* == 1), v > u (t* > 1), v from free-direction
-    # coordinates 5 and 50 box lengths out, and every v repeated
-    xi, length = 8.0, 1.3
-    k3 = 2.0 * math.pi * np.arange(1, 9) / length
-    u = np.concatenate([0.25 * k3 * k3 / (xi * xi), [3e-7, 2.5e-8]])
-    v = np.concatenate([[0.0, 1e-9, 0.01, 0.05],
-                        np.linspace(0.3, 40.0, 24),
-                        [(5.0 * xi) ** 2, (50.0 * xi) ** 2]])
-    v = np.tile(v, 2)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    assert uu.size > specfun._K0INC_CHUNK
-    assert np.any(np.sqrt(vv / uu) <= 1.0) and np.any(np.sqrt(vv / uu) > 1.0)
-    scalar, calls = _k0inc_scalar_counted(monkeypatch)
-    got = specfun._k0inc_array(uu, vv, cfg.abs_tol, cfg.rel_tol,
-                               cfg.max_subdivisions)
-    want = np.array([[scalar(a, b, cfg.abs_tol, cfg.rel_tol,
-                             cfg.max_subdivisions)
-                      for a, b in zip(ua, va)] for ua, va in zip(uu, vv)])
-    assert got.shape == uu.shape
-    assert np.array_equal(got, want)
-    branch = int(np.count_nonzero((vv == 0.0) | (uu < 1e-6)))
-    if cfg.max_subdivisions == 3:
-        assert len(calls) > branch     # the budget fallback ran
-    else:
-        assert len(calls) == branch    # everything else was batched
+def test_k0inc_raises_when_the_budget_is_spent():
+    # three panels (the head panel and its two halves) cannot reach 1e-12
+    # here; the quadrature used to accept them silently
+    cfg = QuadratureConfig(max_subdivisions=3)
+    with pytest.raises(RuntimeError, match="did not converge within 3"):
+        incomplete_bessel_k0(0.7, 2.3, cfg)
+    # the branches without quadrature need no budget
+    assert incomplete_bessel_k0(0.7, 0.0, cfg) == expint_e1(0.7)
+    assert incomplete_bessel_k0(0.7, 2.3) == incomplete_bessel_k0(
+        0.7, 2.3, QuadratureConfig(max_subdivisions=400))
 
 
 # ---------------------------------------------------------- g_screened
