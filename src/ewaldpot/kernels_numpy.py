@@ -18,13 +18,24 @@ extended along the free axes (see the ewald module docstring).  The
 lattices are closed under negation and the kernel is real and even, so the
 potential is real: the kernel returns that real part only, never forms the
 imaginary part (which would be rounding noise), and sums one k of each +-k
-pair with double weight.  It evaluates in a fixed, written-down order with
-elementwise numpy operations and reductions only: no matrix product (so no
-BLAS kernel, whose rounding depends on the CPU it picks at run time) and
-libm exp through math.exp (numpy's own SIMD exp differs from libm in the
-last bit on some CPUs).  The zero modes take exp and log from libm the
-same way.  The bytes of every layer therefore depend on neither the BLAS
-build nor numpy's SIMD dispatch level for exp and log.
+pair with double weight.  It takes cos and sin of k.x from per-axis
+tables: libm cos and sin of x kx, y ky and z kz, one entry per point and
+distinct component, combined over the distinct (kx, ky) pairs and then per
+vector by cos(a + b) = cos a cos b - sin a sin b and
+sin(a + b) = sin a cos b + cos a sin b (see _phases).  It evaluates in a
+fixed, written-down order with elementwise numpy operations and reductions
+only: each product and sum is its own float64 operation, with no complex
+arithmetic, no fused step and no matrix product (so no BLAS kernel, whose
+rounding depends on the CPU it picks at run time).  Its exp, cos and sin
+are libm's through math (numpy's own SIMD exp, cos and sin differ from
+libm in the last bit on some CPUs), and the zero modes take exp and log
+from libm the same way.  The bytes of every layer therefore depend on
+neither the BLAS build nor numpy's SIMD dispatch level for these functions.
+
+The k-space sum and the zero modes take their points in row blocks under
+_ROW_ELEMENTS, and real space its targets in runs under _RUN_ELEMENTS, so
+no kernel forms an (M, N) array; a row's terms and their order do not
+depend on the blocks, so neither do the bytes.
 """
 
 from __future__ import annotations
@@ -46,10 +57,17 @@ _FEW_TARGETS = 128
 #: the cell, one block spans it and its candidates are all the image points
 _RUN_ELEMENTS = 2 ** 16
 
-#: kspace_3p holds at most this many (target, k) elements in each of its
-#: cos and sin buffers, and at least one k's: every perfbench workload (the
-#: largest, map3p, 1000 targets by 8599 half-lattice vectors) fits in one
-#: slice of the lattice, 80 MiB per buffer
+#: the k-space sum and the zero modes take their points in blocks of
+#: consecutive rows, each array of a block at most this many (point, k) or
+#: (target, source) elements, and at least one row's: a block's arrays
+#: stay in the CPU cache
+_ROW_ELEMENTS = 2 ** 15
+
+#: at the sources kspace_3p takes the half lattice in slices of at most
+#: this many (target, k) elements, and at least one k, which bounds its
+#: (N, slice) cos and sin buffers at 80 MiB each: every perfbench workload
+#: fits in one slice.  Off the sources it needs no slices: slices would
+#: only repeat the per-axis tables of every target once per slice
 _K_ELEMENTS = 10 * 2 ** 20
 
 
@@ -176,15 +194,17 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
     the half lattice: of each +-k pair the vector whose first nonzero
     component is positive, in grid order, with weight 8 pi/V.  That is
     exact on lattices closed under negation, which ewald._check_grid
-    enforces and ewald's extended lattices have by construction.  The half
-    lattice is taken in slices of at most _K_ELEMENTS // M vectors (one at
-    least), each summed by _kspace_slice; the sums of the slices are added
-    in slice order.  The weight of a kept k is
-    pref * math.exp(-k^2 quart) / k^2, with k^2 = (kx^2 + ky^2) + kz^2,
-    pref = 8 pi/V (twice 4 pi/V, exactly) and quart = 1/(4 xi^2).
+    enforces and ewald's extended lattices have by construction.  At the
+    sources the half lattice is taken in slices of at most _K_ELEMENTS // M
+    vectors (one at least), each summed by _kspace_slice, and the sums of
+    the slices are added in slice order; off the sources, where
+    _kspace_slice holds no (M, slice) array, in one slice.  The weight of
+    a kept k is (pref exp(-k^2 quart)) / k^2 with libm exp,
+    k^2 = (kx^2 + ky^2) + kz^2, pref = 8 pi/V (twice 4 pi/V, exactly) and
+    quart = 1/(4 xi^2).
 
-    No BLAS routine is called and exp is libm's, so the result does not
-    depend on the BLAS kernel or on numpy's SIMD level.
+    No BLAS routine is called and exp, cos and sin are libm's, so the
+    result does not depend on the BLAS kernel or on numpy's SIMD level.
     """
     n_tar = targets.shape[0]
     kx, ky, kz = kvecs.T
@@ -193,9 +213,9 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
     k2 = (kx * kx + ky * ky) + kz * kz
     pref = 8.0 * math.pi / volume
     quart = 0.25 / (xi * xi)
-    w = np.array([pref * math.exp(-k * quart) / k for k in k2.tolist()])
+    w = pref * _libm(math.exp, -k2 * quart) / k2
     out = np.zeros(n_tar)
-    step = max(1, _K_ELEMENTS // max(1, n_tar))
+    step = max(1, _K_ELEMENTS // max(1, n_tar) if at_sources else len(w))
     for start in range(0, len(w), step):
         part = slice(start, start + step)
         re = _kspace_slice(pos, q, targets, at_sources, kx[part], ky[part],
@@ -207,70 +227,151 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
 def _kspace_slice(pos, q, targets, at_sources, kx, ky, kz, w):
     """kspace_3p over one slice of kept vectors with weights w.
 
-    The order of every rounding step is fixed:
+    The sources, then the targets, are taken in blocks of at most
+    _ROW_ELEMENTS // len(w) consecutive points (one at least).  _phases
+    writes the cos and sin of k.x of a block's points to rows of the
+    buffers c and s, and the order of every other rounding step is fixed:
 
-        phase   (x kx + y ky) + z kz; for the targets one
-                np.multiply.outer per axis, added in place
         S(k)    cs, sn accumulated one source at a time, n = 0 .. N-1,
-                from q_n times cos and sin of that source's phases
-        targets at the sources: cos and sin of source n's phases are
-                written to row n of the (M, slice) cos and sin buffers c, s
-                and the target phase step is skipped; the phase
-                arithmetic is the same, so are the bytes
-        re      c (w cs) + s (w sn), formed in place in c and s, then a
-                numpy sum along the slice per target
+                from q_n times the cos and sin rows of that source
+        re      per target, c (w cs) + s (w sn) on its rows, in place
+                (w cs and w sn in cs and sn), then a numpy sum of it along
+                the slice
 
-    c and s are the only target-sized arrays.
+    At the sources c and s are (N, slice): row n holds source n's cos and
+    sin, which serve again as the target row.  Off the sources they hold
+    one block, and the targets are reduced block by block.  Every row is
+    formed and summed from its own point alone, so the bytes depend on
+    neither the blocks nor the other points.
     """
     n_k = len(w)
+    axes = _phase_axes(kx, ky, kz)
+    sources = _blocks(len(pos), n_k)
+    blocks = _blocks(targets.shape[0], n_k)
+    block = (max(b.stop - b.start for b in sources + blocks), n_k)
+    work = [np.empty(block) for _ in range(3)]
+    c = np.empty((len(pos), n_k) if at_sources else block)
+    s = np.empty_like(c)
+
+    def rows(part):    # the rows of c and s that hold a block
+        return part if at_sources else slice(0, part.stop - part.start)
+
     cs = np.zeros(n_k)
     sn = np.zeros(n_k)
-    phase = np.empty(n_k)
     tmp = np.empty(n_k)
-    c = np.empty((targets.shape[0], n_k))
-    s = np.empty((targets.shape[0], n_k))
-    cos_n = sin_n = tmp    # off the sources they only feed cs and sn
-    for n, ((x, y, z), qn) in enumerate(zip(pos.tolist(), q.tolist())):
-        np.multiply(kx, x, out=phase)
-        np.multiply(ky, y, out=tmp)
-        phase += tmp
-        np.multiply(kz, z, out=tmp)
-        phase += tmp
-        if at_sources:    # row n of the target phases is this phase
-            cos_n, sin_n = c[n], s[n]
-        np.cos(phase, out=cos_n)
-        np.multiply(cos_n, qn, out=tmp)
-        cs += tmp
-        np.sin(phase, out=sin_n)
-        np.multiply(sin_n, qn, out=tmp)
-        sn += tmp
-    wc = w * cs
-    ws = w * sn
-    if not at_sources:    # s holds the phase first, then its sine in place
-        np.multiply.outer(targets[:, 0], kx, out=s)
-        np.multiply.outer(targets[:, 1], ky, out=c)
-        s += c
-        np.multiply.outer(targets[:, 2], kz, out=c)
-        s += c
-        np.cos(s, out=c)
-        np.sin(s, out=s)
-    c *= wc
-    s *= ws
-    c += s
-    return c.sum(axis=1)
+    for part in sources:
+        bc, bs = c[rows(part)], s[rows(part)]
+        _phases(pos[part], axes, bc, bs, work)
+        for cos_n, sin_n, qn in zip(bc, bs, q[part].tolist()):
+            np.multiply(cos_n, qn, out=tmp)
+            cs += tmp
+            np.multiply(sin_n, qn, out=tmp)
+            sn += tmp
+    cs *= w
+    sn *= w
+    out = np.empty(targets.shape[0])
+    for part in blocks:
+        bc, bs = c[rows(part)], s[rows(part)]
+        if not at_sources:
+            _phases(targets[part], axes, bc, bs, work)
+        bc *= cs
+        bs *= sn
+        bc += bs
+        out[part] = bc.sum(axis=1)
+    return out
+
+
+def _phase_axes(kx, ky, kz):
+    """The keys of the per-axis tables of _phases for one slice.
+
+    They are the distinct kx, ky and kz; the distinct (kx, ky) pairs that
+    occur, as indices px, py into the distinct kx and ky; and per vector
+    the index of its pair and of its kz.
+    """
+    (ux, ix), (uy, iy), (uz, iz) = map(_distinct, (kx, ky, kz))
+    pairs, ixy = _distinct(ix * len(uy) + iy)
+    px, py = np.divmod(pairs, len(uy))
+    return ux, uy, uz, px, py, ixy, iz
+
+
+def _distinct(v):
+    # the sorted distinct values of v and, per element, its index in them
+    u = np.unique(v)
+    return u, np.searchsorted(u, v)
+
+
+def _phases(pts, axes, c, s, work):
+    """cos and sin of k.x, points pts by the slice's vectors, into c and s.
+
+    The tables, from the point coordinates x, y, z and the keys of
+    _phase_axes, in this order:
+
+        axis    cx, sx = libm cos, sin of x ux (each product x u rounded
+                once); likewise cy, sy of y uy and cz, sz of z uz
+        xy      per distinct (kx, ky) pair:
+                cxy = (cx cy) - (sx sy),  sxy = (sx cy) + (cx sy)
+        k.x     per vector, from its pair's xy and its kz's z entries:
+                c = (cxy cz) - (sxy sz),  s = (sxy cz) + (cxy sz)
+
+    Each product, difference and sum is one np.multiply, np.subtract or
+    np.add of float64 arrays, rounded on its own (no complex arithmetic
+    and no fused step); np.take picks the entries.  A row depends on its
+    own point alone.  The tables span the distinct pairs that occur,
+    never every (kx, ky) of the distinct kx and ky.  work holds three
+    buffers of at least c's shape, reused from block to block: fresh
+    allocations of that size per block cost page faults.
+    """
+    ux, uy, uz, px, py, ixy, iz = axes
+    tables = []
+    for a, u in enumerate((ux, uy, uz)):
+        arg = np.multiply.outer(pts[:, a], u)
+        tables += [_libm(math.cos, arg), _libm(math.sin, arg)]
+    cx, sx, cy, sy, cz, sz = tables
+    gcx, gsx = np.take(cx, px, axis=1), np.take(sx, px, axis=1)
+    gcy, gsy = np.take(cy, py, axis=1), np.take(sy, py, axis=1)
+    cxy = gcx * gcy
+    t = gsx * gsy
+    cxy -= t
+    sxy = gsx * gcy
+    np.multiply(gcx, gsy, out=t)
+    sxy += t
+    # mode "clip" (the indices are in range) as "raise" buffers out
+    gc, gs, gz = (buf[:len(pts)] for buf in work)
+    np.take(cxy, ixy, axis=1, out=gc, mode="clip")
+    np.take(sxy, ixy, axis=1, out=gs, mode="clip")
+    np.take(cz, iz, axis=1, out=gz, mode="clip")
+    np.multiply(gc, gz, out=c)
+    np.multiply(gs, gz, out=s)
+    np.take(sz, iz, axis=1, out=gz, mode="clip")
+    np.multiply(gs, gz, out=gs)
+    c -= gs
+    np.multiply(gc, gz, out=gc)
+    s += gc
+
+
+def _blocks(m, n):
+    """Slices of consecutive rows, each of at most _ROW_ELEMENTS // n rows
+    (one at least), that cover m rows of n elements."""
+    step = max(1, _ROW_ELEMENTS // max(1, n))
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
 def _libm(fn, x):
-    # fn (math.exp or math.log) elementwise: libm, not numpy's SIMD loop
+    # fn (math.exp, log, cos or sin) elementwise: libm, not numpy's SIMD
+    # loop
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
                        x.size).reshape(x.shape)
 
 
 def zero_mode_2p(zpos, q, ztar, xi, area):
-    dz = ztar[:, None] - zpos[None, :]
-    w = xi * dz
-    terms = _libm(math.exp, -w * w) / xi + SQRT_PI * dz * sp.erf(w)
-    return (-2.0 * SQRT_PI / area) * (q[None, :] * terms).sum(axis=1)
+    # targets in blocks of rows (_blocks); each row summed on its own
+    out = np.empty(len(ztar))
+    for part in _blocks(len(ztar), len(zpos)):
+        dz = ztar[part, None] - zpos[None, :]
+        w = xi * dz
+        terms = _libm(math.exp, -w * w) / xi + SQRT_PI * dz * sp.erf(w)
+        out[part] = (q[None, :] * terms).sum(axis=1)
+    return (-2.0 * SQRT_PI / area) * out
 
 
 def _log_e1_bracket_array(x):
@@ -286,17 +387,23 @@ def _log_e1_bracket_array(x):
 
 def zero_mode_1p_sources(pos, q, xi, length):
     # the targets are the sources; the n = m term drops
-    dxy = pos[:, None, :2] - pos[None, :, :2]
-    br = _log_e1_bracket_array((dxy ** 2).sum(axis=-1) * xi * xi)
-    np.fill_diagonal(br, 0.0)
-    return (q[None, :] * br).sum(axis=1) / length
+    out = np.empty(len(pos))
+    for part in _blocks(len(pos), len(pos)):
+        dxy = pos[part, None, :2] - pos[None, :, :2]
+        br = _log_e1_bracket_array((dxy ** 2).sum(axis=-1) * xi * xi)
+        br[np.arange(len(br)), np.arange(part.start, part.stop)] = 0.0
+        out[part] = (q[None, :] * br).sum(axis=1)
+    return out / length
 
 
 def zero_mode_1p_points(pos, q, targets, xi, length):
-    rho2 = ((targets[:, None, :2] - pos[None, :, :2]) ** 2).sum(axis=-1)
-    if np.any(rho2 == 0.0):
-        raise ValueError(
-            "off-particle target lies on the axis of a source "
-            "(rho = 0); the per-term logarithm diverges there")
-    terms = _libm(math.log, rho2) + sp.exp1(rho2 * xi * xi)
-    return -(q[None, :] * terms).sum(axis=1) / length
+    out = np.empty(len(targets))
+    for part in _blocks(len(targets), len(pos)):
+        rho2 = ((targets[part, None, :2] - pos[None, :, :2]) ** 2).sum(axis=-1)
+        if np.any(rho2 == 0.0):
+            raise ValueError(
+                "off-particle target lies on the axis of a source "
+                "(rho = 0); the per-term logarithm diverges there")
+        terms = _libm(math.log, rho2) + sp.exp1(rho2 * xi * xi)
+        out[part] = (q[None, :] * terms).sum(axis=1)
+    return -out / length

@@ -432,8 +432,9 @@ def test_kspace_3p_numpy_at_sources_matches_general_path():
 
 
 def test_kspace_3p_holds_two_target_buffers():
-    # the (M, K) cos and sin buffers are the kernel's only target-sized
-    # arrays: the potential is reduced in place in them
+    # the cos and sin buffers, (M, K/2) at the sources and one row block
+    # off them, are the kernel's only target-sized arrays: the potential is
+    # reduced in place in them
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(rng, 64, box)
@@ -457,7 +458,8 @@ def test_kspace_3p_holds_two_target_buffers():
 
 def test_kspace_3p_buffers_span_half_the_lattice():
     # one k of each +-k pair: the (M, K/2) cos and sin buffers bound the
-    # kernel's peak at the sources and on a 4^3 grid
+    # kernel's peak at the sources, and on a 4^3 grid, where row blocks
+    # replace them
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(rng, 64, box)

@@ -29,9 +29,12 @@ from ewaldpot import (
     kspace_sum_2p,
     kspace_sum_3p,
     real_space_sum,
+    zero_mode_1p,
+    zero_mode_2p,
 )
 from ewaldpot.core import (
     COINCIDE_RTOL,
+    KGrid,
     ParticleSystem,
     Periodicity,
     build_image_vectors,
@@ -316,22 +319,163 @@ def test_kspace_3p_memory_stays_bounded_on_a_spread_slab():
     assert peak <= 2.25 * 8 * kernels_numpy._K_ELEMENTS, peak / 2 ** 20
 
 
+_KSPACE_SUMS = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
+                Periodicity.P1: kspace_sum_1p}
+
+
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_kspace_slices_match_one_slice(monkeypatch, mode):
-    # slices of 64 (target, k) elements, 10 k each at the 6 sources and 32
-    # at the 2 points, against the whole half lattice in one slice
+    # at the 6 sources, slices of 64 (target, k) elements, 10 k each,
+    # against the whole half lattice in one slice; off the sources, where
+    # the kernel holds no (M, slice) array, one slice whatever _K_ELEMENTS
     s = _system()
     par = default_params(s.box, mode)
     kgrid = build_kgrid(s.box, mode, par.k_max)
-    layer = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
-             Periodicity.P1: kspace_sum_1p}[mode]
+    kspace_slice = kernels_numpy._kspace_slice
     for tpos, at_sources in _targets(s):
         targets = _eval_targets(tpos, at_sources)
-        whole = layer(s, par.xi, kgrid, targets)
+        whole = _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
+        slices = []
+
+        def counted(*args):
+            slices.append(len(args[-1]))
+            return kspace_slice(*args)
+
         with monkeypatch.context() as mp:
             mp.setattr(kernels_numpy, "_K_ELEMENTS", 64)
-            sliced = layer(s, par.xi, kgrid, targets)
-        assert np.abs(sliced - whole).max() <= 1e-14 * np.abs(whole).max()
+            mp.setattr(kernels_numpy, "_kspace_slice", counted)
+            sliced = _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
+        if at_sources:
+            assert max(slices) == 10
+            assert (np.abs(sliced - whole).max()
+                    <= 1e-14 * np.abs(whole).max())
+        else:
+            assert len(slices) == 1
+            assert sliced.tobytes() == whole.tobytes()
+
+
+def _irregular_grid(rng, pairs, scale):
+    # random +-k pairs, on no lattice, in random order: as many distinct
+    # kx, ky and kz as vectors in the half lattice
+    k = rng.normal(scale=scale, size=(pairs, 3))
+    vecs = np.vstack([k, -k])
+    return KGrid(mode=Periodicity.P3, vectors=vecs[rng.permutation(len(vecs))])
+
+
+def test_kspace_3p_irregular_grid_matches_reference_loops():
+    s = _system()
+    rng = np.random.default_rng(43)
+    grid = _irregular_grid(rng, 40, 8.0)
+    volume = float(np.prod(s.box))
+    for tpos, at_sources in _targets(s):
+        got = kspace_sum_3p(s, 2.0, grid, _eval_targets(tpos, at_sources))
+        _close(got, ref_kspace_3p(s.positions, s.charges, tpos, 2.0,
+                                  grid.vectors, volume))
+
+
+def test_kspace_3p_tables_span_the_pairs_that_occur():
+    # on an irregular grid every half-lattice vector has its own kx and ky:
+    # one (point, distinct kx, distinct ky) table would take 8 M Ux Uy
+    # bytes, 14.7 MB here; the per-axis, (point, pair) and block arrays
+    # take about 1.4 MB
+    rng = np.random.default_rng(44)
+    s = _uniform_system(32, [1.0, 1.1, 0.9], 45)
+    grid = _irregular_grid(rng, 240, 8.0)
+    pts = rng.uniform(-0.5, 0.5, (32, 3))
+    table = 8 * len(pts) * 240 * 240
+    for targets in (EvalTargets.at_sources(), EvalTargets.at_points(pts)):
+        tracemalloc.start()
+        try:
+            kspace_sum_3p(s, 2.0, grid, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 4, peak / table
+
+
+def test_kspace_3p_calls_no_numpy_cos_or_sin(monkeypatch):
+    # cos and sin come from libm on the per-axis tables only: numpy's
+    # SIMD loops, whose last bit depends on the CPU, are never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy cos or sin called")
+
+    s = _system()
+    par = default_params(s.box, Periodicity.P3)
+    kgrid = build_kgrid(s.box, Periodicity.P3, par.k_max)
+    want = [kspace_sum_3p(s, par.xi, kgrid, _eval_targets(t, a))
+            for t, a in _targets(s)]
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "cos", refuse)
+        mp.setattr(np, "sin", refuse)
+        got = [kspace_sum_3p(s, par.xi, kgrid, _eval_targets(t, a))
+               for t, a in _targets(s)]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_kspace_bytes_do_not_depend_on_row_blocks(monkeypatch, mode):
+    # blocks of one point (a budget of a few elements) against one block of
+    # every point, at the sources and off them
+    s = _uniform_system(40, [1.0, 1.1, 0.9], 46)
+    par = default_params(s.box, mode)
+    kgrid = build_kgrid(s.box, mode, par.k_max)
+    pts = np.random.default_rng(47).uniform(-0.5, 0.5, (30, 3)) * s.box
+    for targets in (EvalTargets.at_sources(), EvalTargets.at_points(pts)):
+        got = {}
+        for budget in (4, 2 ** 40):
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels_numpy, "_ROW_ELEMENTS", budget)
+                got[budget] = _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
+        assert got[4].tobytes() == got[2 ** 40].tobytes()
+
+
+# ------------------------------------------------------ blocked zero modes
+
+def _zero_mode_calls(n, m, seed):
+    # the three zero-mode kernels on n sources and m off-particle points
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-0.5, 0.5, (n, 3))
+    q = rng.normal(size=n)
+    q -= q.mean()
+    pts = rng.uniform(-0.5, 0.5, (m, 3))
+    return {
+        "2p": lambda: kernels_numpy.zero_mode_2p(pos[:, 2], q, pts[:, 2],
+                                                 2.0, 1.1),
+        "1p_sources": lambda: kernels_numpy.zero_mode_1p_sources(pos, q, 1.0,
+                                                                 0.9),
+        "1p_points": lambda: kernels_numpy.zero_mode_1p_points(pos, q, pts,
+                                                               1.0, 0.9),
+    }
+
+
+def test_zero_modes_memory_stays_bounded():
+    # 640 x 640 (target, source) pairs, 12.5 times _ROW_ELEMENTS: the
+    # unblocked kernels held several (M, N) arrays of 3.3 MB and a list of
+    # M N Python floats at once, 19 to 35 MB; row blocks keep 3 MB or less
+    for name, call in _zero_mode_calls(640, 640, 48).items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * kernels_numpy._ROW_ELEMENTS, (name, peak)
+
+
+def test_zero_mode_bytes_do_not_depend_on_row_blocks(monkeypatch):
+    # blocks of one target (a budget of a few elements) against one block of
+    # every target; each row keeps its own sum, so the bytes hold
+    s = _uniform_system(40, [1.0, 1.1, 0.9], 49)
+    pts = np.random.default_rng(50).uniform(-0.5, 0.5, (30, 3)) * s.box
+    for layer in (zero_mode_2p, zero_mode_1p):
+        for targets in (EvalTargets.at_sources(),
+                        EvalTargets.at_points(pts)):
+            got = {}
+            for budget in (4, 2 ** 40):
+                with monkeypatch.context() as mp:
+                    mp.setattr(kernels_numpy, "_ROW_ELEMENTS", budget)
+                    got[budget] = layer(s, 1.7, targets)
+            assert got[4].tobytes() == got[2 ** 40].tobytes()
 
 
 # ------------------------------------------------- culled real-space kernel
