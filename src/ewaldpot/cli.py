@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -44,7 +45,6 @@ class RunConfig:
     xi_values: tuple
     r_cut_values: tuple
     k_max_values: tuple
-    layers: int | None
     targets: EvalTargets
     sweep: str | None
     out_path: str
@@ -60,54 +60,71 @@ def _fmt_net_charge(value: float) -> str:
     return f"{mant}e{sign}{digits}" if sign == "-" else f"{mant}e{digits}"
 
 
+def _read_rows(path: str, names: str, header: str | None = None):
+    """The header and the rows of a text file of numbers.
+
+    names spells the fields of a row ("x y z q"); header, if given, spells
+    the first line with content instead, a keyword and then its fields
+    ("box L1 L2 L3").  '#' starts a comment; blank lines are skipped.  A
+    line with the wrong number of fields, or a field that is not a finite
+    number (nan and inf are not), is reported with the path and its line
+    number.  Returns (where, numbers) of the header line, None without a
+    header, and the rows as lists of floats.
+    """
+    width, keyword = len(names.split()), header and header.split()
+    head, rows = None, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            fields = text.split()
+            where = f"{path}: line {lineno}"
+            if keyword and head is None:
+                if fields[0] != keyword[0] or len(fields) != len(keyword):
+                    raise ValueError(
+                        f"{where}: expected header {header!r}, got {text!r}")
+                head = where, _finite(fields[1:], where, text)
+            elif len(fields) != width:
+                raise ValueError(
+                    f"{where}: expected {width} fields {names!r}, "
+                    f"got {len(fields)}")
+            else:
+                rows.append(_finite(fields, where, text))
+    if keyword and head is None:
+        raise ValueError(f"{path}: missing {header!r} header line")
+    return head, rows
+
+
+def _finite(fields, where, text):
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ValueError(
+            f"{where}: fields must be numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{where}: fields must be finite, got {text!r}")
+    return values
+
+
 def ingest_particles(path: str, mode: Periodicity | None = None) -> ParticleSystem:
     """Parse a particle file: "box L1 L2 L3" then "x y z q" rows.
 
-    '#' starts a comment; blank lines are skipped.  Malformed content is
-    reported with its line number; a non-neutral total charge is a hard
-    error naming the net charge.  Positions are wrapped along the periodic
-    axes of `mode` when given.
+    '#' starts a comment; blank lines are skipped.  Malformed content (a
+    missing header, a wrong field count, a field that is not a finite
+    number, a box length that is not positive) is reported with its line
+    number; a non-neutral total charge is a hard error naming the net
+    charge.  Positions are wrapped along the periodic axes of `mode` when
+    given.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    box = None
-    rows = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        if box is None:
-            if fields[0] != "box" or len(fields) != 4:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected header 'box L1 L2 L3', "
-                    f"got {text!r}")
-            try:
-                box = np.array([float(v) for v in fields[1:]])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: box lengths must be numbers, "
-                    f"got {text!r}") from None
-            if not np.all(box > 0.0):
-                raise ValueError(
-                    f"{path}: line {lineno}: box lengths must be positive")
-            continue
-        if len(fields) != 4:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 4 fields 'x y z q', "
-                f"got {len(fields)}")
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: fields must be numbers, "
-                f"got {text!r}") from None
-    if box is None:
-        raise ValueError(f"{path}: missing 'box L1 L2 L3' header line")
+    (where, box), rows = _read_rows(path, "x y z q", header="box L1 L2 L3")
+    if not all(v > 0.0 for v in box):
+        raise ValueError(f"{where}: box lengths must be positive")
     if not rows:
         raise ValueError(f"{path}: no particle rows")
     data = np.asarray(rows)
-    system = ParticleSystem(positions=data[:, :3], charges=data[:, 3], box=box)
+    system = ParticleSystem(positions=data[:, :3], charges=data[:, 3],
+                            box=np.asarray(box))
     if not system.is_neutral:
         raise ValueError(
             f"{path}: net charge {_fmt_net_charge(system.net_charge)} "
@@ -129,25 +146,9 @@ def random_system(n: int, seed: int, box=(1.0, 1.0, 1.0)) -> ParticleSystem:
 
 
 def read_target_points(path: str) -> np.ndarray:
-    """Parse an 'x y z' per line points file ('#' comments)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    pts = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        if len(fields) != 3:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 3 fields 'x y z', "
-                f"got {len(fields)}")
-        try:
-            pts.append([float(v) for v in fields])
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: fields must be numbers, "
-                f"got {text!r}") from None
+    """Parse an 'x y z' per line points file ('#' comments), reporting
+    malformed or non-finite content with its line number."""
+    _, pts = _read_rows(path, "x y z")
     if not pts:
         raise ValueError(f"{path}: no target points")
     return np.asarray(pts)
@@ -155,20 +156,16 @@ def read_target_points(path: str) -> np.ndarray:
 
 def _params_for(config: RunConfig, xi: float, r_cut: float | None = None,
                 k_max: float | None = None):
+    # default_params with r_cut and k_max overridden; the image shells
+    # follow the r_cut in use by default_params' rule
     base = default_params(config.system.box, config.mode, xi=xi)
-    layers = base.real_layers
-    if r_cut is not None and config.layers is None:
-        # keep the shell count tied to the cutoff actually being used
-        min_l = float(np.min(np.asarray(config.system.box)[
-            list(config.mode.periodic_axes)]))
-        layers = int(np.ceil(float(r_cut) / min_l))
-    if config.layers is not None:
-        layers = config.layers
+    r_cut = base.r_cut if r_cut is None else float(r_cut)
+    min_l = float(np.min(config.system.box[list(config.mode.periodic_axes)]))
     return type(base)(
         xi=base.xi,
-        r_cut=base.r_cut if r_cut is None else float(r_cut),
+        r_cut=r_cut,
         k_max=base.k_max if k_max is None else float(k_max),
-        real_layers=layers,
+        real_layers=math.ceil(r_cut / min_l),
     )
 
 
@@ -261,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="real-space cutoff, or comma list with --sweep rcut")
     p.add_argument("--kmax", default=None,
                    help="k-space cutoff, or comma list with --sweep kmax")
-    p.add_argument("--layers", type=int, default=None,
-                   help="real-space image shells (default: from rcut)")
     p.add_argument("--targets", default="sources",
                    help="'sources' or a points file with 'x y z' rows")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -311,7 +306,7 @@ def build_config(args) -> RunConfig:
         targets = EvalTargets.at_points(read_target_points(args.targets))
     return RunConfig(system=system, mode=mode, xi_values=xi_values,
                      r_cut_values=rc_values, k_max_values=km_values,
-                     layers=args.layers, targets=targets, sweep=args.sweep,
+                     targets=targets, sweep=args.sweep,
                      out_path=args.out, fmt=args.format)
 
 

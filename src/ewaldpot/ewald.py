@@ -58,9 +58,10 @@ distance below COINCIDE_RTOL * min(L), at the sources a zero distance.
 With default_params, after the wrap, those pairs include the minimum image
 of every pair.  A target near an image that the sum never forms (a
 hand-set real_layers = 0, or r_cut below that distance) is not rejected.
-The k-space and 2p zero-mode terms are finite at a source; the 1p zero
-mode off the sources rejects a target on a source's axis, where its
-logarithm diverges.
+The k-space and zero-mode terms are finite at every point, so the
+real-space kernel is the only one that checks where a target lies: the 1p
+zero mode sums the screened logarithm, whose bracket is 0 on a source's
+axis, so a target there evaluates like any other.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ class EvalTargets:
 
     Off-particle points closer than 1e-10 * min(L) to a source, or to a
     periodic image of it that the real-space sum forms, are rejected by the
-    real-space layer (see the module docstring).
+    real-space layer, the only one that checks them (see the module
+    docstring).  Points must be finite and form an (M, 3) array.
     """
 
     points: np.ndarray | None = None
@@ -256,7 +258,7 @@ def _kspace(mode, system, tpos, at_sources, xi, kgrid):
     return out
 
 
-def _zero(mode, system, tpos, at_sources, xi):
+def _zero(mode, system, tpos, xi):
     if mode is Periodicity.P3:
         return np.zeros(len(tpos))    # the k = 0 mode is gauged away
     if mode is Periodicity.P2:
@@ -264,12 +266,8 @@ def _zero(mode, system, tpos, at_sources, xi):
         return kernels_numpy.zero_mode_2p(system.positions[:, 2],
                                           system.charges, tpos[:, 2],
                                           float(xi), area)
-    length = float(system.box[2])
-    if at_sources:
-        return kernels_numpy.zero_mode_1p_sources(
-            system.positions, system.charges, float(xi), length)
-    return kernels_numpy.zero_mode_1p_points(
-        system.positions, system.charges, tpos, float(xi), length)
+    return kernels_numpy.zero_mode_1p(system.positions, system.charges, tpos,
+                                      float(xi), float(system.box[2]))
 
 
 def real_space_sum(system: ParticleSystem, mode: Periodicity, xi: float,
@@ -325,10 +323,11 @@ def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
                   targets: EvalTargets):
     """Axial k-space sum (1/L3) sum_{k3!=0} sum_n q_n e^{-i k3 (z-z_n)} K0(u, v).
 
-    u = k3^2/4xi^2, v = rho_n^2 xi^2; a target on a source axis (rho_n = 0)
-    is legal here because K0(u, 0) = E1(u) is finite.  Taken as the 3p sum
-    over the grid extended along x and y (module docstring); the grid must
-    be closed under negation, or it is rejected.
+    u = k3^2/4xi^2, v = rho_n^2 xi^2.  K0(u, 0) = E1(u) is finite, so the
+    sum is finite at a target on the axis of a source (rho_n = 0), as is
+    the 1p zero mode there.  Taken as the 3p sum over the grid extended
+    along x and y (module docstring); the grid must be closed under
+    negation, or it is rejected.
     """
     _check_grid(kgrid, Periodicity.P1)
     _check_xi(xi)
@@ -342,24 +341,24 @@ def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
     """
     require_neutral(system)
     _check_xi(xi)
-    tpos, at_sources = _target_positions(system, targets)
-    return _zero(Periodicity.P2, system, tpos, at_sources, xi)
+    tpos, _ = _target_positions(system, targets)
+    return _zero(Periodicity.P2, system, tpos, xi)
 
 
 def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets):
-    """Axial k3 = 0 mode.
+    """Axial k3 = 0 mode
+    (1/L3) sum_n q_n [ -gamma - log(rho_n^2 xi^2) - E1(rho_n^2 xi^2) ].
 
-    Off the particles: -(1/L3) sum_n q_n [ log(rho_n^2) + E1(rho_n^2 xi^2) ];
-    rejected if any rho_n = 0 (the per-term log diverges; only the neutral
-    at-source combination is finite there).  At sources, the neutrality-
-    equivalent per-term form
-    (1/L3) sum_{n != m} q_n [ -gamma - log(rho^2 xi^2) - E1(rho^2 xi^2) ]
-    whose bracket vanishes as rho -> 0, so the n = m term drops.
+    By neutrality this equals -(1/L3) sum_n q_n [ log(rho_n^2)
+    + E1(rho_n^2 xi^2) ], but its bracket is finite per term and tends to 0
+    as rho_n -> 0 (it is exactly 0 at rho_n = 0).  So the same sum serves
+    at the sources, where the n = m term drops, and at any point, one on
+    the axis of a source included.
     """
     require_neutral(system)
     _check_xi(xi)
-    tpos, at_sources = _target_positions(system, targets)
-    return _zero(Periodicity.P1, system, tpos, at_sources, xi)
+    tpos, _ = _target_positions(system, targets)
+    return _zero(Periodicity.P1, system, tpos, xi)
 
 
 def ewald_potential(system: ParticleSystem, mode: Periodicity,
@@ -387,7 +386,7 @@ def ewald_potential(system: ParticleSystem, mode: Periodicity,
     real = _real(wrapped, tpos, at_sources, images, params.xi, params.r_cut)
     kgrid = build_kgrid(wrapped.box, mode, params.k_max)
     kspace = _kspace(mode, wrapped, tpos, at_sources, params.xi, kgrid)
-    zero = _zero(mode, wrapped, tpos, at_sources, params.xi)
+    zero = _zero(mode, wrapped, tpos, params.xi)
     if at_sources:
         self_vec = self_term(wrapped.charges, params.xi)
     else:

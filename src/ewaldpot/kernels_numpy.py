@@ -3,7 +3,11 @@
 One kernel per layer: the real-space pair sum, the k-space sum, and the 2p
 and 1p zero modes.  Each takes plain arrays (source positions and charges,
 target positions) that ewald.py has validated, and, where a layer treats
-targets at the sources differently, a flag that says they are the sources.
+targets at the sources differently (real space and the k-space sum), a flag
+that says they are the sources.  The zero modes need none: both are finite
+at every point, and the 1p one sums the screened logarithm
+-gamma - log(rho^2 xi^2) - E1(rho^2 xi^2), which is +0.0 at rho = 0, at the
+sources and off them alike.
 It sums with numpy reductions in a fixed order, so reruns are
 bit-identical.  The test suite checks each kernel against a plain loop over
 math and the scalar routines of specfun.
@@ -32,10 +36,10 @@ libm in the last bit on some CPUs), and the zero modes take exp and log
 from libm the same way.  The bytes of every layer therefore depend on
 neither the BLAS build nor numpy's SIMD dispatch level for these functions.
 
-The k-space sum and the zero modes take their points in row blocks under
-_ROW_ELEMENTS, and real space its targets in runs under _RUN_ELEMENTS, so
-no kernel forms an (M, N) array; a row's terms and their order do not
-depend on the blocks, so neither do the bytes.
+Every kernel takes its points in row blocks under _ROW_ELEMENTS (_blocks),
+real space the targets of each spatial block in runs under it, so no
+kernel forms an (M, N) array; a row's terms and their order do not depend
+on the blocks, so neither do the bytes.
 """
 
 from __future__ import annotations
@@ -52,15 +56,11 @@ from .specfun import EULER_GAMMA, SQRT_PI
 #: block costs more than the pairs that blocks cull
 _FEW_TARGETS = 128
 
-#: a run of a block's targets forms at most this many (target, candidate)
-#: distances at once, and at least one target's: when r_cut is long against
-#: the cell, one block spans it and its candidates are all the image points
-_RUN_ELEMENTS = 2 ** 16
-
-#: the k-space sum and the zero modes take their points in blocks of
-#: consecutive rows, each array of a block at most this many (point, k) or
-#: (target, source) elements, and at least one row's: a block's arrays
-#: stay in the CPU cache
+#: every kernel takes its points in blocks of consecutive rows (_blocks),
+#: each array of a block at most this many (point, k), (target, source) or
+#: (target, candidate) elements, and at least one row's: a block's arrays
+#: stay in the CPU cache, and in real space, where one spatial block spans
+#: the cell when r_cut is long against it, no array spans all image points
 _ROW_ELEMENTS = 2 ** 15
 
 #: at the sources kspace_3p takes the half lattice in slices of at most
@@ -105,9 +105,10 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     The targets are split into spatial blocks (_target_blocks).  A block
     takes as candidates the image points inside its bounding box widened
     by r_cut (and a rounding margin), so every pair within r_cut is a
-    candidate.  Its targets are taken in runs of consecutive targets, each
-    run with at most _RUN_ELEMENTS (target, candidate) pairs (one target at
-    least).  The order of every rounding step is fixed:
+    candidate.  Its targets are taken in runs of consecutive targets
+    (_blocks over its candidates), each run with at most _ROW_ELEMENTS
+    (target, candidate) pairs (one target at least).  The order of every
+    rounding step is fixed:
 
         d       sqrt(((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2),
                 each component (t - x_n) + p, for every candidate pair
@@ -141,9 +142,8 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
         xs = [pos[src, a] for a in range(3)]
         ps = [images[img, a] for a in range(3)]
         qs = q[src]
-        step = max(1, _RUN_ELEMENTS // max(1, len(cand)))
-        for start in range(0, len(blk), step):
-            run = blk[start:start + step]
+        for part in _blocks(len(blk), len(cand)):
+            run = blk[part]
             tr = targets[run]
             d = np.subtract.outer(tr[:, 0], xs[0])
             d += ps[0]
@@ -385,25 +385,13 @@ def _log_e1_bracket_array(x):
     return np.where(x == 0.0, 0.0, np.where(small, series, direct))
 
 
-def zero_mode_1p_sources(pos, q, xi, length):
-    # the targets are the sources; the n = m term drops
-    out = np.empty(len(pos))
-    for part in _blocks(len(pos), len(pos)):
-        dxy = pos[part, None, :2] - pos[None, :, :2]
-        br = _log_e1_bracket_array((dxy ** 2).sum(axis=-1) * xi * xi)
-        br[np.arange(len(br)), np.arange(part.start, part.stop)] = 0.0
-        out[part] = (q[None, :] * br).sum(axis=1)
-    return out / length
-
-
-def zero_mode_1p_points(pos, q, targets, xi, length):
+def zero_mode_1p(pos, q, targets, xi, length):
+    # targets in blocks of rows (_blocks); each row summed on its own.  The
+    # bracket is +0.0 at rho = 0, so a source whose axis holds the target
+    # (at the sources, the n = m term) adds nothing
     out = np.empty(len(targets))
     for part in _blocks(len(targets), len(pos)):
-        rho2 = ((targets[part, None, :2] - pos[None, :, :2]) ** 2).sum(axis=-1)
-        if np.any(rho2 == 0.0):
-            raise ValueError(
-                "off-particle target lies on the axis of a source "
-                "(rho = 0); the per-term logarithm diverges there")
-        terms = _libm(math.log, rho2) + sp.exp1(rho2 * xi * xi)
-        out[part] = (q[None, :] * terms).sum(axis=1)
-    return -out / length
+        dxy = targets[part, None, :2] - pos[None, :, :2]
+        br = _log_e1_bracket_array((dxy ** 2).sum(axis=-1) * xi * xi)
+        out[part] = (q[None, :] * br).sum(axis=1)
+    return out / length

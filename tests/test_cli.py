@@ -73,6 +73,18 @@ def test_ingest_header_required(tmp_path):
         cli.ingest_particles(p2)
 
 
+def test_ingest_non_finite_field_reports_line(tmp_path):
+    # nan or inf in a row or in the box header is named with its line, not
+    # left to fail later in ParticleSystem without one
+    p = write(tmp_path, "nf.txt",
+              "box 1 1 1\n0.25 0 0 1\n# c\n0.75 nan 0 -1\n")
+    with pytest.raises(ValueError, match=r"line 4: fields must be finite"):
+        cli.ingest_particles(p)
+    p2 = write(tmp_path, "nfb.txt", "box 1 1 inf\n0.25 0 0 1\n0.75 0 0 -1\n")
+    with pytest.raises(ValueError, match=r"line 1: fields must be finite"):
+        cli.ingest_particles(p2)
+
+
 def test_read_target_points(tmp_path):
     p = write(tmp_path, "t.txt", "# targets\n0.1 0.2 0.3\n0.4 0.5 0.6\n")
     pts = cli.read_target_points(p)
@@ -80,6 +92,9 @@ def test_read_target_points(tmp_path):
     bad = write(tmp_path, "tb.txt", "0.1 0.2\n")
     with pytest.raises(ValueError, match="line 1"):
         cli.read_target_points(bad)
+    inf = write(tmp_path, "ti.txt", "0.1 0.2 0.3\n\n0.4 -inf 0.6\n")
+    with pytest.raises(ValueError, match=r"line 3: fields must be finite"):
+        cli.read_target_points(inf)
 
 
 def test_random_system_is_seed_deterministic():

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
@@ -571,11 +573,37 @@ def test_zero_mode_1p_log_part_is_xi_free():
     assert abs((a - b) - want) < 1e-15
 
 
-def test_zero_mode_1p_rejects_on_axis_point():
+def _on_axis_system():
+    # a point on the axis of source 0, away from both sources
     box = np.array([1.0, 1.0, 1.0])
     s = make_system([[0.5, 0.5, 0.2], [0.8, 0.8, 0.7]], [1.0, -1.0], box)
-    with pytest.raises(ValueError):
-        zero_mode_1p(s, 1.0, EvalTargets.at_points([[0.5, 0.5, 0.6]]))
+    return s, np.array([[0.5, 0.5, 0.6]])
+
+
+def test_zero_mode_1p_is_finite_and_continuous_on_a_source_axis():
+    # the screened-log bracket is 0 at rho = 0, so a point on a source's
+    # axis takes the limit of the points beside it: the zero mode moves
+    # by O(rho) there (the other source's log has a slope of about 5)
+    s, pt = _on_axis_system()
+    on = zero_mode_1p(s, 1.0, EvalTargets.at_points(pt))[0]
+    assert np.isfinite(on)
+    for rho in (1e-6, 1e-8):
+        off = zero_mode_1p(s, 1.0, EvalTargets.at_points(pt + [rho, 0, 0]))[0]
+        assert abs(on - off) <= 10.0 * rho, (rho, on - off)
+
+
+def test_ewald_1p_on_a_source_axis_is_xi_free_and_matches_direct_sum():
+    s, pt = _on_axis_system()
+    targets = EvalTargets.at_points(pt)
+    xi0 = default_xi(s.box, Periodicity.P1)
+    totals = [ewald_potential(s, Periodicity.P1,
+                              default_params(s.box, Periodicity.P1,
+                                             xi=f * xi0), targets).total[0]
+              for f in (0.7, 1.0, 1.5)]
+    assert np.all(np.isfinite(totals))
+    assert abs(totals[0] - totals[2]) <= 1e-12
+    ds = oracle.direct_sum(s, Periodicity.P1, layers=2000, targets=pt)[0]
+    assert abs(totals[1] - ds.value) <= 1e-6
 
 
 # ------------------------------------------------------------------ assembly
@@ -592,6 +620,32 @@ def test_ewald_xi_invariance_quick():
             par = default_params(box, mode, xi=f * xi0)
             vals.append(ewald_potential(s, mode, par, pts).total)
         assert np.abs(vals[0] - vals[1]).max() < 1e-8
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(2, 8),
+       box=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+       mode=st.sampled_from(list(Periodicity)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_offset=st.floats(-6.0, -2.0))
+def test_ewald_xi_invariance_property(n, box, mode, seed, log_offset):
+    # random neutral systems in boxes of any aspect: a target near a source
+    # (1e-6 to 1e-2 of min L, above the coincidence threshold), one at a
+    # random point and, in 1p, one exactly on a source's axis
+    rng = np.random.default_rng(seed)
+    box = np.asarray(box)
+    s = random_neutral(rng, n, box)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    near = s.positions[0] + 10.0 ** log_offset * box.min() * direction
+    pts = [near, rng.uniform(0.0, 1.0, 3) * box]
+    if mode is Periodicity.P1:
+        pts.append(s.positions[-1] + [0.0, 0.0, 0.5 * box[2]])
+    targets = EvalTargets.at_points(pts)
+    xi0 = default_xi(box, mode)
+    a, b = (ewald_potential(s, mode, default_params(box, mode, xi=f * xi0),
+                            targets).total for f in (0.8, 1.25))
+    assert np.abs(a - b).max() < 1e-8, np.abs(a - b)
 
 
 def test_ewald_p3_translation_invariance():
@@ -801,7 +855,7 @@ def test_kspace_and_planar_zero_mode_are_finite_at_a_source():
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_real_space_sum_off_the_sources_holds_no_pair_table(mode):
     # the coincidence check runs on the real-space runs of at most
-    # _RUN_ELEMENTS pairs; no (M, N) target-source array is formed
+    # _ROW_ELEMENTS pairs; no (M, N) target-source array is formed
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(np.random.default_rng(34), 256, box)
     pts = np.random.default_rng(35).uniform(0.0, 1.0, (4096, 3)) * box

@@ -200,13 +200,8 @@ def test_kernels_match_reference_loops(mode):
             cfg = DEFAULT_QUADRATURE
             _close(kspace_sum_1p(s, xi, kgrid, targets),
                    ref_kspace_1p(pos, q, tpos, xi, kvecs, length, cfg))
-            if at_sources:
-                got = kernels_numpy.zero_mode_1p_sources(pos, q, xi, length)
-            else:
-                got = kernels_numpy.zero_mode_1p_points(pos, q, tpos, xi,
-                                                        length)
-            _close(got, ref_zero_mode_1p(pos, q, tpos, at_sources, xi,
-                                         length))
+            _close(kernels_numpy.zero_mode_1p(pos, q, tpos, xi, length),
+                   ref_zero_mode_1p(pos, q, tpos, at_sources, xi, length))
 
 
 # ------------------------------------ 2p and 1p on the extended lattice
@@ -432,7 +427,8 @@ def test_kspace_bytes_do_not_depend_on_row_blocks(monkeypatch, mode):
 # ------------------------------------------------------ blocked zero modes
 
 def _zero_mode_calls(n, m, seed):
-    # the three zero-mode kernels on n sources and m off-particle points
+    # the zero-mode kernels on n sources and m off-particle points, the 1p
+    # one also at the sources
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-0.5, 0.5, (n, 3))
     q = rng.normal(size=n)
@@ -441,10 +437,10 @@ def _zero_mode_calls(n, m, seed):
     return {
         "2p": lambda: kernels_numpy.zero_mode_2p(pos[:, 2], q, pts[:, 2],
                                                  2.0, 1.1),
-        "1p_sources": lambda: kernels_numpy.zero_mode_1p_sources(pos, q, 1.0,
-                                                                 0.9),
-        "1p_points": lambda: kernels_numpy.zero_mode_1p_points(pos, q, pts,
-                                                               1.0, 0.9),
+        "1p_sources": lambda: kernels_numpy.zero_mode_1p(pos, q, pos, 1.0,
+                                                         0.9),
+        "1p_points": lambda: kernels_numpy.zero_mode_1p(pos, q, pts, 1.0,
+                                                        0.9),
     }
 
 
@@ -666,7 +662,7 @@ def test_real_space_memory_stays_below_the_pair_table():
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_real_space_bytes_do_not_depend_on_runs(monkeypatch, mode):
     # runs of one target each against the default runs of up to
-    # _RUN_ELEMENTS pairs, at the sources and off them
+    # _ROW_ELEMENTS pairs, at the sources and off them
     box = [1.0, 1.1, 0.9]
     s = _uniform_system(150, box, 14)
     par = default_params(box, mode)
@@ -678,7 +674,7 @@ def test_real_space_bytes_do_not_depend_on_runs(monkeypatch, mode):
                 par.r_cut, COINCIDE_RTOL)
         default = kernels_numpy.real_space(*args)
         with monkeypatch.context() as mp:
-            mp.setattr(kernels_numpy, "_RUN_ELEMENTS", 1)
+            mp.setattr(kernels_numpy, "_ROW_ELEMENTS", 1)
             single = kernels_numpy.real_space(*args)
         assert single.tobytes() == default.tobytes()
 
@@ -689,7 +685,7 @@ def test_real_space_memory_stays_bounded_when_one_block_spans_the_cell(
         mode):
     # at the default xi, r_cut is longer than the cell in 1p and 2p, so a
     # block's candidates are all or most image points: (block, P N) arrays
-    # would take hundreds of MB; runs of _RUN_ELEMENTS pairs keep a few MB
+    # would take hundreds of MB; runs of _ROW_ELEMENTS pairs keep a few MB
     box = [1.0, 1.1, 0.9]
     s = _uniform_system(1024, box, 13)
     par = default_params(box, mode)
