@@ -221,15 +221,15 @@ class KGrid:
     """Wave-vector set for one periodicity mode, zero mode excluded.
 
     vectors : (K, 3) array for P3, (K, 2) for P2, (K,) scalars for P1.
-    indices : matching integer lattice indices (bookkeeping; same ordering).
+    indices : matching (K, d) integer indices, d = periodic axes (same order).
 
     The set is closed under negation and ordered lexicographically by integer
     index, so summation order is deterministic.  Every mode's k-space sum
-    runs over one k of each +-k pair with double weight (in 2p and 1p on
-    the lattice extended along the free axes, which inherits the closure),
-    so the sets of all three modes must be closed under negation, each k
-    as often as -k, and the kspace_sum_* functions reject a grid without
-    that closure.  build_kgrid's norm ball has it in every mode.
+    runs over one k of each +-k pair with double weight, on the grid
+    extended along the free axes (in 3p the grid itself), so the sets of
+    all three modes must be closed under negation, each k as often as -k,
+    and hold no k = 0: the kspace_sum_* functions reject any other grid.
+    build_kgrid's norm ball keeps both in every mode.
     """
 
     mode: Periodicity
@@ -238,6 +238,15 @@ class KGrid:
 
     def __len__(self) -> int:
         return len(self.vectors)
+
+
+def _index_mesh(nmax):
+    """The integer points of [-n_a, n_a] per axis a, one row each: a (P, d)
+    int64 array in lexicographic order, one empty row when d = 0."""
+    nmax = np.asarray(nmax, dtype=np.int64)
+    shape = tuple(2 * nmax + 1)
+    mesh = np.indices(shape, dtype=np.int64).reshape(len(nmax), math.prod(shape))
+    return np.ascontiguousarray(mesh.T - nmax)
 
 
 def build_kgrid(box, mode: Periodicity, k_max: float) -> KGrid:
@@ -250,18 +259,8 @@ def build_kgrid(box, mode: Periodicity, k_max: float) -> KGrid:
     box = np.asarray(box, dtype=np.float64)
     axes = list(mode.periodic_axes)
     base = 2.0 * np.pi / box[axes]
-    nmax = np.floor(k_max / base).astype(np.int64)
-    ranges = [np.arange(-n, n + 1, dtype=np.int64) for n in nmax]
-    if mode is Periodicity.P1:
-        idx = ranges[0][:, None]
-    else:
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        idx = np.stack([m.ravel() for m in mesh], axis=1)
-    # lexicographic by integer index; np.lexsort sorts by last key first
-    order = np.lexsort(tuple(idx[:, d] for d in reversed(range(idx.shape[1]))))
-    idx = idx[order]
-    nonzero = np.any(idx != 0, axis=1)
-    idx = idx[nonzero]
+    idx = _index_mesh(np.floor(k_max / base).astype(np.int64))
+    idx = idx[np.any(idx != 0, axis=1)]
     vecs = idx * base[None, :]
     norm = np.sqrt(np.sum(vecs * vecs, axis=1))
     keep = norm <= k_max
@@ -285,15 +284,8 @@ def build_image_vectors(box, mode: Periodicity, layers: int) -> np.ndarray:
         raise ValueError(f"layers must be >= 0, got {layers}")
     box = np.asarray(box, dtype=np.float64)
     axes = list(mode.periodic_axes)
-    rng = np.arange(-layers, layers + 1, dtype=np.int64)
-    mesh = np.meshgrid(*([rng] * len(axes)), indexing="ij")
-    idx = np.stack([m.ravel() for m in mesh], axis=1)
-    shell = np.max(np.abs(idx), axis=1)
-    lex = np.lexsort(tuple(idx[:, d] for d in reversed(range(idx.shape[1]))))
-    idx = idx[lex]
-    shell = shell[lex]
-    order = np.argsort(shell, kind="stable")
-    idx = idx[order]
+    idx = _index_mesh([layers] * len(axes))
+    idx = idx[np.argsort(np.max(np.abs(idx), axis=1), kind="stable")]
     out = np.zeros((len(idx), 3), dtype=np.float64)
     for col, ax in enumerate(axes):
         out[:, ax] = idx[:, col] * box[ax]

@@ -33,10 +33,12 @@ the trapezoid rule with spacing 2 pi/L_eff per free axis.  That is the 3p
 sum over an extended lattice: (kx, ky, 2 pi j/L_eff) with kbar != 0 in 2p,
 (2 pi i/Lx_eff, 2 pi j/Ly_eff, k3) with k3 != 0 in 1p (kappa = 0
 included), and volume V = L1 L2 L_eff or Lx_eff Ly_eff L3, so the prefactor
-4 pi/V is the 3p one.  The rule sums, besides the wanted pair term, its
-aliases L_eff apart along the free axes, where the kernel has decayed like
-e^{-k_min d}; k_min is the shortest grid vector, 2 pi/max(L1, L2) in 2p
-and 2 pi/L3 in 1p for a build_kgrid grid.  With C = _FREE_DECAY = 40:
+4 pi/V is the 3p one.  3p is the case with no free axis: one group, the
+grid itself as its lattice and V = L1 L2 L3.  The rule sums, besides the
+wanted pair term, its aliases L_eff apart along the free axes, where the
+kernel has decayed like e^{-k_min d}; k_min is the shortest grid vector,
+2 pi/max(L1, L2) in 2p and 2 pi/L3 in 1p for a build_kgrid grid.  With
+C = _FREE_DECAY = 40:
 
     split    the sources and targets are split at every gap wider than
              C/k_min along a free axis (in 1p along x and along y, and
@@ -45,7 +47,8 @@ and 2 pi/L3 in 1p for a build_kgrid grid.  With C = _FREE_DECAY = 40:
              its true value being below e^-C sum |q|
     L_eff    per free axis, the extent of the group's sources and targets
              plus C/k_min, so that every alias lies C/k_min away or more
-    cut      the free components stop where k^2/4xi^2 > C
+    cut      every mode's lattice stops where k^2/4xi^2 > C (a 3p grid
+             of default_params reaches that only for tol < e^-C)
 
 Both truncations cost about e^-C.  The lattice depends on the extent of
 the whole group, so in 2p and 1p a target's last bits may depend on the
@@ -79,6 +82,7 @@ from .core import (
     ParticleSystem,
     Periodicity,
     PotentialResult,
+    _index_mesh,
     build_image_vectors,
     build_kgrid,
     require_neutral,
@@ -98,9 +102,9 @@ __all__ = [
     "ewald_potential",
 ]
 
-#: C of the 2p and 1p k-space sums (see the module docstring): their
-#: free-axis aliases lie C/k_min away or more, their free components stop
-#: where k^2/4 xi^2 > C, and both truncations cost about e^-C
+#: C of the k-space sums (see the module docstring): the 2p and 1p
+#: free-axis aliases lie C/k_min away or more, the lattice of every mode
+#: stops where k^2/4 xi^2 > C, and both truncations cost about e^-C
 _FREE_DECAY = 40.0
 
 @dataclass(frozen=True)
@@ -161,14 +165,17 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
     if kgrid.mode is not mode:
         raise ValueError(
             f"k grid was built for {kgrid.mode.value}, needed {mode.value}")
+    vecs = np.asarray(kgrid.vectors, dtype=np.float64)
+    if vecs.ndim == 1:    # P1: one k3 per row
+        vecs = vecs[:, None]
+    # k = 0 belongs to the zero mode, and its weight 1/k^2 has no value
+    if not vecs.any(axis=1).all():
+        raise ValueError(f"a {mode.value} k grid must not hold the zero vector")
     # kspace_3p sums one k of each +-k pair with double weight, which needs
     # the grid to equal its negation as a multiset (the extended lattices
     # of 2p and 1p inherit that closure); the rows are compared in
     # lexicographic order, as a hand-built grid may have no indices and
     # come in any order
-    vecs = np.asarray(kgrid.vectors, dtype=np.float64)
-    if vecs.ndim == 1:    # P1: one k3 per row
-        vecs = vecs[:, None]
     rows = vecs[np.lexsort(vecs.T[::-1])]
     neg = -vecs
     if not np.array_equal(rows, neg[np.lexsort(neg.T[::-1])]):
@@ -208,21 +215,20 @@ def _free_groups(coords, gap):
 
 
 def _extended_lattice(mode, box, kp, lengths, xi):
-    """The 2p or 1p grid as a 3p lattice: (vectors, volume) for kspace_3p.
+    """The grid as a 3p lattice: (vectors, volume) for kspace_3p.
 
     kp holds the grid vectors, one row each.  Each is joined with the free
     components 2 pi j / lengths (j integer per free axis) that keep
     k^2 = kp^2 + free^2 <= 4 xi^2 _FREE_DECAY.  The vectors come in grid
     order, and per grid vector in lexicographic order of j; the volume is
-    the product of the periodic box lengths and lengths.
+    the product of the periodic box lengths and lengths (in 3p, which has
+    no free axis, the grid cut at that k^2, and L1 L2 L3).
     """
     periodic, free = list(mode.periodic_axes), list(mode.free_axes)
     room = 4.0 * xi * xi * _FREE_DECAY - (kp * kp).sum(axis=1)
     base = 2.0 * np.pi / lengths
     span = math.sqrt(max(0.0, room.max()))
-    ranges = [np.arange(-n, n + 1) for n in np.floor(span / base).astype(int)]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    fk = np.stack([m.ravel() for m in mesh], axis=1) * base
+    fk = _index_mesh(np.floor(span / base).astype(np.int64)) * base
     ip, jf = np.nonzero((fk * fk).sum(axis=1)[None, :] <= room[:, None])
     vecs = np.empty((len(ip), 3))
     vecs[:, periodic] = kp[ip]
@@ -233,9 +239,6 @@ def _extended_lattice(mode, box, kp, lengths, xi):
 
 def _kspace(mode, system, tpos, at_sources, xi, kgrid):
     pos, q, box, xi = system.positions, system.charges, system.box, float(xi)
-    if mode is Periodicity.P3:
-        return kernels_numpy.kspace_3p(pos, q, tpos, xi, kgrid.vectors,
-                                       float(np.prod(box)), at_sources)
     out = np.zeros(len(tpos))
     kp = np.asarray(kgrid.vectors, dtype=np.float64)
     kp = kp[:, None] if kp.ndim == 1 else kp    # P1: one k3 per row
@@ -296,9 +299,9 @@ def kspace_sum_3p(system: ParticleSystem, xi: float, kgrid: KGrid,
                   targets: EvalTargets):
     """Fully periodic k-space sum (4 pi/V) sum_k e^{-k^2/4xi^2}/k^2 S_k.
 
-    The grid must be closed under negation, or it is rejected, and the
+    A grid not closed under negation or holding k = 0 is rejected.  The
     kernel is even, so the sum is real: its imaginary part is never formed,
-    and each +-k pair is summed once, doubled.
+    and each +-k pair is summed once, doubled (module docstring).
     """
     _check_grid(kgrid, Periodicity.P3)
     _check_xi(xi)
@@ -311,7 +314,7 @@ def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
     """Planar k-space sum (pi/L1L2) sum_n q_n sum_kbar e^{-i kbar.(r-r_n)} g/kbar.
 
     Taken as the 3p sum over the grid extended along z (module docstring);
-    the grid must be closed under negation, or it is rejected.
+    a grid not closed under negation or holding k = 0 is rejected.
     """
     _check_grid(kgrid, Periodicity.P2)
     _check_xi(xi)
@@ -326,8 +329,8 @@ def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
     u = k3^2/4xi^2, v = rho_n^2 xi^2.  K0(u, 0) = E1(u) is finite, so the
     sum is finite at a target on the axis of a source (rho_n = 0), as is
     the 1p zero mode there.  Taken as the 3p sum over the grid extended
-    along x and y (module docstring); the grid must be closed under
-    negation, or it is rejected.
+    along x and y (module docstring); a grid not closed under negation or
+    holding k = 0 is rejected.
     """
     _check_grid(kgrid, Periodicity.P1)
     _check_xi(xi)

@@ -16,9 +16,9 @@ real_space takes erfc only of the pairs within r_cut: it finds them block
 by block of nearby targets, among the image points near each block, and
 never forms an array over all (target, source, image) triples.
 
-kspace_3p is the k-space sum of every mode: ewald._kspace hands it the 3p
-lattice as it is, and the 2p and 1p sums as 3p sums over a lattice
-extended along the free axes (see the ewald module docstring).  The
+kspace_3p is the k-space sum of every mode: ewald._kspace hands it the k
+grid extended along the free axes of the mode, in 3p (no free axis) the
+grid as it is (see the ewald module docstring).  The
 lattices are closed under negation and the kernel is real and even, so the
 potential is real: the kernel returns that real part only, never forms the
 imaginary part (which would be rounding noise), and sums one k of each +-k
@@ -232,8 +232,9 @@ def _kspace_slice(pos, q, targets, at_sources, kx, ky, kz, w):
     writes the cos and sin of k.x of a block's points to rows of the
     buffers c and s, and the order of every other rounding step is fixed:
 
-        S(k)    cs, sn accumulated one source at a time, n = 0 .. N-1,
-                from q_n times the cos and sin rows of that source
+        S(k)    cs, sn summed source by source, n = 0 .. N-1: per block,
+                q_n times its cos (sin) rows, cs (sn) added to the first
+                row, and an axis-0 np.add.reduce, which adds rows in order
         re      per target, c (w cs) + s (w sn) on its rows, in place
                 (w cs and w sn in cs and sn), then a numpy sum of it along
                 the slice
@@ -258,15 +259,14 @@ def _kspace_slice(pos, q, targets, at_sources, kx, ky, kz, w):
 
     cs = np.zeros(n_k)
     sn = np.zeros(n_k)
-    tmp = np.empty(n_k)
     for part in sources:
         bc, bs = c[rows(part)], s[rows(part)]
         _phases(pos[part], axes, bc, bs, work)
-        for cos_n, sin_n, qn in zip(bc, bs, q[part].tolist()):
-            np.multiply(cos_n, qn, out=tmp)
-            cs += tmp
-            np.multiply(sin_n, qn, out=tmp)
-            sn += tmp
+        t = work[0][:part.stop - part.start]
+        for phase, acc in ((bc, cs), (bs, sn)):
+            np.multiply(phase, q[part, None], out=t)
+            t[0] += acc
+            np.add.reduce(t, axis=0, out=acc)
     cs *= w
     sn *= w
     out = np.empty(targets.shape[0])

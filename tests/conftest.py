@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ewaldpot.core import ParticleSystem
+
+# every property test runs the same examples on every run: derandomized,
+# no example database, and no deadline, as call times vary with the machine
+settings.register_profile("ewaldpot", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("ewaldpot")
 
 
 def random_neutral_system(n: int, box, seed: int, spread: float = 0.5) -> ParticleSystem:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -121,12 +122,17 @@ def test_kgrid_empty_is_legal():
 
 
 def test_kgrid_deterministic_order():
-    a = build_kgrid([1, 1, 1], Periodicity.P3, 40.0)
-    b = build_kgrid([1, 1, 1], Periodicity.P3, 40.0)
-    assert np.array_equal(a.vectors, b.vectors)
-    # lexicographic by integer index
-    idx = a.indices
-    assert all(tuple(idx[i]) < tuple(idx[i + 1]) for i in range(len(idx) - 1))
+    cases = [([1, 1, 1], Periodicity.P3)]
+    cases += [([1.0, 1.3, 0.8], mode) for mode in Periodicity]
+    for box, mode in cases:
+        a = build_kgrid(box, mode, 40.0)
+        b = build_kgrid(box, mode, 40.0)
+        assert np.array_equal(a.vectors, b.vectors)
+        # lexicographic by integer index
+        idx = a.indices
+        assert idx.shape == (len(a), len(mode.periodic_axes))
+        assert all(tuple(idx[i]) < tuple(idx[i + 1])
+                   for i in range(len(idx) - 1))
 
 
 def test_image_vectors_p1_example():
@@ -137,6 +143,19 @@ def test_image_vectors_p1_example():
     # shell order: |z| nondecreasing
     shells = np.abs(p[:, 2])
     assert np.all(np.diff(shells) >= 0)
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_image_vectors_order(mode):
+    # shells ascending, lexicographic by integer index within a shell: the
+    # real-space sum adds its terms image by image in this order
+    box = np.array([1.0, 1.3, 0.8])
+    axes = list(mode.periodic_axes)
+    idx = sorted(itertools.product(range(-2, 3), repeat=len(axes)),
+                 key=lambda i: max(map(abs, i)))
+    want = np.zeros((len(idx), 3))
+    want[:, axes] = np.array(idx) * box[axes]
+    assert build_image_vectors(box, mode, 2).tobytes() == want.tobytes()
 
 
 def test_image_vectors_counts():

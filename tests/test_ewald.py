@@ -206,6 +206,41 @@ def test_kspace_empty_grid_passes_the_closure_check(mode, shape):
     assert np.array_equal(got, np.zeros(4))
 
 
+@pytest.mark.parametrize("mode, vectors", [
+    (Periodicity.P3, [[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [-6.0, 0.0, 0.0]]),
+    (Periodicity.P2, [[0.0, 0.0], [6.0, 0.0], [-6.0, 0.0]]),
+    (Periodicity.P1, [0.0, 6.0, -6.0]),
+])
+def test_kspace_rejects_grid_holding_the_zero_vector(mode, vectors):
+    # closed under negation, but k = 0 is the zero mode's, and 1/k^2 has no
+    # value there
+    s = random_neutral(np.random.default_rng(37), 4, np.array([1.0, 1.0, 1.0]))
+    kspace_sum = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
+                  Periodicity.P1: kspace_sum_1p}[mode]
+    with pytest.raises(ValueError, match="zero vector"):
+        kspace_sum(s, 1.5, KGrid(mode=mode, vectors=np.array(vectors)),
+                   EvalTargets.at_sources())
+
+
+def test_kspace_sum_3p_is_the_kernel_on_the_grid():
+    # 3p has no free axis: its lattice is the grid itself, in grid order,
+    # and the volume the box's, so the bytes are the kernel's on the grid
+    rng = np.random.default_rng(41)
+    box = np.array([1.0, 1.3, 0.8])
+    s = random_neutral(rng, 6, box)
+    par = default_params(box, Periodicity.P3)
+    kgrid = build_kgrid(box, Periodicity.P3, par.k_max)
+    pts = rng.uniform(0.0, 1.0, (5, 3)) * box
+    for targets, tpos, at_sources in (
+            (EvalTargets.at_sources(), s.positions, True),
+            (EvalTargets.at_points(pts), pts, False)):
+        got = kspace_sum_3p(s, par.xi, kgrid, targets)
+        want = kernels_numpy.kspace_3p(s.positions, s.charges, tpos, par.xi,
+                                       kgrid.vectors, float(np.prod(box)),
+                                       at_sources)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_kspace_3p_hand_built_negation_closed_grid_matches_full_loop():
     # off-lattice vectors, closed under negation, with a zero leading
     # component in each position and in no particular order: the
@@ -622,30 +657,42 @@ def test_ewald_xi_invariance_quick():
         assert np.abs(vals[0] - vals[1]).max() < 1e-8
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(n=st.integers(2, 8),
        box=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
        mode=st.sampled_from(list(Periodicity)),
        seed=st.integers(0, 2 ** 32 - 1),
-       log_offset=st.floats(-6.0, -2.0))
-def test_ewald_xi_invariance_property(n, box, mode, seed, log_offset):
+       log_offset=st.floats(-6.0, -2.0),
+       far=st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=2))
+def test_ewald_xi_invariance_property(n, box, mode, seed, log_offset, far):
     # random neutral systems in boxes of any aspect: a target near a source
     # (1e-6 to 1e-2 of min L, above the coincidence threshold), one at a
-    # random point and, in 1p, one exactly on a source's axis
+    # random point and, in 1p, one exactly on a source's axis.  In 2p and
+    # 1p source 0 and the random point move along a free axis by far times
+    # max L, within or beyond the free-axis split distance.  The totals are
+    # checked at the points and at the sources
     rng = np.random.default_rng(seed)
     box = np.asarray(box)
     s = random_neutral(rng, n, box)
+    point = rng.uniform(0.0, 1.0, 3) * box
+    if mode is not Periodicity.P3:
+        axis = mode.free_axes[rng.integers(len(mode.free_axes))]
+        pos = s.positions.copy()
+        pos[0, axis] += far[0] * box.max()
+        point[axis] += far[1] * box.max()
+        s = make_system(pos, s.charges, box)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     near = s.positions[0] + 10.0 ** log_offset * box.min() * direction
-    pts = [near, rng.uniform(0.0, 1.0, 3) * box]
+    pts = [near, point]
     if mode is Periodicity.P1:
         pts.append(s.positions[-1] + [0.0, 0.0, 0.5 * box[2]])
-    targets = EvalTargets.at_points(pts)
     xi0 = default_xi(box, mode)
-    a, b = (ewald_potential(s, mode, default_params(box, mode, xi=f * xi0),
-                            targets).total for f in (0.8, 1.25))
-    assert np.abs(a - b).max() < 1e-8, np.abs(a - b)
+    for targets in (EvalTargets.at_points(pts), EvalTargets.at_sources()):
+        a, b = (ewald_potential(s, mode,
+                                default_params(box, mode, xi=f * xi0),
+                                targets).total for f in (0.8, 1.25))
+        assert np.abs(a - b).max() < 1e-8, np.abs(a - b)
 
 
 def test_ewald_p3_translation_invariance():

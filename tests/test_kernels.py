@@ -268,7 +268,7 @@ def test_far_targets_and_far_source_groups(monkeypatch, mode):
         _close(got, _ref_kspace(mode, two, tpos, par.xi, kgrid.vectors))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(mode=st.sampled_from([Periodicity.P2, Periodicity.P1]),
        box=st.tuples(*[st.floats(0.5, 2.0)] * 3),
        offsets=st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=2),
