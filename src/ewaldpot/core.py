@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,7 +221,6 @@ class KGrid:
     """Wave-vector set for one periodicity mode, zero mode excluded.
 
     vectors : (K, 3) array for P3, (K, 2) for P2, (K,) scalars for P1.
-    indices : matching (K, d) integer indices, d = periodic axes (same order).
 
     The set is closed under negation and ordered lexicographically by integer
     index, so summation order is deterministic.  Every mode's k-space sum
@@ -234,7 +233,6 @@ class KGrid:
 
     mode: Periodicity
     vectors: np.ndarray
-    indices: np.ndarray = field(repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -263,14 +261,12 @@ def build_kgrid(box, mode: Periodicity, k_max: float) -> KGrid:
     idx = idx[np.any(idx != 0, axis=1)]
     vecs = idx * base[None, :]
     norm = np.sqrt(np.sum(vecs * vecs, axis=1))
-    keep = norm <= k_max
-    idx, vecs = idx[keep], vecs[keep]
+    vecs = vecs[norm <= k_max]
     if mode is Periodicity.P1:
         vecs = vecs[:, 0]
     vecs = np.ascontiguousarray(vecs)
     vecs.setflags(write=False)
-    idx.setflags(write=False)
-    return KGrid(mode=mode, vectors=vecs, indices=idx)
+    return KGrid(mode=mode, vectors=vecs)
 
 
 def build_image_vectors(box, mode: Periodicity, layers: int) -> np.ndarray:

@@ -174,8 +174,7 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
     # kspace_3p sums one k of each +-k pair with double weight, which needs
     # the grid to equal its negation as a multiset (the extended lattices
     # of 2p and 1p inherit that closure); the rows are compared in
-    # lexicographic order, as a hand-built grid may have no indices and
-    # come in any order
+    # lexicographic order, as a hand-built grid may come in any order
     rows = vecs[np.lexsort(vecs.T[::-1])]
     neg = -vecs
     if not np.array_equal(rows, neg[np.lexsort(neg.T[::-1])]):

@@ -249,10 +249,17 @@ def _kspace_slice(pos, q, targets, at_sources, kx, ky, kz, w):
     axes = _phase_axes(kx, ky, kz)
     sources = _blocks(len(pos), n_k)
     blocks = _blocks(targets.shape[0], n_k)
-    block = (max(b.stop - b.start for b in sources + blocks), n_k)
-    work = [np.empty(block) for _ in range(3)]
-    c = np.empty((len(pos), n_k) if at_sources else block)
-    s = np.empty_like(c)
+    rows_b = max(b.stop - b.start for b in sources + blocks)
+    rows_c = len(pos) if at_sources else rows_b
+    # c, s and the work buffers of _phases in one allocation: once glibc
+    # has freed a chunk that large, it raises its mmap and trim thresholds
+    # and keeps the next one in the heap.  Five chunks below the threshold
+    # (about 100 kB each at N = 24) could leave the heap top free after a
+    # call, trimmed and faulted in again by the next
+    buf = np.empty((2 * rows_c + 3 * rows_b, n_k))
+    c, s = buf[:rows_c], buf[rows_c:2 * rows_c]
+    work = [buf[2 * rows_c + i * rows_b:2 * rows_c + (i + 1) * rows_b]
+            for i in range(3)]
 
     def rows(part):    # the rows of c and s that hold a block
         return part if at_sources else slice(0, part.stop - part.start)

@@ -128,9 +128,10 @@ def test_kgrid_deterministic_order():
         a = build_kgrid(box, mode, 40.0)
         b = build_kgrid(box, mode, 40.0)
         assert np.array_equal(a.vectors, b.vectors)
-        # lexicographic by integer index
-        idx = a.indices
-        assert idx.shape == (len(a), len(mode.periodic_axes))
+        # lexicographic by integer index, n_a = k_a L_a / 2 pi
+        axes = list(mode.periodic_axes)
+        vecs = a.vectors.reshape(len(a), len(axes))
+        idx = np.round(vecs * np.asarray(box, float)[axes] / (2 * np.pi))
         assert all(tuple(idx[i]) < tuple(idx[i + 1])
                    for i in range(len(idx) - 1))
 

@@ -42,7 +42,6 @@ from ewaldpot.core import (
     default_params,
 )
 from ewaldpot.specfun import (
-    DEFAULT_QUADRATURE,
     EULER_GAMMA,
     SQRT_PI,
     _e1_scalar,
@@ -106,7 +105,7 @@ def ref_kspace_2p(pos, q, tpos, xi, kvecs, area):
     return re
 
 
-def ref_kspace_1p(pos, q, tpos, xi, kz, length, cfg):
+def ref_kspace_1p(pos, q, tpos, xi, kz, length):
     re = np.zeros(len(tpos))
     for k3 in kz:
         if k3 <= 0.0:    # +k3 and -k3 share K0: one cosine term per pair
@@ -115,8 +114,7 @@ def ref_kspace_1p(pos, q, tpos, xi, kz, length, cfg):
         for m, t in enumerate(tpos):
             for qn, x in zip(q, pos):
                 v = ((t[0] - x[0]) ** 2 + (t[1] - x[1]) ** 2) * xi * xi
-                k0 = _k0inc_scalar(u, v, cfg.abs_tol, cfg.rel_tol,
-                                   cfg.max_subdivisions)
+                k0 = _k0inc_scalar(u, v)
                 re[m] += qn * 2.0 * math.cos(k3 * (t[2] - x[2])) * k0
     return re / length
 
@@ -197,11 +195,45 @@ def test_kernels_match_reference_loops(mode):
                    ref_zero_mode_2p(pos, q, tpos, xi, area))
         else:
             length = float(box[2])
-            cfg = DEFAULT_QUADRATURE
             _close(kspace_sum_1p(s, xi, kgrid, targets),
-                   ref_kspace_1p(pos, q, tpos, xi, kvecs, length, cfg))
+                   ref_kspace_1p(pos, q, tpos, xi, kvecs, length))
             _close(kernels_numpy.zero_mode_1p(pos, q, tpos, xi, length),
                    ref_zero_mode_1p(pos, q, tpos, at_sources, xi, length))
+
+
+def test_reference_loops_share_no_routine_with_the_kernels(monkeypatch):
+    # the kernels take erfc, erf and exp1 from scipy.special; a reference
+    # that took them too would share their faults and hide them.  With the
+    # three patched to raise, the kernels fail and the references still
+    # agree with the kernels' unpatched values
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.special routine called")
+
+    s = _system()
+    pos, q, box = s.positions, s.charges, s.box
+    par = default_params(box, Periodicity.P3)
+    xi, r_cut = par.xi, par.r_cut
+    images = build_image_vectors(box, Periodicity.P3, par.real_layers)
+    area, length = float(box[0] * box[1]), float(box[2])
+    for tpos, at_sources in _targets(s):
+        pairs = [
+            ((kernels_numpy.real_space, pos, q, tpos, at_sources, images,
+              xi, r_cut, COINCIDE_RTOL),
+             (ref_real_space, pos, q, tpos, at_sources, images, xi, r_cut)),
+            ((kernels_numpy.zero_mode_2p, pos[:, 2], q, tpos[:, 2], xi,
+              area),
+             (ref_zero_mode_2p, pos, q, tpos, xi, area)),
+            ((kernels_numpy.zero_mode_1p, pos, q, tpos, xi, length),
+             (ref_zero_mode_1p, pos, q, tpos, at_sources, xi, length)),
+        ]
+        want = [kernel(*args) for (kernel, *args), _ in pairs]
+        with monkeypatch.context() as mp:
+            for name in ("erfc", "erf", "exp1"):
+                mp.setattr(special, name, refuse)
+            for ((kernel, *args), (ref, *ref_args)), w in zip(pairs, want):
+                _close(w, ref(*ref_args))
+                with pytest.raises(AssertionError, match="scipy.special"):
+                    kernel(*args)
 
 
 # ------------------------------------ 2p and 1p on the extended lattice
@@ -211,7 +243,7 @@ def _ref_kspace(mode, s, tpos, xi, kvecs):
         return ref_kspace_2p(s.positions, s.charges, tpos, xi, kvecs,
                              float(s.box[0] * s.box[1]))
     return ref_kspace_1p(s.positions, s.charges, tpos, xi, kvecs,
-                         float(s.box[2]), DEFAULT_QUADRATURE)
+                         float(s.box[2]))
 
 
 def _kspace_sum(mode):
@@ -738,11 +770,14 @@ def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
     assert np.abs(got - want[perm]).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_import_does_not_load_scipy_spatial():
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.integrate"])
+def test_import_does_not_load_scipy_spatial(module):
     # importing scipy.spatial (cKDTree) adds about 11 MB of RSS and 0.15 s
-    # to a fresh process; the real-space kernel finds its pairs without it
+    # to a fresh process, scipy.integrate (quad) about 25 MB and 0.5 s; the
+    # real-space kernel finds its pairs without the one, and only the
+    # incomplete K0, which no evaluation calls, imports the other
     code = ("import sys, ewaldpot; "
-            "sys.exit('scipy.spatial' in sys.modules)")
+            f"sys.exit({module!r} in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
     assert r.returncode == 0, r.stderr
