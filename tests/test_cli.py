@@ -141,18 +141,28 @@ def test_byte_identical_json_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
+# (golden name, extra CLI arguments): the demo at its sources, and at the
+# points of demo_points.txt, off the sources and out along the free axes
+GOLDEN_CASES = [
+    (f"demo_{mode}{suffix}", ["--mode", mode, *extra])
+    for suffix, extra in (
+        ("", []),
+        ("_points", ["--targets", str(DATA / "demo_points.txt")]))
+    for mode in ("1p", "2p", "3p")
+]
+
+
 def test_golden_files_numpy_lane(tmp_path):
     # the 3p k-space sum runs in a fixed order with no BLAS call and libm
     # exp, so its bytes depend on neither the BLAS kernel nor numpy's SIMD
     # level
-    for mode in ("1p", "2p", "3p"):
-        out = tmp_path / f"demo_{mode}.csv"
-        r = run_cli([str(DATA / "demo.txt"), "--mode", mode,
-                     "--out", str(out)])
+    for name, extra in GOLDEN_CASES:
+        out = tmp_path / f"{name}.csv"
+        r = run_cli([str(DATA / "demo.txt"), *extra, "--out", str(out)])
         assert r.returncode == 0, r.stderr
         got = out.read_bytes()
-        want = (GOLDEN / f"demo_{mode}.csv").read_bytes()
-        assert got == want, f"golden mismatch for mode {mode}"
+        want = (GOLDEN / f"{name}.csv").read_bytes()
+        assert got == want, f"golden mismatch for {name}"
 
 
 def test_golden_files_with_simd_dispatch_disabled(tmp_path):
@@ -166,15 +176,15 @@ def test_golden_files_with_simd_dispatch_disabled(tmp_path):
     )
     present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(present))
-    for mode in ("1p", "2p", "3p"):
-        out = tmp_path / f"demo_{mode}.csv"
+    for name, extra in GOLDEN_CASES:
+        out = tmp_path / f"{name}.csv"
         r = subprocess.run([sys.executable, "-m", "ewaldpot.cli",
-                            str(DATA / "demo.txt"), "--mode", mode,
+                            str(DATA / "demo.txt"), *extra,
                             "--out", str(out)],
                            capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
-        want = (GOLDEN / f"demo_{mode}.csv").read_bytes()
-        assert out.read_bytes() == want, (mode, present)
+        want = (GOLDEN / f"{name}.csv").read_bytes()
+        assert out.read_bytes() == want, (name, present)
 
 
 def test_sweep_xi_totals_agree(tmp_path):
