@@ -15,12 +15,10 @@ from .core import (
     ParticleSystem,
     Periodicity,
     PotentialResult,
-    ValidationReport,
     build_image_vectors,
     build_kgrid,
     default_params,
     default_xi,
-    validate_system,
     wrap_positions,
 )
 from .ewald import (
@@ -44,7 +42,6 @@ __all__ = [
     "ParticleSystem",
     "Periodicity",
     "PotentialResult",
-    "ValidationReport",
     "build_image_vectors",
     "build_kgrid",
     "default_params",
@@ -55,7 +52,6 @@ __all__ = [
     "kspace_sum_3p",
     "real_space_sum",
     "self_term",
-    "validate_system",
     "wrap_positions",
     "zero_mode_1p",
     "zero_mode_2p",

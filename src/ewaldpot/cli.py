@@ -22,11 +22,17 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParticleSystem, Periodicity, default_params, default_xi
+from .core import (
+    ParticleSystem,
+    Periodicity,
+    _image_layers,
+    default_params,
+    default_xi,
+)
 from .ewald import EvalTargets, ewald_potential
 
 UNITS_NOTE = "potentials in Gaussian units (charge/length)"
@@ -157,16 +163,12 @@ def read_target_points(path: str) -> np.ndarray:
 def _params_for(config: RunConfig, xi: float, r_cut: float | None = None,
                 k_max: float | None = None):
     # default_params with r_cut and k_max overridden; the image shells
-    # follow the r_cut in use by default_params' rule
+    # follow the r_cut in use by default_params' rule, _image_layers
     base = default_params(config.system.box, config.mode, xi=xi)
     r_cut = base.r_cut if r_cut is None else float(r_cut)
-    min_l = float(np.min(config.system.box[list(config.mode.periodic_axes)]))
-    return type(base)(
-        xi=base.xi,
-        r_cut=r_cut,
-        k_max=base.k_max if k_max is None else float(k_max),
-        real_layers=math.ceil(r_cut / min_l),
-    )
+    return replace(
+        base, r_cut=r_cut, k_max=base.k_max if k_max is None else float(k_max),
+        real_layers=_image_layers(config.system.box, config.mode, r_cut))
 
 
 def run_potential(config: RunConfig):

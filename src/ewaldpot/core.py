@@ -54,9 +54,8 @@ class ParticleSystem:
         Box edge lengths (L1, L2, L3), all positive and finite. The primary
         cell is [-L_i/2, L_i/2] per coordinate.
 
-    Charge neutrality is not enforced at construction; ``validate_system``
-    reports it and the Ewald operations treat a non-neutral system as a hard
-    error.
+    Charge neutrality is not enforced at construction; the Ewald operations
+    treat a non-neutral system as a hard error (``require_neutral``).
     """
 
     positions: np.ndarray
@@ -211,9 +210,14 @@ def default_params(box, mode: Periodicity, xi: float | None = None,
             hi = mid
     r_cut = hi / xi
     k_max = 2.0 * xi * math.sqrt(-math.log(tol))
-    min_per_L = float(np.min(box[list(mode.periodic_axes)]))
-    layers = int(math.ceil(r_cut / min_per_L))
-    return EwaldParams(xi=float(xi), r_cut=r_cut, k_max=k_max, real_layers=layers)
+    return EwaldParams(xi=float(xi), r_cut=r_cut, k_max=k_max,
+                       real_layers=_image_layers(box, mode, r_cut))
+
+
+def _image_layers(box, mode: Periodicity, r_cut: float) -> int:
+    """Image shells that reach r_cut: ceil(r_cut / min periodic L)."""
+    min_per_l = float(np.min(box[list(mode.periodic_axes)]))
+    return int(math.ceil(r_cut / min_per_l))
 
 
 @dataclass(frozen=True)
@@ -288,61 +292,6 @@ def build_image_vectors(box, mode: Periodicity, layers: int) -> np.ndarray:
     out = np.ascontiguousarray(out)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_system: pass/fail plus diagnostics."""
-
-    ok: bool
-    net_charge: float
-    abs_charge_sum: float
-    out_of_box: tuple
-    coincident_pairs: tuple
-    warnings: tuple
-
-    def __str__(self):
-        status = "pass" if self.ok else "FAIL"
-        lines = [f"validation: {status} (net charge {self.net_charge:.6e})"]
-        lines += [f"  warning: {w}" for w in self.warnings]
-        return "\n".join(lines)
-
-
-def validate_system(system: ParticleSystem) -> ValidationReport:
-    """Report charge neutrality, out-of-box coordinates and coincident pairs.
-
-    A reporting operation: it never raises. Coincident pairs and out-of-box
-    coordinates are warnings; failed neutrality fails the report, and callers
-    treat that as a hard error for Ewald evaluations.
-    """
-    abs_sum = float(np.sum(np.abs(system.charges)))
-    net = system.net_charge
-    neutral = abs(net) <= NEUTRALITY_RTOL * abs_sum
-    half = system.box / 2.0
-    oob = np.where(np.any(np.abs(system.positions) > half[None, :], axis=1))[0]
-    pairs = []
-    pos = system.positions
-    for i in range(len(pos)):
-        d = np.sqrt(np.sum((pos[i + 1:] - pos[i]) ** 2, axis=1))
-        for j in np.where(d == 0.0)[0]:
-            pairs.append((i, i + 1 + int(j)))
-    warnings = []
-    if not neutral:
-        warnings.append(
-            f"net charge {net:.1e} exceeds tolerance {NEUTRALITY_RTOL:.1e} * {abs_sum:.6g}"
-        )
-    if len(oob):
-        warnings.append(f"positions outside the box at indices {oob.tolist()}")
-    for i, j in pairs:
-        warnings.append(f"coincident pair ({i}, {j})")
-    return ValidationReport(
-        ok=bool(neutral),
-        net_charge=net,
-        abs_charge_sum=abs_sum,
-        out_of_box=tuple(int(i) for i in oob),
-        coincident_pairs=tuple(pairs),
-        warnings=tuple(warnings),
-    )
 
 
 def require_neutral(system: ParticleSystem):

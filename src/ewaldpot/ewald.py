@@ -34,11 +34,15 @@ sum over an extended lattice: (kx, ky, 2 pi j/L_eff) with kbar != 0 in 2p,
 (2 pi i/Lx_eff, 2 pi j/Ly_eff, k3) with k3 != 0 in 1p (kappa = 0
 included), and volume V = L1 L2 L_eff or Lx_eff Ly_eff L3, so the prefactor
 4 pi/V is the 3p one.  3p is the case with no free axis: one group, the
-grid itself as its lattice and V = L1 L2 L3.  The rule sums, besides the
-wanted pair term, its aliases L_eff apart along the free axes, where the
-kernel has decayed like e^{-k_min d}; k_min is the shortest grid vector,
-2 pi/max(L1, L2) in 2p and 2 pi/L3 in 1p for a build_kgrid grid.  With
-C = _FREE_DECAY = 40:
+grid itself as its lattice and V = L1 L2 L3.  _extended_lattice is the one
+place that forms the half lattice, one k of each +-k pair at double
+weight (exact as _check_grid holds the grid closed under negation), and
+the weight 8 pi/V e^{-k^2/4xi^2}/k^2 of each k; kspace_3p sums
+sum_k w_k sum_n q_n cos(k.(t - x_n)) over what it is given.  The rule
+sums, besides the wanted pair term, its aliases L_eff apart along the free
+axes, where the kernel has decayed like e^{-k_min d}; k_min is the
+shortest grid vector, 2 pi/max(L1, L2) in 2p and 2 pi/L3 in 1p for a
+build_kgrid grid.  With C = _FREE_DECAY = 40:
 
     split    the sources and targets are split at every gap wider than
              C/k_min along a free axis (in 1p along x and along y, and
@@ -171,10 +175,11 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
     # k = 0 belongs to the zero mode, and its weight 1/k^2 has no value
     if not vecs.any(axis=1).all():
         raise ValueError(f"a {mode.value} k grid must not hold the zero vector")
-    # kspace_3p sums one k of each +-k pair with double weight, which needs
-    # the grid to equal its negation as a multiset (the extended lattices
-    # of 2p and 1p inherit that closure); the rows are compared in
-    # lexicographic order, as a hand-built grid may come in any order
+    # _extended_lattice keeps one k of each +-k pair with double weight,
+    # which needs the grid to equal its negation as a multiset (the
+    # extended lattices of 2p and 1p inherit that closure); the rows are
+    # compared in lexicographic order, as a hand-built grid may come in
+    # any order
     rows = vecs[np.lexsort(vecs.T[::-1])]
     neg = -vecs
     if not np.array_equal(rows, neg[np.lexsort(neg.T[::-1])]):
@@ -214,14 +219,18 @@ def _free_groups(coords, gap):
 
 
 def _extended_lattice(mode, box, kp, lengths, xi):
-    """The grid as a 3p lattice: (vectors, volume) for kspace_3p.
+    """The grid as a 3p half lattice: (vectors, weights) for kspace_3p.
 
     kp holds the grid vectors, one row each.  Each is joined with the free
     components 2 pi j / lengths (j integer per free axis) that keep
-    k^2 = kp^2 + free^2 <= 4 xi^2 _FREE_DECAY.  The vectors come in grid
-    order, and per grid vector in lexicographic order of j; the volume is
-    the product of the periodic box lengths and lengths (in 3p, which has
-    no free axis, the grid cut at that k^2, and L1 L2 L3).
+    k^2 = kp^2 + free^2 <= 4 xi^2 _FREE_DECAY, in grid order and per grid
+    vector in lexicographic order of j (in 3p, which has no free axis, the
+    grid cut at that k^2).  Of each +-k pair the vector whose first nonzero
+    component is positive is kept, in that order, with the weight
+    (pref exp(-k^2 quart)) / k^2: libm exp, k^2 = (kx^2 + ky^2) + kz^2,
+    pref = 8 pi/V (twice 4 pi/V, exactly, for the -k left out) and
+    quart = 1/(4 xi^2).  V is the product of the periodic box lengths and
+    lengths (L1 L2 L3 in 3p).
     """
     periodic, free = list(mode.periodic_axes), list(mode.free_axes)
     room = 4.0 * xi * xi * _FREE_DECAY - (kp * kp).sum(axis=1)
@@ -232,8 +241,15 @@ def _extended_lattice(mode, box, kp, lengths, xi):
     vecs = np.empty((len(ip), 3))
     vecs[:, periodic] = kp[ip]
     vecs[:, free] = fk[jf]
+    kx, ky, kz = vecs.T
+    half = (kx > 0.0) | (kx == 0.0) & ((ky > 0.0) | (ky == 0.0) & (kz > 0.0))
+    vecs = vecs[half]
+    kx, ky, kz = vecs.T
+    k2 = (kx * kx + ky * ky) + kz * kz
     volume = float(np.prod(box[periodic])) * float(np.prod(lengths))
-    return vecs, volume
+    pref = 8.0 * math.pi / volume
+    quart = 0.25 / (xi * xi)
+    return vecs, pref * kernels_numpy._libm(math.exp, -k2 * quart) / k2
 
 
 def _kspace(mode, system, tpos, at_sources, xi, kgrid):
@@ -254,9 +270,9 @@ def _kspace(mode, system, tpos, at_sources, xi, kgrid):
         if not (len(src) and len(tgt)):
             continue    # no source within reach: the term is below e^-C
         lengths = np.ptp(coords[group], axis=0) + reach
-        kvecs, volume = _extended_lattice(mode, box, kp, lengths, xi)
-        out[tgt] = kernels_numpy.kspace_3p(pos[src], q[src], tpos[tgt], xi,
-                                           kvecs, volume, at_sources)
+        kvecs, w = _extended_lattice(mode, box, kp, lengths, xi)
+        out[tgt] = kernels_numpy.kspace_3p(pos[src], q[src], tpos[tgt],
+                                           kvecs, w, at_sources)
     return out
 
 

@@ -16,25 +16,26 @@ real_space takes erfc only of the pairs within r_cut: it finds them block
 by block of nearby targets, among the image points near each block, and
 never forms an array over all (target, source, image) triples.
 
-kspace_3p is the k-space sum of every mode: ewald._kspace hands it the k
-grid extended along the free axes of the mode, in 3p (no free axis) the
-grid as it is (see the ewald module docstring).  The
-lattices are closed under negation and the kernel is real and even, so the
-potential is real: the kernel returns that real part only, never forms the
-imaginary part (which would be rounding noise), and sums one k of each +-k
-pair with double weight.  It takes cos and sin of k.x from per-axis
-tables: libm cos and sin of x kx, y ky and z kz, one entry per point and
-distinct component, combined over the distinct (kx, ky) pairs and then per
-vector by cos(a + b) = cos a cos b - sin a sin b and
+kspace_3p is the k-space sum of every mode, a plain weighted trig sum
+over exactly the vectors and weights it is given.  ewald._extended_lattice
+forms both, the only place that does: one k of each +-k pair of the mode's
+grid extended along its free axes (in 3p the grid as it is), with the
+Ewald weight 8 pi/V e^{-k^2/4xi^2}/k^2 (see the ewald module docstring).
+The kernel returns the real part only and never forms the imaginary part.
+It takes cos and sin of k.x from per-axis tables: libm cos and sin of
+x kx, y ky and z kz, one entry per point and distinct component, combined
+over the distinct (kx, ky) pairs and then per vector by
+cos(a + b) = cos a cos b - sin a sin b and
 sin(a + b) = sin a cos b + cos a sin b (see _phases).  It evaluates in a
 fixed, written-down order with elementwise numpy operations and reductions
 only: each product and sum is its own float64 operation, with no complex
 arithmetic, no fused step and no matrix product (so no BLAS kernel, whose
-rounding depends on the CPU it picks at run time).  Its exp, cos and sin
-are libm's through math (numpy's own SIMD exp, cos and sin differ from
-libm in the last bit on some CPUs), and the zero modes take exp and log
-from libm the same way.  The bytes of every layer therefore depend on
-neither the BLAS build nor numpy's SIMD dispatch level for these functions.
+rounding depends on the CPU it picks at run time).  Its cos and sin are
+libm's through math (_libm; numpy's own SIMD exp, cos and sin differ from
+libm in the last bit on some CPUs), as are the exp of ewald's weights and
+the exp and log of the zero modes.  The bytes of every layer therefore
+depend on neither the BLAS build nor numpy's SIMD dispatch level for these
+functions.
 
 Every kernel takes its points in row blocks under _ROW_ELEMENTS (_blocks),
 real space the targets of each spatial block in runs under it, so no
@@ -63,7 +64,7 @@ _FEW_TARGETS = 128
 #: the cell when r_cut is long against it, no array spans all image points
 _ROW_ELEMENTS = 2 ** 15
 
-#: at the sources kspace_3p takes the half lattice in slices of at most
+#: at the sources kspace_3p takes its vectors in slices of at most
 #: this many (target, k) elements, and at least one k, which bounds its
 #: (N, slice) cos and sin buffers at 80 MiB each: every perfbench workload
 #: fits in one slice.  Off the sources it needs no slices: slices would
@@ -186,34 +187,22 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     return out
 
 
-def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
-    """3p k-space sum (4 pi/V) sum_k e^{-k^2/4xi^2}/k^2 S(k) e^{-i k.r}.
+def kspace_3p(pos, q, targets, kvecs, w, at_sources):
+    """Weighted trig sum sum_k w_k (C_k cos k.t + S_k sin k.t) per target t.
 
-    Returns the potential (the real part) per target; at_sources says the
-    targets are pos.  The terms of k and -k are equal, so the sum runs over
-    the half lattice: of each +-k pair the vector whose first nonzero
-    component is positive, in grid order, with weight 8 pi/V.  That is
-    exact on lattices closed under negation, which ewald._check_grid
-    enforces and ewald's extended lattices have by construction.  At the
-    sources the half lattice is taken in slices of at most _K_ELEMENTS // M
-    vectors (one at least), each summed by _kspace_slice, and the sums of
-    the slices are added in slice order; off the sources, where
-    _kspace_slice holds no (M, slice) array, in one slice.  The weight of
-    a kept k is (pref exp(-k^2 quart)) / k^2 with libm exp,
-    k^2 = (kx^2 + ky^2) + kz^2, pref = 8 pi/V (twice 4 pi/V, exactly) and
-    quart = 1/(4 xi^2).
+    C_k and S_k are sum_n q_n cos k.x_n and sum_n q_n sin k.x_n, so the sum
+    is sum_k w_k sum_n q_n cos(k.(t - x_n)), over exactly the vectors kvecs
+    (one row each) with weights w; at_sources says the targets are pos.  At
+    the sources the vectors are taken in slices of at most
+    _K_ELEMENTS // M (one at least), each summed by _kspace_slice, and the
+    sums of the slices are added in slice order; off the sources, where
+    _kspace_slice holds no (M, slice) array, in one slice.
 
-    No BLAS routine is called and exp, cos and sin are libm's, so the
-    result does not depend on the BLAS kernel or on numpy's SIMD level.
+    No BLAS routine is called and cos and sin are libm's, so the result
+    does not depend on the BLAS kernel or on numpy's SIMD level.
     """
     n_tar = targets.shape[0]
-    kx, ky, kz = kvecs.T
-    half = (kx > 0.0) | (kx == 0.0) & ((ky > 0.0) | (ky == 0.0) & (kz > 0.0))
-    kx, ky, kz = np.ascontiguousarray(kvecs[half].T)
-    k2 = (kx * kx + ky * ky) + kz * kz
-    pref = 8.0 * math.pi / volume
-    quart = 0.25 / (xi * xi)
-    w = pref * _libm(math.exp, -k2 * quart) / k2
+    kx, ky, kz = np.ascontiguousarray(kvecs.T)
     out = np.zeros(n_tar)
     step = max(1, _K_ELEMENTS // max(1, n_tar) if at_sources else len(w))
     for start in range(0, len(w), step):
@@ -225,7 +214,7 @@ def kspace_3p(pos, q, targets, xi, kvecs, volume, at_sources):
 
 
 def _kspace_slice(pos, q, targets, at_sources, kx, ky, kz, w):
-    """kspace_3p over one slice of kept vectors with weights w.
+    """kspace_3p over one slice of vectors with weights w.
 
     The sources, then the targets, are taken in blocks of at most
     _ROW_ELEMENTS // len(w) consecutive points (one at least).  _phases

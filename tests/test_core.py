@@ -13,39 +13,10 @@ from ewaldpot.core import (
     build_kgrid,
     default_params,
     default_xi,
-    validate_system,
     wrap_positions,
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-def test_validate_neutral_pair_passes():
-    s = ParticleSystem([[0.1, 0, 0], [-0.2, 0, 0]], [1.0, -1.0], [1, 1, 1])
-    rep = validate_system(s)
-    assert rep.ok
-    assert rep.net_charge == 0.0
-
-
-def test_validate_net_charge_fails():
-    s = ParticleSystem([[0.1, 0, 0], [-0.2, 0, 0]], [1.0, -0.5], [1, 1, 1])
-    rep = validate_system(s)
-    assert not rep.ok
-    assert rep.net_charge == pytest.approx(0.5)
-
-
-def test_validate_coincident_pair_warns_but_passes():
-    s = ParticleSystem([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], [1.0, -1.0], [1, 1, 1])
-    rep = validate_system(s)
-    assert rep.ok
-    assert rep.coincident_pairs == ((0, 1),)
-    assert any("coincident" in w for w in rep.warnings)
-
-
-def test_validate_reports_out_of_box():
-    s = ParticleSystem([[1.7, 0, 0], [-0.2, 0, 0]], [1.0, -1.0], [1, 1, 1])
-    rep = validate_system(s)
-    assert rep.out_of_box == (0,)
 
 
 def test_wrap_periodic_axes_only():

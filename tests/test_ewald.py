@@ -23,6 +23,7 @@ from ewaldpot.core import (
 )
 from ewaldpot.ewald import (
     EvalTargets,
+    _extended_lattice,
     ewald_potential,
     kspace_sum_1p,
     kspace_sum_2p,
@@ -37,6 +38,14 @@ from ewaldpot.specfun import (
     _g_scalar,
     expint_e1,
 )
+
+
+def _half_lattice(box, kvecs, xi):
+    # ewald's 3p half lattice of the grid kvecs and its Ewald weights, the
+    # (vectors, weights) that kspace_3p sums over
+    return _extended_lattice(Periodicity.P3, np.asarray(box), kvecs,
+                             np.zeros(0), xi)
+
 
 # frozen in test_specfun against the quadrature oracle
 E1_OF_1 = 0.21938393439552029
@@ -223,7 +232,8 @@ def test_kspace_rejects_grid_holding_the_zero_vector(mode, vectors):
 
 def test_kspace_sum_3p_is_the_kernel_on_the_grid():
     # 3p has no free axis: its lattice is the grid itself, in grid order,
-    # and the volume the box's, so the bytes are the kernel's on the grid
+    # and the volume the box's, so the bytes are the kernel's on the half
+    # of the grid that ewald keeps
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.3, 0.8])
     s = random_neutral(rng, 6, box)
@@ -234,9 +244,9 @@ def test_kspace_sum_3p_is_the_kernel_on_the_grid():
             (EvalTargets.at_sources(), s.positions, True),
             (EvalTargets.at_points(pts), pts, False)):
         got = kspace_sum_3p(s, par.xi, kgrid, targets)
-        want = kernels_numpy.kspace_3p(s.positions, s.charges, tpos, par.xi,
-                                       kgrid.vectors, float(np.prod(box)),
-                                       at_sources)
+        want = kernels_numpy.kspace_3p(
+            s.positions, s.charges, tpos,
+            *_half_lattice(box, kgrid.vectors, par.xi), at_sources)
         assert got.tobytes() == want.tobytes()
 
 
@@ -457,13 +467,13 @@ def test_kspace_3p_numpy_at_sources_matches_general_path():
     rng = np.random.default_rng(37)
     box = np.array([1.1, 0.9, 1.0])
     s = random_neutral(rng, 7, box)
-    kv = build_kgrid(box, Periodicity.P3, 30.0).vectors
-    vol = float(np.prod(box))
+    kv, w = _half_lattice(box, build_kgrid(box, Periodicity.P3, 30.0).vectors,
+                          2.0)
     re = kernels_numpy.kspace_3p(s.positions, s.charges, s.positions,
-                                 2.0, kv, vol, True)
+                                 kv, w, True)
     extra = np.vstack([s.positions, [[0.31, 0.47, 0.62]]])
-    re_g = kernels_numpy.kspace_3p(s.positions, s.charges, extra, 2.0,
-                                   kv, vol, False)
+    re_g = kernels_numpy.kspace_3p(s.positions, s.charges, extra,
+                                   kv, w, False)
     assert np.array_equal(re, re_g[:-1])
 
 
@@ -476,15 +486,15 @@ def test_kspace_3p_holds_two_target_buffers():
     s = random_neutral(rng, 64, box)
     par = default_params(box, Periodicity.P3)
     kv = build_kgrid(box, Periodicity.P3, par.k_max).vectors
-    vol = float(np.prod(box))
     axis = (np.arange(4) + 0.5) / 4
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                     axis=-1).reshape(-1, 3) * box
     for targets, at_sources in ((s.positions, True), (grid, False)):
         tracemalloc.start()
         try:
-            kernels_numpy.kspace_3p(s.positions, s.charges, targets, par.xi,
-                                    kv, vol, at_sources)
+            kernels_numpy.kspace_3p(s.positions, s.charges, targets,
+                                    *_half_lattice(box, kv, par.xi),
+                                    at_sources)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,7 +511,6 @@ def test_kspace_3p_buffers_span_half_the_lattice():
     s = random_neutral(rng, 64, box)
     par = default_params(box, Periodicity.P3)
     kv = build_kgrid(box, Periodicity.P3, par.k_max).vectors
-    vol = float(np.prod(box))
     axis = (np.arange(4) + 0.5) / 4
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                     axis=-1).reshape(-1, 3) * box
@@ -509,8 +518,9 @@ def test_kspace_3p_buffers_span_half_the_lattice():
         half = len(targets) * (len(kv) // 2) * 8
         tracemalloc.start()
         try:
-            kernels_numpy.kspace_3p(s.positions, s.charges, targets, par.xi,
-                                    kv, vol, at_sources)
+            kernels_numpy.kspace_3p(s.positions, s.charges, targets,
+                                    *_half_lattice(box, kv, par.xi),
+                                    at_sources)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -857,7 +867,8 @@ def test_kspace_imaginary_residue_small():
     pts = np.array([[0.3, 0.6, 0.2], [0.85, 0.15, 0.7]])
     kv3 = build_kgrid(box, Periodicity.P3, 30.0).vectors
     vol = float(np.prod(box))
-    re3 = kernels_numpy.kspace_3p(pos, q, pts, xi, kv3, vol, False)
+    re3 = kernels_numpy.kspace_3p(pos, q, pts, *_half_lattice(box, kv3, xi),
+                                  False)
     k2 = (kv3 ** 2).sum(axis=1)
     w = 4.0 * math.pi / vol * np.exp(-k2 / (4.0 * xi * xi)) / k2
     src_ph = pos @ kv3.T

@@ -41,6 +41,7 @@ from ewaldpot.core import (
     build_kgrid,
     default_params,
 )
+from ewaldpot.ewald import _extended_lattice
 from ewaldpot.specfun import (
     EULER_GAMMA,
     SQRT_PI,
@@ -182,10 +183,10 @@ def test_kernels_match_reference_loops(mode):
                ref_real_space(pos, q, tpos, at_sources, images, xi,
                               par.r_cut))
         if mode is Periodicity.P3:
-            volume = float(np.prod(box))
-            _close(kernels_numpy.kspace_3p(pos, q, tpos, xi, kvecs, volume,
-                                           at_sources),
-                   ref_kspace_3p(pos, q, tpos, xi, kvecs, volume))
+            half, w = _extended_lattice(mode, box, kvecs, np.zeros(0), xi)
+            _close(kernels_numpy.kspace_3p(pos, q, tpos, half, w, at_sources),
+                   ref_kspace_3p(pos, q, tpos, xi, kvecs,
+                                 float(np.prod(box))))
         elif mode is Periodicity.P2:
             area = float(box[0] * box[1])
             _close(kspace_sum_2p(s, xi, kgrid, targets),
@@ -199,6 +200,31 @@ def test_kernels_match_reference_loops(mode):
                    ref_kspace_1p(pos, q, tpos, xi, kvecs, length))
             _close(kernels_numpy.zero_mode_1p(pos, q, tpos, xi, length),
                    ref_zero_mode_1p(pos, q, tpos, at_sources, xi, length))
+
+
+def test_kspace_3p_is_a_weighted_trig_sum_over_the_vectors_given(
+        monkeypatch):
+    # sum_k w_k sum_n q_n cos(k.(t - x_n)) over exactly the vectors given:
+    # a set not closed under negation (some k with -k, most without, one
+    # twice), weights of both signs, and at the sources in one slice and in
+    # slices of 4 vectors
+    s = _system()
+    rng = np.random.default_rng(47)
+    k = np.vstack([rng.normal(scale=6.0, size=(11, 3)), [0.0, 3.1, -2.4]])
+    kvecs = np.vstack([k, -k[:4], k[:1]])
+    w = rng.uniform(0.5, 2.0, len(kvecs)) * (-1.0) ** np.arange(len(kvecs))
+    for tpos, at_sources in _targets(s):
+        want = np.zeros(len(tpos))
+        for m, t in enumerate(tpos):
+            for wk, kv in zip(w, kvecs):
+                want[m] += wk * sum(qn * math.cos(kv @ (t - x))
+                                    for qn, x in zip(s.charges, s.positions))
+        for k_elements in (kernels_numpy._K_ELEMENTS, 4 * len(tpos)):
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels_numpy, "_K_ELEMENTS", k_elements)
+                got = kernels_numpy.kspace_3p(s.positions, s.charges, tpos,
+                                              kvecs, w, at_sources)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_reference_loops_share_no_routine_with_the_kernels(monkeypatch):
@@ -256,7 +282,7 @@ def _lattice_sizes(monkeypatch, mode, s, xi, kgrid, targets):
     kspace_3p = kernels_numpy.kspace_3p
 
     def counted(*args):
-        sizes.append(len(args[4]))
+        sizes.append(len(args[3]))
         return kspace_3p(*args)
 
     with monkeypatch.context() as mp:
