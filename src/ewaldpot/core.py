@@ -54,8 +54,10 @@ class ParticleSystem:
         Box edge lengths (L1, L2, L3), all positive and finite. The primary
         cell is [-L_i/2, L_i/2] per coordinate.
 
-    Charge neutrality is not enforced at construction; the Ewald operations
-    treat a non-neutral system as a hard error (``require_neutral``).
+    Charge neutrality is not enforced at construction.  ewald_potential,
+    real_space_sum, zero_mode_2p and zero_mode_1p reject a non-neutral
+    system (``require_neutral``); the kspace_sum_* functions are linear in
+    the charges and take any.
     """
 
     positions: np.ndarray

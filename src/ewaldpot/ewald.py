@@ -19,7 +19,12 @@ builds the image shifts and the k grid.  The layers then run on those plain
 arrays and on one flag, whether the targets are the sources, each through
 one kernel of kernels_numpy.  The public per-layer functions
 (real_space_sum, kspace_sum_*, zero_mode_*) validate their own arguments,
-without wrapping, and run the same layer code.
+without wrapping, and run the same layer code.  _resolve is the one check
+that every entry point taking targets shares: it rejects targets that are
+not an EvalTargets and a xi that is not positive, and resolves the targets
+to positions.  ewald_potential, real_space_sum and the zero modes also
+require neutrality; the k-space sums are linear in the charges and take
+any.
 
 Every mode sums its k space with one kernel, kernels_numpy.kspace_3p.  In
 2p and 1p the k space is a Fourier integral along the free axes,
@@ -149,18 +154,16 @@ class EvalTargets:
         return self.points is None
 
 
-def _target_positions(system: ParticleSystem, targets):
-    """The (M, 3) target positions and whether they are the sources."""
+def _resolve(system: ParticleSystem, xi, targets):
+    """Check that targets is an EvalTargets and xi > 0; return the (M, 3)
+    target positions and whether they are the sources."""
     if not isinstance(targets, EvalTargets):
         raise ValueError("targets must be an EvalTargets instance")
+    if not xi > 0.0:
+        raise ValueError("xi must be positive")
     if targets.is_sources:
         return system.positions, True
     return targets.points, False
-
-
-def _check_xi(xi):
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
 
 
 def _check_grid(kgrid: KGrid, mode: Periodicity):
@@ -177,12 +180,12 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
         raise ValueError(f"a {mode.value} k grid must not hold the zero vector")
     # _extended_lattice keeps one k of each +-k pair with double weight,
     # which needs the grid to equal its negation as a multiset (the
-    # extended lattices of 2p and 1p inherit that closure); the rows are
-    # compared in lexicographic order, as a hand-built grid may come in
-    # any order
+    # extended lattices of 2p and 1p inherit that closure); a hand-built
+    # grid may come in any order, so the rows are sorted lexicographically,
+    # and as negation reverses that order, the sorted negation is the
+    # sorted rows negated and reversed
     rows = vecs[np.lexsort(vecs.T[::-1])]
-    neg = -vecs
-    if not np.array_equal(rows, neg[np.lexsort(neg.T[::-1])]):
+    if not np.array_equal(rows, -rows[::-1]):
         raise ValueError(f"a {mode.value} k grid must be closed under negation")
 
 
@@ -298,15 +301,15 @@ def real_space_sum(system: ParticleSystem, mode: Periodicity, xi: float,
     the image lattice differs.
     """
     require_neutral(system)
-    _check_xi(xi)
-    tpos, at_sources = _target_positions(system, targets)
+    tpos, at_sources = _resolve(system, xi, targets)
     images = build_image_vectors(system.box, mode, layers)
     return _real(system, tpos, at_sources, images, xi, r_cut)
 
 
 def self_term(q_m: float, xi: float) -> float:
     """Self correction -(2 xi / sqrt(pi)) q_m for a charge at its own location."""
-    _check_xi(xi)
+    if not xi > 0.0:
+        raise ValueError("xi must be positive")
     return -(2.0 * xi / SQRT_PI) * q_m
 
 
@@ -319,8 +322,7 @@ def kspace_sum_3p(system: ParticleSystem, xi: float, kgrid: KGrid,
     and each +-k pair is summed once, doubled (module docstring).
     """
     _check_grid(kgrid, Periodicity.P3)
-    _check_xi(xi)
-    tpos, at_sources = _target_positions(system, targets)
+    tpos, at_sources = _resolve(system, xi, targets)
     return _kspace(Periodicity.P3, system, tpos, at_sources, xi, kgrid)
 
 
@@ -332,8 +334,7 @@ def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
     a grid not closed under negation or holding k = 0 is rejected.
     """
     _check_grid(kgrid, Periodicity.P2)
-    _check_xi(xi)
-    tpos, at_sources = _target_positions(system, targets)
+    tpos, at_sources = _resolve(system, xi, targets)
     return _kspace(Periodicity.P2, system, tpos, at_sources, xi, kgrid)
 
 
@@ -348,8 +349,7 @@ def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
     holding k = 0 is rejected.
     """
     _check_grid(kgrid, Periodicity.P1)
-    _check_xi(xi)
-    tpos, at_sources = _target_positions(system, targets)
+    tpos, at_sources = _resolve(system, xi, targets)
     return _kspace(Periodicity.P1, system, tpos, at_sources, xi, kgrid)
 
 
@@ -358,8 +358,7 @@ def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
     -(2 sqrt(pi)/L1L2) sum_n q_n [ e^{-xi^2 dz^2}/xi + sqrt(pi) dz erf(xi dz) ].
     """
     require_neutral(system)
-    _check_xi(xi)
-    tpos, _ = _target_positions(system, targets)
+    tpos, _ = _resolve(system, xi, targets)
     return _zero(Periodicity.P2, system, tpos, xi)
 
 
@@ -374,8 +373,7 @@ def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets):
     the axis of a source included.
     """
     require_neutral(system)
-    _check_xi(xi)
-    tpos, _ = _target_positions(system, targets)
+    tpos, _ = _resolve(system, xi, targets)
     return _zero(Periodicity.P1, system, tpos, xi)
 
 
@@ -390,11 +388,11 @@ def ewald_potential(system: ParticleSystem, mode: Periodicity,
     and the image and k-grid construction each run once per call; a target
     that coincides with a source is rejected by the real-space layer.
     """
-    tpos, at_sources = _target_positions(system, targets)
-    require_neutral(system)
     if not isinstance(params, EwaldParams):
         raise ValueError("params must be an EwaldParams")
-    mode = Periodicity(mode) if not isinstance(mode, Periodicity) else mode
+    tpos, at_sources = _resolve(system, params.xi, targets)
+    require_neutral(system)
+    mode = Periodicity(mode)
     wrapped = system.wrapped(mode)
     if at_sources:
         tpos = wrapped.positions

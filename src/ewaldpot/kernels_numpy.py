@@ -372,13 +372,16 @@ def zero_mode_2p(zpos, q, ztar, xi, area):
 
 def _log_e1_bracket_array(x):
     # -gamma - log(x) - E1(x), continued to 0 at x = 0; series below 1e-3
-    # where the log cancellation would otherwise cost accuracy
-    small = x < 1e-3
-    xs = np.where(small, x, 1.0)
-    series = xs * (-1.0 + xs * (0.25 - xs / 18.0))
-    xl = np.where(small | (x == 0.0), 1.0, x)
-    direct = -EULER_GAMMA - _libm(math.log, xl) - sp.exp1(xl)
-    return np.where(x == 0.0, 0.0, np.where(small, series, direct))
+    # where the log cancellation would otherwise cost accuracy.  Each form
+    # is evaluated on the elements it serves only
+    out = np.zeros_like(x)
+    small = (x > 0.0) & (x < 1e-3)
+    xs = x[small]
+    out[small] = xs * (-1.0 + xs * (0.25 - xs / 18.0))
+    large = x >= 1e-3
+    xl = x[large]
+    out[large] = -EULER_GAMMA - _libm(math.log, xl) - sp.exp1(xl)
+    return out
 
 
 def zero_mode_1p(pos, q, targets, xi, length):

@@ -71,7 +71,10 @@ def bessel_k0(x):
 # Exponential integral E1
 # --------------------------------------------------------------------------
 
-def _e1_scalar(v):
+def expint_e1(v):
+    """Exponential integral E1(v) = int_v^inf e^{-t}/t dt, v > 0."""
+    if not v > 0.0:
+        raise ValueError("expint_e1 requires v > 0")
     if v <= 1.0:
         # E1(v) = -gamma - log(v) + sum_{k>=1} (-1)^{k+1} v^k / (k k!)
         s = 0.0
@@ -108,13 +111,6 @@ def _e1_scalar(v):
     return f * math.exp(-v)
 
 
-def expint_e1(v):
-    """Exponential integral E1(v) = int_v^inf e^{-t}/t dt, v > 0."""
-    if not v > 0.0:
-        raise ValueError("expint_e1 requires v > 0")
-    return _e1_scalar(v)
-
-
 # --------------------------------------------------------------------------
 # Incomplete Bessel K0(u, v)
 # --------------------------------------------------------------------------
@@ -124,9 +120,21 @@ _QUAD_TOL = 1e-12
 _QUAD_LIMIT = 400
 
 
-def _k0inc_scalar(u, v):
+def incomplete_bessel_k0(u, v):
+    """Incomplete modified Bessel function K0(u, v).
+
+    Evaluates int_1^inf t^-1 exp(-u*t - v/t) dt for u > 0, v >= 0 by
+    scipy.integrate.quad, to 1e-12 absolute or relative, whichever is
+    looser.  The integral diverges logarithmically at u = 0, so u <= 0 is
+    rejected.  RuntimeError is raised when quad reports that it missed the
+    tolerance, for instance once its 400 subintervals are spent.
+    """
+    if not u > 0.0:
+        raise ValueError("incomplete_bessel_k0 requires u > 0")
+    if v < 0.0:
+        raise ValueError("incomplete_bessel_k0 requires v >= 0")
     if v == 0.0:
-        return _e1_scalar(u)
+        return expint_e1(u)
     # Imported here, not with the module: scipy.integrate adds about 25 MB
     # of RSS and 0.5 s to `import ewaldpot`, and no evaluation calls this.
     from scipy.integrate import quad
@@ -153,22 +161,6 @@ def _k0inc_scalar(u, v):
     return val
 
 
-def incomplete_bessel_k0(u, v):
-    """Incomplete modified Bessel function K0(u, v).
-
-    Evaluates int_1^inf t^-1 exp(-u*t - v/t) dt for u > 0, v >= 0 by
-    scipy.integrate.quad, to 1e-12 absolute or relative, whichever is
-    looser.  The integral diverges logarithmically at u = 0, so u <= 0 is
-    rejected.  RuntimeError is raised when quad reports that it missed the
-    tolerance, for instance once its 400 subintervals are spent.
-    """
-    if not u > 0.0:
-        raise ValueError("incomplete_bessel_k0 requires u > 0")
-    if v < 0.0:
-        raise ValueError("incomplete_bessel_k0 requires v >= 0")
-    return _k0inc_scalar(u, v)
-
-
 # --------------------------------------------------------------------------
 # Screened planar kernel g and its zero-wavenumber limit A
 # --------------------------------------------------------------------------
@@ -184,14 +176,6 @@ def _g_half(arg, kz, c):
     return math.exp(kz) * math.erfc(arg)
 
 
-def _g_scalar(kbar, z, xi):
-    h = 0.5 * kbar / xi
-    w = xi * z
-    c = h * h + w * w
-    kz = kbar * z
-    return _g_half(h + w, kz, c) + _g_half(h - w, -kz, c)
-
-
 def g_screened(kbar, z, xi):
     """Screened planar kernel e^{kz} erfc(k/2xi + xi z) + e^{-kz} erfc(k/2xi - xi z).
 
@@ -202,13 +186,11 @@ def g_screened(kbar, z, xi):
         raise ValueError("g_screened requires kbar > 0")
     if not xi > 0.0:
         raise ValueError("g_screened requires xi > 0")
-    return _g_scalar(kbar, z, xi)
-
-
-def _a_limit_scalar(z, xi):
-    zz = xi * z
-    return -2.0 * (math.exp(-zz * zz) / (xi * SQRT_PI) - abs(z)
-                   + z * math.erf(zz))
+    h = 0.5 * kbar / xi
+    w = xi * z
+    c = h * h + w * w
+    kz = kbar * z
+    return _g_half(h + w, kz, c) + _g_half(h - w, -kz, c)
 
 
 def zero_mode_limit_a(z, xi):
@@ -219,4 +201,6 @@ def zero_mode_limit_a(z, xi):
     """
     if not xi > 0.0:
         raise ValueError("zero_mode_limit_a requires xi > 0")
-    return _a_limit_scalar(z, xi)
+    zz = xi * z
+    return -2.0 * (math.exp(-zz * zz) / (xi * SQRT_PI) - abs(z)
+                   + z * math.erf(zz))

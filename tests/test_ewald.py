@@ -35,8 +35,8 @@ from ewaldpot.ewald import (
 )
 from ewaldpot.specfun import (
     EULER_GAMMA,
-    _g_scalar,
     expint_e1,
+    g_screened,
 )
 
 
@@ -188,10 +188,15 @@ def test_kspace_3p_kmax_doubling():
     (Periodicity.P3, [[-6.0, 0.0, 0.0], [6.0, 0.0, 0.0], [0.0, 6.0, -6.0]]),
     (Periodicity.P1, [-6.0, 6.0, 12.0]),
     (Periodicity.P2, [[-6.0, 0.0], [6.0, 0.0], [6.0, 4.0]]),
+    (Periodicity.P3, [[6.0, 0.0, -6.0], [-6.0, 0.0, 6.0], [6.0, 0.0, -6.0]]),
+    (Periodicity.P1, [6.0, -6.0, 6.0]),
+    (Periodicity.P2, [[6.0, 4.0], [6.0, 4.0], [-6.0, -4.0]]),
 ])
 def test_kspace_rejects_grid_not_closed_under_negation(mode, vectors):
     # one vector lacks its negative: the half lattice of the k-space kernel
-    # would silently sum something else
+    # would silently sum something else.  In the last three grids every
+    # vector's negative is there, but one k occurs twice and -k once: the
+    # grid is closed as a set, not as a multiset
     rng = np.random.default_rng(23)
     s = random_neutral(rng, 4, np.array([1.0, 1.0, 1.0]))
     grid = KGrid(mode=mode, vectors=np.array(vectors))
@@ -205,13 +210,21 @@ def test_kspace_rejects_grid_not_closed_under_negation(mode, vectors):
     (Periodicity.P3, (0, 3)), (Periodicity.P2, (0, 2)), (Periodicity.P1, (0,)),
 ])
 def test_kspace_empty_grid_passes_the_closure_check(mode, shape):
-    # an empty grid is closed under negation; its sum is zero
+    # an empty grid is closed under negation; its sum is zero.  So is a
+    # grid that holds k twice and -k twice, in no sorted order: its sum is
+    # twice that of [k, -k]
     s = random_neutral(np.random.default_rng(31), 4, np.array([1.0, 1.0, 1.0]))
     kspace_sum = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
                   Periodicity.P1: kspace_sum_1p}[mode]
-    got = kspace_sum(s, 1.5, KGrid(mode=mode, vectors=np.zeros(shape)),
-                     EvalTargets.at_sources())
+    at = EvalTargets.at_sources()
+    got = kspace_sum(s, 1.5, KGrid(mode=mode, vectors=np.zeros(shape)), at)
     assert np.array_equal(got, np.zeros(4))
+    k = np.arange(6.0, 6.0 + np.prod(shape[1:])).reshape(shape[1:])
+    once = kspace_sum(s, 1.5, KGrid(mode=mode, vectors=np.array([k, -k])), at)
+    twice = kspace_sum(s, 1.5, KGrid(mode=mode,
+                                     vectors=np.array([-k, k, k, -k])), at)
+    assert np.abs(once).max() > 0.0
+    assert np.abs(twice - 2.0 * once).max() <= 1e-14 * np.abs(once).max()
 
 
 @pytest.mark.parametrize("mode, vectors", [
@@ -363,7 +376,7 @@ def _loop_2p(s, xi, vecs, tpos):
             for qn, x in zip(s.charges, s.positions):
                 ph = kx * (t[0] - x[0]) + ky * (t[1] - x[1])
                 want[m] += (math.pi / area / kb * qn * math.cos(ph)
-                            * _g_scalar(kb, t[2] - x[2], xi))
+                            * g_screened(kb, t[2] - x[2], xi))
     return want
 
 
@@ -979,8 +992,31 @@ def test_eval_targets_validation():
     msg = "targets must be an EvalTargets instance"
     with pytest.raises(ValueError, match=msg):
         ewald_potential(s, Periodicity.P3, par, None)
-    with pytest.raises(ValueError, match=msg):
-        real_space_sum(s, Periodicity.P3, 1.0, 1e30, 1, None)
+    # every layer function checks its targets and its xi in the same way;
+    # ewald_potential takes xi from an EwaldParams, which rejects xi <= 0
+    grid = {m: build_kgrid(box, m, 10.0) for m in Periodicity}
+    layers = [
+        lambda xi, t: real_space_sum(s, Periodicity.P3, xi, 1e30, 1, t),
+        lambda xi, t: kspace_sum_3p(s, xi, grid[Periodicity.P3], t),
+        lambda xi, t: kspace_sum_2p(s, xi, grid[Periodicity.P2], t),
+        lambda xi, t: kspace_sum_1p(s, xi, grid[Periodicity.P1], t),
+        lambda xi, t: zero_mode_2p(s, xi, t),
+        lambda xi, t: zero_mode_1p(s, xi, t),
+    ]
+    for layer in layers:
+        with pytest.raises(ValueError, match=msg):
+            layer(1.0, None)
+    for xi in (0.0, -1.0, math.nan):
+        for layer in layers:
+            with pytest.raises(ValueError, match="xi must be positive"):
+                layer(xi, EvalTargets.at_sources())
+        with pytest.raises(ValueError, match="xi must be positive"):
+            self_term(1.0, xi)
+        with pytest.raises(ValueError, match="xi must be positive"):
+            ewald_potential(s, Periodicity.P3,
+                            EwaldParams(xi, par.r_cut, par.k_max,
+                                        par.real_layers),
+                            EvalTargets.at_sources())
 
 
 def test_grid_mode_mismatch_errors():
@@ -1000,5 +1036,20 @@ def test_non_neutral_rejected():
     box = np.array([1.0, 1.0, 1.0])
     s = make_system([[0.2, 0.5, 0.5], [0.7, 0.5, 0.5]], [1.0, -0.9], box)
     par = default_params(box, Periodicity.P3)
-    with pytest.raises(ValueError):
-        ewald_potential(s, Periodicity.P3, par, EvalTargets.at_sources())
+    at = EvalTargets.at_sources()
+    msg = "requires neutrality"
+    with pytest.raises(ValueError, match=msg):
+        ewald_potential(s, Periodicity.P3, par, at)
+    with pytest.raises(ValueError, match=msg):
+        real_space_sum(s, Periodicity.P3, par.xi, par.r_cut, par.real_layers,
+                       at)
+    with pytest.raises(ValueError, match=msg):
+        zero_mode_2p(s, 1.0, at)
+    with pytest.raises(ValueError, match=msg):
+        zero_mode_1p(s, 1.0, at)
+    # the k-space sums are linear in the charges and take any
+    for mode, kspace_sum in ((Periodicity.P3, kspace_sum_3p),
+                             (Periodicity.P2, kspace_sum_2p),
+                             (Periodicity.P1, kspace_sum_1p)):
+        got = kspace_sum(s, 1.0, build_kgrid(box, mode, 10.0), at)
+        assert got.shape == (2,) and np.all(np.isfinite(got))

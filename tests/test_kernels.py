@@ -45,9 +45,9 @@ from ewaldpot.ewald import _extended_lattice
 from ewaldpot.specfun import (
     EULER_GAMMA,
     SQRT_PI,
-    _e1_scalar,
-    _g_scalar,
-    _k0inc_scalar,
+    expint_e1,
+    g_screened,
+    incomplete_bessel_k0,
 )
 
 
@@ -100,7 +100,7 @@ def ref_kspace_2p(pos, q, tpos, xi, kvecs, area):
         kb = math.hypot(k[0], k[1])
         for m, t in enumerate(tpos):
             for qn, x in zip(q, pos):
-                g = _g_scalar(kb, t[2] - x[2], xi)
+                g = g_screened(kb, t[2] - x[2], xi)
                 ph = k[0] * (t[0] - x[0]) + k[1] * (t[1] - x[1])
                 re[m] += math.pi / area / kb * qn * g * math.cos(ph)
     return re
@@ -115,7 +115,7 @@ def ref_kspace_1p(pos, q, tpos, xi, kz, length):
         for m, t in enumerate(tpos):
             for qn, x in zip(q, pos):
                 v = ((t[0] - x[0]) ** 2 + (t[1] - x[1]) ** 2) * xi * xi
-                k0 = _k0inc_scalar(u, v)
+                k0 = incomplete_bessel_k0(u, v)
                 re[m] += qn * 2.0 * math.cos(k3 * (t[2] - x[2])) * k0
     return re / length
 
@@ -142,7 +142,7 @@ def _bracket(x):
             s += term / k
             if abs(term / k) < 1e-18:
                 return s
-    return -EULER_GAMMA - math.log(x) - _e1_scalar(x)
+    return -EULER_GAMMA - math.log(x) - expint_e1(x)
 
 
 def ref_zero_mode_1p(pos, q, tpos, at_sources, xi, length):
@@ -151,7 +151,7 @@ def ref_zero_mode_1p(pos, q, tpos, at_sources, xi, length):
         for n, (qn, x) in enumerate(zip(q, pos)):
             rho2 = (t[0] - x[0]) ** 2 + (t[1] - x[1]) ** 2
             if not at_sources:
-                out[m] -= qn * (math.log(rho2) + _e1_scalar(rho2 * xi * xi))
+                out[m] -= qn * (math.log(rho2) + expint_e1(rho2 * xi * xi))
             elif n != m:
                 out[m] += qn * _bracket(rho2 * xi * xi)
     return out / length
@@ -352,14 +352,16 @@ def test_extended_lattice_matches_reference_loops(mode, box, offsets, pick,
                _ref_kspace(mode, s, t, par.xi, kgrid.vectors))
 
 
-def test_kspace_3p_memory_stays_bounded_on_a_spread_slab():
-    # 256 sources spread over z in [-500, 500], no gap wide enough to split
-    # them: one 2p lattice of 2.7e5 vectors, whose (M, K/2) cos and sin
-    # buffers would take 0.55 GB; slices of _K_ELEMENTS keep 160 MiB
+def test_kspace_3p_memory_stays_bounded_on_a_spread_slab(monkeypatch):
+    # 256 sources spread over z in [-100, 100], no gap wide enough to split
+    # them: one 2p lattice of 27,626 half-lattice vectors, whose (M, K/2)
+    # cos and sin buffers peak at 111 MiB in one slice against the 72 MiB
+    # bound; with _K_ELEMENTS at 2^22 the call takes two slices and 67 MiB
+    monkeypatch.setattr(kernels_numpy, "_K_ELEMENTS", 2 ** 22)
     box = np.array([1.0, 1.1, 0.9])
     s = _uniform_system(256, box, 16)
     pos = np.array(s.positions)
-    pos[:, 2] = np.linspace(-500.0, 500.0, len(pos))
+    pos[:, 2] = np.linspace(-100.0, 100.0, len(pos))
     s = ParticleSystem(pos, s.charges, box)
     par = default_params(box, Periodicity.P2)
     kgrid = build_kgrid(box, Periodicity.P2, par.k_max)
