@@ -45,7 +45,10 @@ on the blocks, so neither do the bytes.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
+import weakref
 
 import numpy as np
 from scipy import special as sp
@@ -70,6 +73,38 @@ _ROW_ELEMENTS = 2 ** 15
 #: fits in one slice.  Off the sources it needs no slices: slices would
 #: only repeat the per-axis tables of every target once per slice
 _K_ELEMENTS = 10 * 2 ** 20
+
+#: a kspace_3p buffer of this many bytes or more gets its own anonymous map
+_MAP_BYTES = 8 * 2 ** 20
+
+#: the tracemalloc domain numpy reports its data allocations under
+_NUMPY_TRACE_DOMAIN = 389047
+
+
+def _buffer(rows, cols):
+    """An uninitialised (rows, cols) float64 array, in its own anonymous map
+    when it takes _MAP_BYTES or more.
+
+    glibc maps a large block and, once one is freed, raises its mmap
+    threshold (up to 32 MiB) and serves the next from the heap, which keeps
+    it resident after the call: 29 MiB at the sources of a 3p call at
+    N=512 on the default grid.  A map is returned when the array is freed.
+    It asks for huge pages, as numpy does for its own large arrays, so its
+    pages fault in 2 MiB at a time.  A smaller buffer stays in the heap and
+    is reused by the next call.  A map is reported to tracemalloc, as numpy
+    reports its own allocations, for as long as it lives.
+    """
+    nbytes = 8 * rows * cols
+    if nbytes < _MAP_BYTES:
+        return np.empty((rows, cols))
+    region = mmap.mmap(-1, nbytes, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    region.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
+    flat = np.frombuffer(region, dtype=np.float64)
+    api = ctypes.pythonapi
+    domain, addr = ctypes.c_uint(_NUMPY_TRACE_DOMAIN), ctypes.c_size_t(flat.ctypes.data)
+    api.PyTraceMalloc_Track(domain, addr, ctypes.c_size_t(nbytes))
+    weakref.finalize(flat, api.PyTraceMalloc_Untrack, domain, addr)
+    return flat.reshape(rows, cols)
 
 
 def _target_blocks(targets, r_cut):
@@ -240,12 +275,12 @@ def _kspace_slice(pos, q, targets, at_sources, kx, ky, kz, w):
     blocks = _blocks(targets.shape[0], n_k)
     rows_b = max(b.stop - b.start for b in sources + blocks)
     rows_c = len(pos) if at_sources else rows_b
-    # c, s and the work buffers of _phases in one allocation: once glibc
-    # has freed a chunk that large, it raises its mmap and trim thresholds
-    # and keeps the next one in the heap.  Five chunks below the threshold
-    # (about 100 kB each at N = 24) could leave the heap top free after a
-    # call, trimmed and faulted in again by the next
-    buf = np.empty((2 * rows_c + 3 * rows_b, n_k))
+    # c, s and the work buffers of _phases in one allocation (_buffer):
+    # below _MAP_BYTES glibc keeps it in the heap once it has freed a chunk
+    # that large.  Five chunks below the threshold (about 100 kB each at
+    # N = 24) could leave the heap top free after a call, trimmed and
+    # faulted in again by the next
+    buf = _buffer(2 * rows_c + 3 * rows_b, n_k)
     c, s = buf[:rows_c], buf[rows_c:2 * rows_c]
     work = [buf[2 * rows_c + i * rows_b:2 * rows_c + (i + 1) * rows_b]
             for i in range(3)]

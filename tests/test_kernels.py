@@ -428,6 +428,33 @@ def test_kspace_3p_irregular_grid_matches_reference_loops():
                                   grid.vectors, volume))
 
 
+def test_kspace_3p_buffers_in_maps_keep_the_bytes(monkeypatch):
+    # a buffer of _MAP_BYTES or more is an anonymous map, which tracemalloc
+    # sees as long as it lives; the bytes do not depend on where the
+    # buffers live
+    s = _uniform_system(64, [1.0, 1.1, 0.9], 46)
+    grid = build_kgrid(s.box, Periodicity.P3, 40.0)
+    pts = np.random.default_rng(47).uniform(-0.5, 0.5, (50, 3))
+    assert kernels_numpy._buffer(2, 3).base is None   # numpy's own memory
+    tracemalloc.start()
+    try:
+        big = kernels_numpy._buffer(1024, 1024)
+        assert big.shape == (1024, 1024) and big.flags.writeable
+        assert big.base is not None                   # a view of the map
+        held = tracemalloc.get_traced_memory()[0]
+        del big
+        freed = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - freed >= 8 * 2 ** 20, (held, freed)
+    for targets in (EvalTargets.at_sources(), EvalTargets.at_points(pts)):
+        got = {}
+        for limit in (0, math.inf):
+            monkeypatch.setattr(kernels_numpy, "_MAP_BYTES", limit)
+            got[limit] = kspace_sum_3p(s, 2.0, grid, targets)
+        assert got[0].tobytes() == got[math.inf].tobytes()
+
+
 def test_kspace_3p_tables_span_the_pairs_that_occur():
     # on an irregular grid every half-lattice vector has its own kx and ky:
     # one (point, distinct kx, distinct ky) table would take 8 M Ux Uy
