@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True,
                    help="periodicity: 1p (z), 2p (x,y) or 3p")
     p.add_argument("--xi", default=None,
-                   help="decomposition parameter, or comma list with --sweep xi")
+                   help="decomposition parameter (default: default_xi of the box, "
+                        "N and M), or comma list with --sweep xi")
     p.add_argument("--rcut", default=None,
                    help="real-space cutoff, or comma list with --sweep rcut")
     p.add_argument("--kmax", default=None,
@@ -294,8 +295,6 @@ def build_config(args) -> RunConfig:
     xi_values = _parse_values(args.xi, "--xi", args.sweep == "xi")
     rc_values = _parse_values(args.rcut, "--rcut", args.sweep == "rcut")
     km_values = _parse_values(args.kmax, "--kmax", args.sweep == "kmax")
-    if not xi_values:
-        xi_values = (default_xi(system.box, mode),)
     if args.sweep == "xi" and len(xi_values) < 2:
         raise ValueError("--sweep xi needs a comma list in --xi")
     if args.sweep == "rcut" and len(rc_values) < 2:
@@ -306,6 +305,9 @@ def build_config(args) -> RunConfig:
         targets = EvalTargets.at_sources()
     else:
         targets = EvalTargets.at_points(read_target_points(args.targets))
+    if not xi_values:
+        m = None if targets.is_sources else len(targets.points)
+        xi_values = (default_xi(system.box, mode, n=len(system), m=m),)
     return RunConfig(system=system, mode=mode, xi_values=xi_values,
                      r_cut_values=rc_values, k_max_values=km_values,
                      targets=targets, sweep=args.sweep,

@@ -149,51 +149,81 @@ class EwaldParams:
             raise ValueError(f"real_layers must be a non-negative integer, got {self.real_layers}")
 
     def check(self, tol: float = 1e-12) -> list:
-        """Return a list of warning strings for unbalanced truncation settings."""
+        """Return a list of warning strings for truncation tails above tol.
+
+        Both tails are Gaussian: e^-(xi r_cut)^2 in real space and
+        e^-(k_max/2xi)^2 in k space.  Each warns when its argument falls
+        short of the cut a = sqrt(ln(1/tol)) of default_params by more than
+        the rounding of r_cut = a/xi and k_max = 2 xi a (relative 1e-12).
+        """
+        a = _gauss_cut(tol) * (1.0 - 1e-12)
         warnings = []
-        if math.isfinite(self.r_cut) and math.erfc(self.xi * self.r_cut) >= tol:
+        x = self.xi * self.r_cut
+        if x < a:
             warnings.append(
-                f"erfc(xi*r_cut) = {math.erfc(self.xi * self.r_cut):.3e} >= {tol:.1e}; "
+                f"exp(-(xi*r_cut)^2) = {math.exp(-x * x):.3e} > {tol:.1e}; "
                 "real-space truncation error may dominate"
             )
-        if math.exp(-0.25 * (self.k_max / self.xi) ** 2) >= tol:
+        x = 0.5 * self.k_max / self.xi
+        if x < a:
             warnings.append(
-                f"exp(-k_max^2/4xi^2) = {math.exp(-0.25 * (self.k_max / self.xi) ** 2):.3e} "
-                f">= {tol:.1e}; k-space truncation error may dominate"
+                f"exp(-k_max^2/4xi^2) = {math.exp(-x * x):.3e} > {tol:.1e}; "
+                "k-space truncation error may dominate"
             )
         return warnings
 
 
-#: default xi times the smallest periodic box length, per mode
-_XI_TIMES_L = {Periodicity.P1: 1.0, Periodicity.P2: 2.0, Periodicity.P3: 8.0}
+def _gauss_cut(tol: float) -> float:
+    """a = sqrt(ln(1/tol)), the argument at which a Gaussian tail e^-a^2 is tol."""
+    return math.sqrt(-math.log(tol))
 
 
-def default_xi(box, mode: Periodicity) -> float:
-    """Default decomposition parameter: c / (smallest periodic box length).
+#: (c, n_fit) per mode: default xi = c (n_eff / n_fit)^(1/6) / min periodic L;
+#: n_fit None means no dependence on N or M
+_XI_LAW = {Periodicity.P1: (1.0, None), Periodicity.P2: (2.25, 64),
+           Periodicity.P3: (6.0, 512)}
 
-    c is 1 in 1p (xi = 1/L3), 2 in 2p (xi = 2/min(L1, L2)) and 8 in 3p
-    (xi = 8/min L).  Every mode sums its k space as a 3p sum, over the
-    2p and 1p lattices extended along the free axes, at a cost of about
-    (M + N) K; real space costs about M N times a count set by the box and
-    xi.  The fastest xi therefore moves with N and M, which this function
-    does not see.  The 2p constant is the fastest of c in {1.5, 2, 2.5, 3}
-    at the benchmark's N = 64, at the same accuracy.  In 1p a smaller c is
-    faster, but a c below about 0.8 empties the k grid at 0.7 xi and tol
-    1e-14, which would leave the xi-invariance checks no k-space sum to
-    test; 1 is the smallest round constant above that.
+
+def default_xi(box, mode: Periodicity, n: int | None = None,
+               m: int | None = None) -> float:
+    """Default decomposition parameter, c (n_eff / n_fit)^(1/6) / min periodic L.
+
+    n is the number of sources and m the number of off-source targets
+    (None: the targets are the sources).  Real space costs about
+    M N r_cut^3 / V, or M N / xi^3 at the Gaussian cut of default_params,
+    and k space about N K at the sources or (M + N) K off them, with
+    K proportional to xi^3.  The two balance at xi^6 proportional to
+    n_eff = n at the sources, n m / (n + m) off them.  Without n, n_eff =
+    n_fit and xi = c / min periodic L.
+
+    The constants come from scans at the benchmark's sizes (README, the
+    table after default_params): c = 6 at n_fit = 512 in 3p, c = 2.25 at
+    n_fit = 64 in 2p.  In 1p, c = 1 for every n and m: a smaller c is
+    faster, but below about 0.8 the k grid at 0.7 xi and tol 1e-14 is
+    empty, which would leave the xi-invariance checks no k-space sum to
+    test, and the 1p zero mode, whose cost does not depend on xi,
+    dominates at large N.
     """
+    if (n is not None and n < 1) or (m is not None and m < 1):
+        raise ValueError(f"n and m must be at least 1, got n={n}, m={m}")
+    c, n_fit = _XI_LAW[mode]
+    if n_fit is not None and n is not None:
+        n_eff = n if m is None else n * m / (n + m)
+        c *= (n_eff / n_fit) ** (1.0 / 6.0)
     box = np.asarray(box, dtype=np.float64)
-    return _XI_TIMES_L[mode] / float(np.min(box[list(mode.periodic_axes)]))
+    return c / float(np.min(box[list(mode.periodic_axes)]))
 
 
 def default_params(box, mode: Periodicity, xi: float | None = None,
-                   tol: float = 1e-14) -> EwaldParams:
-    """Balanced truncation heuristics.
+                   tol: float = 1e-14, n: int | None = None,
+                   m: int | None = None) -> EwaldParams:
+    """Truncation at one Gaussian cut, with both tails equal to tol.
 
-    xi defaults to default_xi(box, mode).  r_cut solves erfc(xi*r_cut) <=
-    tol (about 5.4/xi at tol=1e-14), k_max solves exp(-k_max^2/4xi^2) <=
-    tol (about 11.4*xi), and real_layers = ceil(r_cut / min periodic L).
-    An explicit xi must be positive and finite and tol must lie in (0, 1).
+    xi defaults to default_xi(box, mode, n, m).  With a = sqrt(ln(1/tol))
+    (about 5.68 at tol = 1e-14), r_cut = a/xi and k_max = 2 a xi, so the
+    real-space tail e^-(xi r_cut)^2 and the k-space tail e^-(k_max/2xi)^2
+    both equal tol; real_layers = ceil(r_cut / min periodic L).  An
+    explicit xi must be positive and finite and tol must lie in (0, 1).
     """
     if xi is not None and not (xi > 0.0 and math.isfinite(xi)):
         raise ValueError(f"xi must be positive and finite, got {xi}")
@@ -201,17 +231,10 @@ def default_params(box, mode: Periodicity, xi: float | None = None,
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     box = np.asarray(box, dtype=np.float64)
     if xi is None:
-        xi = default_xi(box, mode)
-    # invert erfc by bisection: erfc is strictly decreasing
-    lo, hi = 0.0, 30.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid) > tol:
-            lo = mid
-        else:
-            hi = mid
-    r_cut = hi / xi
-    k_max = 2.0 * xi * math.sqrt(-math.log(tol))
+        xi = default_xi(box, mode, n, m)
+    a = _gauss_cut(tol)
+    r_cut = a / xi
+    k_max = 2.0 * xi * a
     return EwaldParams(xi=float(xi), r_cut=r_cut, k_max=k_max,
                        real_layers=_image_layers(box, mode, r_cut))
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,14 +151,60 @@ def test_image_shell_partial_sums_permutation_invariant(rng):
 
 
 def test_default_params_balance():
+    # one Gaussian cut a = sqrt(ln(1/tol)) sets both tails to tol
     p = default_params([1, 1, 1], Periodicity.P3)
-    assert p.xi == pytest.approx(8.0)
-    assert np.isclose(np.e ** (-0.25 * (p.k_max / p.xi) ** 2), 1e-14, rtol=1e-6)
-    import math
-
-    assert math.erfc(p.xi * p.r_cut) <= 1e-14
+    assert p.xi == pytest.approx(6.0)
+    assert math.exp(-(p.xi * p.r_cut) ** 2) == pytest.approx(1e-14, rel=1e-12)
+    assert (math.exp(-0.25 * (p.k_max / p.xi) ** 2)
+            == pytest.approx(1e-14, rel=1e-12))
     assert p.real_layers == 1
     assert p.check() == []
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14, 1e-16])
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_default_params_pass_their_own_check(mode, tol):
+    # check() tests the cut default_params makes: the defaults pass at
+    # every xi, and 1% short of the cut on either side warns
+    box = [1.0, 1.1, 0.9]
+    params = [default_params(box, mode, tol=tol, n=n, m=m)
+              for n, m in ((None, None), (2, None), (64, 1000), (4096, None))]
+    params += [default_params(box, mode, xi=xi, tol=tol)
+               for xi in np.geomspace(0.01, 100.0, 97)]
+    for p in params:
+        assert p.check(tol) == [], p
+        short_r = replace(p, r_cut=0.99 * p.r_cut).check(tol)
+        short_k = replace(p, k_max=0.99 * p.k_max).check(tol)
+        assert len(short_r) == 1 and "real-space" in short_r[0]
+        assert len(short_k) == 1 and "k-space" in short_k[0]
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_default_xi_scales_as_the_sixth_root_of_n_eff(mode):
+    # xi = c (n_eff / n_fit)^(1/6) / min periodic L, n_eff = n at the
+    # sources and n m / (n + m) off them; c alone without n, and in 1p
+    # for every n and m
+    box = [1.0, 1.1, 0.9]
+    min_l = min(box[a] for a in mode.periodic_axes)
+    c, n_fit = {Periodicity.P1: (1.0, None), Periodicity.P2: (2.25, 64),
+                Periodicity.P3: (6.0, 512)}[mode]
+    assert default_xi(box, mode) == c / min_l
+    assert default_xi(box, mode, m=1000) == c / min_l
+    for n, m in ((2, None), (64, None), (512, None), (4096, None),
+                 (64, 1000), (512, 512), (1000, 3)):
+        n_eff = n if m is None else n * m / (n + m)
+        want = c / min_l
+        if n_fit is not None:
+            want *= (n_eff / n_fit) ** (1.0 / 6.0)
+        assert default_xi(box, mode, n=n, m=m) == pytest.approx(want, rel=1e-14)
+        assert default_params(box, mode, n=n, m=m).xi == default_xi(box, mode, n, m)
+    if n_fit is not None:
+        assert default_xi(box, mode, n=n_fit) == pytest.approx(c / min_l, rel=1e-15)
+        assert (default_xi(box, mode, n=64 * n_fit)
+                == pytest.approx(2.0 * c / min_l, rel=1e-14))
+    for bad in ({"n": 0}, {"n": 4, "m": 0}):
+        with pytest.raises(ValueError, match="^n and m must"):
+            default_xi(box, mode, **bad)
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -178,7 +225,7 @@ def test_default_params_p1_uses_periodic_length():
 
 def test_default_params_p2_uses_smallest_periodic_length():
     p = default_params([3.0, 2.0, 0.5], Periodicity.P2)
-    assert p.xi == pytest.approx(1.0)
+    assert p.xi == pytest.approx(1.125)
     assert p.real_layers == 3
 
 

@@ -518,11 +518,13 @@ def test_kspace_3p_holds_two_target_buffers():
 def test_kspace_3p_buffers_span_half_the_lattice():
     # one k of each +-k pair: the (M, K/2) cos and sin buffers bound the
     # kernel's peak at the sources, and on a 4^3 grid, where row blocks
-    # replace them
+    # replace them.  At xi = 8 / min L, K = 17,198; the three work rows of
+    # _phases take a fixed 0.75 MiB, which at the K of the default xi
+    # (6 / min L) exceeds the bound's margin
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(rng, 64, box)
-    par = default_params(box, Periodicity.P3)
+    par = default_params(box, Periodicity.P3, xi=8.0 / 0.9)
     kv = build_kgrid(box, Periodicity.P3, par.k_max).vectors
     axis = (np.arange(4) + 0.5) / 4
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
@@ -715,6 +717,42 @@ def test_ewald_xi_invariance_property(n, box, mode, seed, log_offset, far):
                                 default_params(box, mode, xi=f * xi0),
                                 targets).total for f in (0.8, 1.25))
         assert np.abs(a - b).max() < 1e-8, np.abs(a - b)
+
+
+#: bound on max|total - reference| / (xi sum|q| + max|reference|) for
+#: default_params: the worst of 16000 random cases like those below (n
+#: 2-16, m 1-8, boxes 0.5-2, every mode, at and off the sources) was
+#: 2.9e-15, 1p off the sources; 2p and 3p stayed below 1.5e-15.  The
+#: bound leaves a margin of 7
+DEFAULT_ACCURACY_BOUND = 2e-14
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 16),
+       m=st.integers(1, 8),
+       box=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+       mode=st.sampled_from(list(Periodicity)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_default_params_meet_a_tight_reference_property(n, m, box, mode, seed):
+    # default_params, with N and M forwarded, at the sources and at m
+    # random points, against the benchmark's reference: tol = 1e-16 at
+    # 0.75 xi.  A truncated term is about q xi tol, so the error is scaled
+    # by xi sum|q|, which holds where the potential cancels, plus
+    # max|reference|, the rounding of a potential made large by two close
+    # charges
+    rng = np.random.default_rng(seed)
+    box = np.asarray(box)
+    s = random_neutral(rng, n, box)
+    pts = rng.uniform(0.0, 1.0, (m, 3)) * box
+    for targets, m_arg in ((EvalTargets.at_sources(), None),
+                           (EvalTargets.at_points(pts), m)):
+        par = default_params(box, mode, n=n, m=m_arg)
+        got = ewald_potential(s, mode, par, targets).total
+        ref = ewald_potential(s, mode, default_params(box, mode, xi=0.75 * par.xi,
+                                                      tol=1e-16), targets).total
+        scale = par.xi * np.abs(s.charges).sum() + np.abs(ref).max()
+        err = np.abs(got - ref).max() / scale
+        assert err <= DEFAULT_ACCURACY_BOUND, (err, par)
 
 
 @settings(max_examples=40)
