@@ -139,14 +139,10 @@ class EwaldParams:
     real_layers: int
 
     def __post_init__(self):
-        if not (self.xi > 0.0 and math.isfinite(self.xi)):
-            raise ValueError(f"xi must be positive and finite, got {self.xi}")
-        if not self.r_cut > 0.0:
-            raise ValueError(f"r_cut must be positive, got {self.r_cut}")
-        if not (self.k_max > 0.0 and math.isfinite(self.k_max)):
-            raise ValueError(f"k_max must be positive and finite, got {self.k_max}")
-        if self.real_layers < 0 or int(self.real_layers) != self.real_layers:
-            raise ValueError(f"real_layers must be a non-negative integer, got {self.real_layers}")
+        require_positive("xi", self.xi)
+        require_positive("r_cut", self.r_cut, finite=False)
+        require_positive("k_max", self.k_max)
+        require_layers("real_layers", self.real_layers)
 
     def check(self, tol: float = 1e-12) -> list:
         """Return a list of warning strings for truncation tails above tol.
@@ -171,6 +167,24 @@ class EwaldParams:
                 "k-space truncation error may dominate"
             )
         return warnings
+
+
+def require_positive(name: str, value, finite: bool = True):
+    """Raise ValueError unless value > 0, and finite unless finite is False.
+
+    The one check of xi and k_max (finite) and of r_cut (infinity allowed),
+    wherever a function takes them.
+    """
+    if not (value > 0.0 and (math.isfinite(value) or not finite)):
+        rule = "positive and finite" if finite else "positive"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def require_layers(name: str, value):
+    """Raise ValueError unless value, a count of image shells, is a
+    non-negative integer."""
+    if not (value >= 0 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 def _gauss_cut(tol: float) -> float:
@@ -225,8 +239,8 @@ def default_params(box, mode: Periodicity, xi: float | None = None,
     both equal tol; real_layers = ceil(r_cut / min periodic L).  An
     explicit xi must be positive and finite and tol must lie in (0, 1).
     """
-    if xi is not None and not (xi > 0.0 and math.isfinite(xi)):
-        raise ValueError(f"xi must be positive and finite, got {xi}")
+    if xi is not None:
+        require_positive("xi", xi)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     box = np.asarray(box, dtype=np.float64)
@@ -279,10 +293,10 @@ def _index_mesh(nmax):
 def build_kgrid(box, mode: Periodicity, k_max: float) -> KGrid:
     """All nonzero wave vectors 2*pi*(n_i/L_i) with Euclidean norm <= k_max.
 
-    An empty grid is legal (the k-space sum is then zero).
+    An empty grid is legal (the k-space sum is then zero).  k_max must be
+    positive and finite.
     """
-    if not k_max > 0.0:
-        raise ValueError(f"k_max must be positive, got {k_max}")
+    require_positive("k_max", k_max)
     box = np.asarray(box, dtype=np.float64)
     axes = list(mode.periodic_axes)
     base = 2.0 * np.pi / box[axes]
@@ -303,10 +317,10 @@ def build_image_vectors(box, mode: Periodicity, layers: int) -> np.ndarray:
 
     Returns an (P, 3) array ordered by shell (max-norm of the integer index)
     ascending, p = 0 first, lexicographic within a shell, so truncation
-    corresponds to whole symmetric shells.
+    corresponds to whole symmetric shells.  layers must be a non-negative
+    integer.
     """
-    if layers < 0:
-        raise ValueError(f"layers must be >= 0, got {layers}")
+    require_layers("layers", layers)
     box = np.asarray(box, dtype=np.float64)
     axes = list(mode.periodic_axes)
     idx = _index_mesh([layers] * len(axes))

@@ -21,7 +21,8 @@ one kernel of kernels_numpy.  The public per-layer functions
 (real_space_sum, kspace_sum_*, zero_mode_*) validate their own arguments,
 without wrapping, and run the same layer code.  _resolve is the one check
 that every entry point taking targets shares: it rejects targets that are
-not an EvalTargets and a xi that is not positive, and resolves the targets
+not an EvalTargets and a xi that is not positive and finite (by
+core.require_positive, the check of EwaldParams), and resolves the targets
 to positions.  ewald_potential, real_space_sum and the zero modes also
 require neutrality; the k-space sums are linear in the charges and take
 any.
@@ -95,6 +96,7 @@ from .core import (
     build_image_vectors,
     build_kgrid,
     require_neutral,
+    require_positive,
     wrap_positions,
 )
 from .specfun import SQRT_PI
@@ -155,12 +157,11 @@ class EvalTargets:
 
 
 def _resolve(system: ParticleSystem, xi, targets):
-    """Check that targets is an EvalTargets and xi > 0; return the (M, 3)
-    target positions and whether they are the sources."""
+    """Check that targets is an EvalTargets and xi is positive and finite;
+    return the (M, 3) target positions and whether they are the sources."""
     if not isinstance(targets, EvalTargets):
         raise ValueError("targets must be an EvalTargets instance")
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
+    require_positive("xi", xi)
     if targets.is_sources:
         return system.positions, True
     return targets.points, False
@@ -298,18 +299,20 @@ def real_space_sum(system: ParticleSystem, mode: Periodicity, xi: float,
     Image shifts run over build_image_vectors(box, mode, layers); pair
     terms beyond r_cut are dropped and the (n = m, p = 0) term is skipped
     when evaluating at sources.  The formula is mode-independent — only
-    the image lattice differs.
+    the image lattice differs.  r_cut and layers follow the rules of
+    EwaldParams: r_cut > 0 (infinity allowed), layers a non-negative
+    integer.
     """
     require_neutral(system)
     tpos, at_sources = _resolve(system, xi, targets)
+    require_positive("r_cut", r_cut, finite=False)
     images = build_image_vectors(system.box, mode, layers)
     return _real(system, tpos, at_sources, images, xi, r_cut)
 
 
 def self_term(q_m: float, xi: float) -> float:
     """Self correction -(2 xi / sqrt(pi)) q_m for a charge at its own location."""
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
+    require_positive("xi", xi)
     return -(2.0 * xi / SQRT_PI) * q_m
 
 

@@ -23,10 +23,14 @@ grid extended along its free axes (in 3p the grid as it is), with the
 Ewald weight 8 pi/V e^{-k^2/4xi^2}/k^2 (see the ewald module docstring).
 The kernel returns the real part only and never forms the imaginary part.
 It takes cos and sin of k.x from per-axis tables: libm cos and sin of
-x kx, y ky and z kz, one entry per point and distinct component, combined
-over the distinct (kx, ky) pairs and then per vector by
+x kx, y ky and z kz, one entry per point and distinct component of the
+whole vector set, built once per point, combined over the distinct
+(kx, ky) pairs of a slice of vectors and then per vector by
 cos(a + b) = cos a cos b - sin a sin b and
-sin(a + b) = sin a cos b + cos a sin b (see _phases).  It evaluates in a
+sin(a + b) = sin a cos b + cos a sin b (see _phases).  One slice rule
+holds at the sources and off them: at most _K_ELEMENTS // N vectors, so
+no array of the kernel spans (points, K), and the sums of the slices are
+added in a fixed binary tree (_pairwise).  It evaluates in a
 fixed, written-down order with elementwise numpy operations and reductions
 only: each product and sum is its own float64 operation, with no complex
 arithmetic, no fused step and no matrix product (so no BLAS kernel, whose
@@ -38,17 +42,15 @@ depend on neither the BLAS build nor numpy's SIMD dispatch level for these
 functions.
 
 Every kernel takes its points in row blocks under _ROW_ELEMENTS (_blocks),
-real space the targets of each spatial block in runs under it, so no
-kernel forms an (M, N) array; a row's terms and their order do not depend
-on the blocks, so neither do the bytes.
+real space the targets of each spatial block in runs under it and
+kspace_3p its targets off the sources, so no kernel forms an (M, N)
+array; a row's terms and their order do not depend on the blocks, so
+neither do the bytes.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import mmap
-import weakref
 
 import numpy as np
 from scipy import special as sp
@@ -67,44 +69,11 @@ _FEW_TARGETS = 128
 #: the cell when r_cut is long against it, no array spans all image points
 _ROW_ELEMENTS = 2 ** 15
 
-#: at the sources kspace_3p takes its vectors in slices of at most
-#: this many (target, k) elements, and at least one k, which bounds its
-#: (N, slice) cos and sin buffers at 80 MiB each: every perfbench workload
-#: fits in one slice.  Off the sources it needs no slices: slices would
-#: only repeat the per-axis tables of every target once per slice
-_K_ELEMENTS = 10 * 2 ** 20
-
-#: a kspace_3p buffer of this many bytes or more gets its own anonymous map
-_MAP_BYTES = 8 * 2 ** 20
-
-#: the tracemalloc domain numpy reports its data allocations under
-_NUMPY_TRACE_DOMAIN = 389047
-
-
-def _buffer(rows, cols):
-    """An uninitialised (rows, cols) float64 array, in its own anonymous map
-    when it takes _MAP_BYTES or more.
-
-    glibc maps a large block and, once one is freed, raises its mmap
-    threshold (up to 32 MiB) and serves the next from the heap, which keeps
-    it resident after the call: 29 MiB at the sources of a 3p call at
-    N=512 on the default grid.  A map is returned when the array is freed.
-    It asks for huge pages, as numpy does for its own large arrays, so its
-    pages fault in 2 MiB at a time.  A smaller buffer stays in the heap and
-    is reused by the next call.  A map is reported to tracemalloc, as numpy
-    reports its own allocations, for as long as it lives.
-    """
-    nbytes = 8 * rows * cols
-    if nbytes < _MAP_BYTES:
-        return np.empty((rows, cols))
-    region = mmap.mmap(-1, nbytes, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    region.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-    flat = np.frombuffer(region, dtype=np.float64)
-    api = ctypes.pythonapi
-    domain, addr = ctypes.c_uint(_NUMPY_TRACE_DOMAIN), ctypes.c_size_t(flat.ctypes.data)
-    api.PyTraceMalloc_Track(domain, addr, ctypes.c_size_t(nbytes))
-    weakref.finalize(flat, api.PyTraceMalloc_Untrack, domain, addr)
-    return flat.reshape(rows, cols)
+#: kspace_3p takes the vectors in slices of at most this many (source, k)
+#: elements, and at least one k, at the sources and off them alike, so a
+#: slice's arrays stay in the CPU cache.  The slices set the order of the
+#: k sum, the row blocks of _ROW_ELEMENTS no order, so the two stay apart
+_K_ELEMENTS = 2 ** 15
 
 
 def _target_blocks(targets, r_cut):
@@ -227,102 +196,110 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
 
     C_k and S_k are sum_n q_n cos k.x_n and sum_n q_n sin k.x_n, so the sum
     is sum_k w_k sum_n q_n cos(k.(t - x_n)), over exactly the vectors kvecs
-    (one row each) with weights w; at_sources says the targets are pos.  At
-    the sources the vectors are taken in slices of at most
-    _K_ELEMENTS // M (one at least), each summed by _kspace_slice, and the
-    sums of the slices are added in slice order; off the sources, where
-    _kspace_slice holds no (M, slice) array, in one slice.
+    (one row each) with weights w; at_sources says the targets are pos.
 
-    No BLAS routine is called and cos and sin are libm's, so the result
-    does not depend on the BLAS kernel or on numpy's SIMD level.
+    The vectors are taken in slices of at most _K_ELEMENTS // N (one at
+    least), at the sources and off them alike.  _phases writes the cos and
+    sin of k.x of a slice to (points, slice) rows from per-axis tables
+    (_axis_tables) built once per point: once for the sources, and off the
+    sources once per row block of targets (_blocks), the outer loop there,
+    so no (M, components) table is held.  The order of every other rounding
+    step is fixed:
+
+        S(k)    per slice, cs and sn summed source by source, n = 0 .. N-1:
+                q_n times its cos (sin) row, and an axis-0 np.add.reduce,
+                which adds rows in order; then times w
+        slice   per target, c (w cs) + s (w sn) on its rows, in place, then
+                a numpy sum of it along the slice; at the sources the rows
+                of S(k) serve again as the target rows
+        sum     per target, the sums of the slices added in the fixed
+                binary tree of _pairwise
+
+    Every row is formed and summed from its own point alone, so the bytes
+    depend on neither the row blocks nor the other points; the slices, and
+    so N, move their last bits.  No BLAS routine is called and cos and sin
+    are libm's, so the result depends on neither the BLAS kernel nor
+    numpy's SIMD level.
     """
-    n_tar = targets.shape[0]
-    kx, ky, kz = np.ascontiguousarray(kvecs.T)
-    out = np.zeros(n_tar)
-    step = max(1, _K_ELEMENTS // max(1, n_tar) if at_sources else len(w))
-    for start in range(0, len(w), step):
+    n_src = len(pos)
+    step = max(1, _K_ELEMENTS // n_src)
+    axes, keys = _phase_keys(kvecs, step)
+    blocks = [] if at_sources else _blocks(len(targets), step)
+    rows = max([n_src] + [b.stop - b.start for b in blocks])
+    # c, s and the work rows of _phases, reused from slice to slice: fresh
+    # arrays of this size per slice cost page faults, as glibc returns them
+    # to the system between slices
+    buf = np.empty((5, rows * min(step, len(w))))
+
+    def phases(tables, key, m):    # c, s and a free work row, (m, slice)
+        c, s, *work = (b[:m * len(key[-1])].reshape(m, -1) for b in buf)
+        _phases(tables, key, c, s, work)
+        return c, s, work[0]
+
+    def slice_sums(c, s, cs, sn):    # per target row, its sum over a slice
+        c *= cs
+        s *= sn
+        c += s
+        return c.sum(axis=1)
+
+    def source_slices():    # per slice: its key, w S(k), and c and s
+        tables = _axis_tables(pos, axes)
+        for part, key in keys:
+            c, s, t = phases(tables, key, n_src)
+            cs, sn = (np.add.reduce(np.multiply(p, q[:, None], out=t),
+                                    axis=0) * w[part] for p in (c, s))
+            yield key, cs, sn, c, s
+
+    out = np.zeros(len(targets))
+    if at_sources:
+        out[:] = _pairwise(slice_sums(c, s, cs, sn)
+                           for _, cs, sn, c, s in source_slices())
+        return out
+    sums = [(key, cs, sn) for key, cs, sn, _, _ in source_slices()]
+    for blk in blocks:
+        tables = _axis_tables(targets[blk], axes)
+        out[blk] = _pairwise(
+            slice_sums(*phases(tables, key, blk.stop - blk.start)[:2], cs, sn)
+            for key, cs, sn in sums)
+    return out
+
+
+def _pairwise(terms):
+    """The sum of the arrays that terms yields, in a fixed binary tree.
+
+    Consecutive runs of 1, 2, 4, ... terms are added as they complete, the
+    earlier run on the left, and the runs left at the end from the last
+    to the first, so at most log2 of their count partial sums are held.
+    0.0 when terms yields none; one term is returned as it is.
+    """
+    stack = []    # (terms in the run, its sum), the longest run first
+    for t in terms:
+        size = 1
+        while stack and stack[-1][0] == size:
+            t = stack.pop()[1] + t
+            size *= 2
+        stack.append((size, t))
+    total = stack.pop()[1] if stack else 0.0
+    while stack:
+        total = stack.pop()[1] + total
+    return total
+
+
+def _phase_keys(kvecs, step):
+    """The keys of the per-axis tables of _phases, for slices of step vectors.
+
+    axes holds the distinct kx, ky and kz of all the vectors.  Per slice,
+    a key holds the distinct (kx, ky) pairs that occur in it, as indices px,
+    py into the distinct kx and ky, and per vector the index of its pair
+    and of its kz.
+    """
+    (ux, ix), (uy, iy), (uz, iz) = map(_distinct, kvecs.T)
+    keys = []
+    for start in range(0, len(kvecs), step):
         part = slice(start, start + step)
-        re = _kspace_slice(pos, q, targets, at_sources, kx[part], ky[part],
-                           kz[part], w[part])
-        out = re if start == 0 else out + re
-    return out
-
-
-def _kspace_slice(pos, q, targets, at_sources, kx, ky, kz, w):
-    """kspace_3p over one slice of vectors with weights w.
-
-    The sources, then the targets, are taken in blocks of at most
-    _ROW_ELEMENTS // len(w) consecutive points (one at least).  _phases
-    writes the cos and sin of k.x of a block's points to rows of the
-    buffers c and s, and the order of every other rounding step is fixed:
-
-        S(k)    cs, sn summed source by source, n = 0 .. N-1: per block,
-                q_n times its cos (sin) rows, cs (sn) added to the first
-                row, and an axis-0 np.add.reduce, which adds rows in order
-        re      per target, c (w cs) + s (w sn) on its rows, in place
-                (w cs and w sn in cs and sn), then a numpy sum of it along
-                the slice
-
-    At the sources c and s are (N, slice): row n holds source n's cos and
-    sin, which serve again as the target row.  Off the sources they hold
-    one block, and the targets are reduced block by block.  Every row is
-    formed and summed from its own point alone, so the bytes depend on
-    neither the blocks nor the other points.
-    """
-    n_k = len(w)
-    axes = _phase_axes(kx, ky, kz)
-    sources = _blocks(len(pos), n_k)
-    blocks = _blocks(targets.shape[0], n_k)
-    rows_b = max(b.stop - b.start for b in sources + blocks)
-    rows_c = len(pos) if at_sources else rows_b
-    # c, s and the work buffers of _phases in one allocation (_buffer):
-    # below _MAP_BYTES glibc keeps it in the heap once it has freed a chunk
-    # that large.  Five chunks below the threshold (about 100 kB each at
-    # N = 24) could leave the heap top free after a call, trimmed and
-    # faulted in again by the next
-    buf = _buffer(2 * rows_c + 3 * rows_b, n_k)
-    c, s = buf[:rows_c], buf[rows_c:2 * rows_c]
-    work = [buf[2 * rows_c + i * rows_b:2 * rows_c + (i + 1) * rows_b]
-            for i in range(3)]
-
-    def rows(part):    # the rows of c and s that hold a block
-        return part if at_sources else slice(0, part.stop - part.start)
-
-    cs = np.zeros(n_k)
-    sn = np.zeros(n_k)
-    for part in sources:
-        bc, bs = c[rows(part)], s[rows(part)]
-        _phases(pos[part], axes, bc, bs, work)
-        t = work[0][:part.stop - part.start]
-        for phase, acc in ((bc, cs), (bs, sn)):
-            np.multiply(phase, q[part, None], out=t)
-            t[0] += acc
-            np.add.reduce(t, axis=0, out=acc)
-    cs *= w
-    sn *= w
-    out = np.empty(targets.shape[0])
-    for part in blocks:
-        bc, bs = c[rows(part)], s[rows(part)]
-        if not at_sources:
-            _phases(targets[part], axes, bc, bs, work)
-        bc *= cs
-        bs *= sn
-        bc += bs
-        out[part] = bc.sum(axis=1)
-    return out
-
-
-def _phase_axes(kx, ky, kz):
-    """The keys of the per-axis tables of _phases for one slice.
-
-    They are the distinct kx, ky and kz; the distinct (kx, ky) pairs that
-    occur, as indices px, py into the distinct kx and ky; and per vector
-    the index of its pair and of its kz.
-    """
-    (ux, ix), (uy, iy), (uz, iz) = map(_distinct, (kx, ky, kz))
-    pairs, ixy = _distinct(ix * len(uy) + iy)
-    px, py = np.divmod(pairs, len(uy))
-    return ux, uy, uz, px, py, ixy, iz
+        pairs, ixy = _distinct(ix[part] * len(uy) + iy[part])
+        keys.append((part, (*np.divmod(pairs, len(uy)), ixy, iz[part])))
+    return (ux, uy, uz), keys
 
 
 def _distinct(v):
@@ -331,15 +308,25 @@ def _distinct(v):
     return u, np.searchsorted(u, v)
 
 
-def _phases(pts, axes, c, s, work):
-    """cos and sin of k.x, points pts by the slice's vectors, into c and s.
+def _axis_tables(pts, axes):
+    """cx, sx, cy, sy, cz, sz: libm cos and sin of x ux, y uy and z uz,
+    points pts by the distinct components axes (each product rounded once).
+    A row depends on its own point alone."""
+    tables = []
+    for a, u in enumerate(axes):
+        arg = np.multiply.outer(pts[:, a], u)
+        tables += [_libm(math.cos, arg), _libm(math.sin, arg)]
+    return tables
 
-    The tables, from the point coordinates x, y, z and the keys of
-    _phase_axes, in this order:
 
-        axis    cx, sx = libm cos, sin of x ux (each product x u rounded
-                once); likewise cy, sy of y uy and cz, sz of z uz
-        xy      per distinct (kx, ky) pair:
+def _phases(tables, key, c, s, work):
+    """cos and sin of k.x, the tables' points by a slice's vectors, into c
+    and s.
+
+    From the per-axis tables (_axis_tables) and the slice's key
+    (_phase_keys), in this order:
+
+        xy      per distinct (kx, ky) pair of the slice:
                 cxy = (cx cy) - (sx sy),  sxy = (sx cy) + (cx sy)
         k.x     per vector, from its pair's xy and its kz's z entries:
                 c = (cxy cz) - (sxy sz),  s = (sxy cz) + (cxy sz)
@@ -347,17 +334,12 @@ def _phases(pts, axes, c, s, work):
     Each product, difference and sum is one np.multiply, np.subtract or
     np.add of float64 arrays, rounded on its own (no complex arithmetic
     and no fused step); np.take picks the entries.  A row depends on its
-    own point alone.  The tables span the distinct pairs that occur,
+    own point alone.  The xy tables span the distinct pairs that occur,
     never every (kx, ky) of the distinct kx and ky.  work holds three
-    buffers of at least c's shape, reused from block to block: fresh
-    allocations of that size per block cost page faults.
+    buffers of c's shape.
     """
-    ux, uy, uz, px, py, ixy, iz = axes
-    tables = []
-    for a, u in enumerate((ux, uy, uz)):
-        arg = np.multiply.outer(pts[:, a], u)
-        tables += [_libm(math.cos, arg), _libm(math.sin, arg)]
     cx, sx, cy, sy, cz, sz = tables
+    px, py, ixy, iz = key
     gcx, gsx = np.take(cx, px, axis=1), np.take(sx, px, axis=1)
     gcy, gsy = np.take(cy, py, axis=1), np.take(sy, py, axis=1)
     cxy = gcx * gcy
@@ -367,16 +349,16 @@ def _phases(pts, axes, c, s, work):
     np.multiply(gcx, gsy, out=t)
     sxy += t
     # mode "clip" (the indices are in range) as "raise" buffers out
-    gc, gs, gz = (buf[:len(pts)] for buf in work)
+    gc, gs, gz = work
     np.take(cxy, ixy, axis=1, out=gc, mode="clip")
     np.take(sxy, ixy, axis=1, out=gs, mode="clip")
     np.take(cz, iz, axis=1, out=gz, mode="clip")
     np.multiply(gc, gz, out=c)
     np.multiply(gs, gz, out=s)
     np.take(sz, iz, axis=1, out=gz, mode="clip")
-    np.multiply(gs, gz, out=gs)
+    gs *= gz
     c -= gs
-    np.multiply(gc, gz, out=gc)
+    gc *= gz
     s += gc
 
 

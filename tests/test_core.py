@@ -131,6 +131,23 @@ def test_image_vectors_order(mode):
     assert build_image_vectors(box, mode, 2).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_grid_and_images_check_their_truncation(mode):
+    # the rules and messages of EwaldParams: k_max positive and finite,
+    # layers a non-negative integer
+    box = [1.0, 1.1, 0.9]
+    for k_max in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match="^k_max must be positive and finite, got"):
+            build_kgrid(box, mode, k_max)
+    for layers in (1.5, -1, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match="^layers must be a non-negative integer"):
+            build_image_vectors(box, mode, layers)
+    assert np.array_equal(build_image_vectors(box, mode, 2.0),
+                          build_image_vectors(box, mode, 2))
+
+
 def test_image_vectors_counts():
     assert len(build_image_vectors([1, 1, 1], Periodicity.P2, 1)) == 9
     assert len(build_image_vectors([1, 1, 1], Periodicity.P3, 1)) == 27

@@ -491,9 +491,9 @@ def test_kspace_3p_numpy_at_sources_matches_general_path():
 
 
 def test_kspace_3p_holds_two_target_buffers():
-    # the cos and sin buffers, (M, K/2) at the sources and one row block
-    # off them, are the kernel's only target-sized arrays: the potential is
-    # reduced in place in them
+    # the cos and sin rows of one slice, (M, slice) at the sources and one
+    # row block off them, are the kernel's only target-sized arrays: the
+    # potential is reduced in place in them, and no (M, K/2) array is formed
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(rng, 64, box)
@@ -515,31 +515,52 @@ def test_kspace_3p_holds_two_target_buffers():
             at_sources, peak / (len(targets) * len(kv) * 8))
 
 
-def test_kspace_3p_buffers_span_half_the_lattice():
-    # one k of each +-k pair: the (M, K/2) cos and sin buffers bound the
-    # kernel's peak at the sources, and on a 4^3 grid, where row blocks
-    # replace them.  At xi = 8 / min L, K = 17,198; the three work rows of
-    # _phases take a fixed 0.75 MiB, which at the K of the default xi
-    # (6 / min L) exceeds the bound's margin
+def _kspace_3p_peak(s, targets, at_sources, kvecs, w):
+    tracemalloc.start()
+    try:
+        kernels_numpy.kspace_3p(s.positions, s.charges, targets, kvecs, w,
+                                at_sources)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kspace_3p_peak_does_not_grow_with_the_lattice():
+    # at fixed N the slices keep every (points, k) array at _K_ELEMENTS: from
+    # K/2 = 3,611 to 29,015 (xi 6 and 12 / min L) the peak, at 64 sources
+    # and on a 4^3 grid, rises by the per-vector keys and weights alone
+    # (about 35 bytes a vector), where one (M, K/2) buffer would add 512
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(rng, 64, box)
-    par = default_params(box, Periodicity.P3, xi=8.0 / 0.9)
-    kv = build_kgrid(box, Periodicity.P3, par.k_max).vectors
     axis = (np.arange(4) + 0.5) / 4
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                     axis=-1).reshape(-1, 3) * box
+    lattices = []
+    for c in (6.0, 12.0):
+        par = default_params(box, Periodicity.P3, xi=c / 0.9)
+        kv = build_kgrid(box, Periodicity.P3, par.k_max).vectors
+        lattices.append(_half_lattice(box, kv, par.xi))
+    (k1, w1), (k2, w2) = lattices
     for targets, at_sources in ((s.positions, True), (grid, False)):
-        half = len(targets) * (len(kv) // 2) * 8
-        tracemalloc.start()
-        try:
-            kernels_numpy.kspace_3p(s.positions, s.charges, targets,
-                                    *_half_lattice(box, kv, par.xi),
-                                    at_sources)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * half, (at_sources, peak / half)
+        small = _kspace_3p_peak(s, targets, at_sources, k1, w1)
+        large = _kspace_3p_peak(s, targets, at_sources, k2, w2)
+        assert large - small <= 64 * (len(w2) - len(w1)), (
+            at_sources, (large - small) / (len(w2) - len(w1)))
+
+
+def test_kspace_3p_peak_at_the_bulk_benchmark_size():
+    # 512 sources at the default parameters of that N, K/2 = 3,611: the
+    # (N, K/2) cos and sin buffers of one slice took 29 MiB; slices of
+    # _K_ELEMENTS keep the kernel's peak at about 2.2 MiB
+    rng = np.random.default_rng(42)
+    box = np.array([1.0, 1.1, 0.9])
+    s = random_neutral(rng, 512, box)
+    par = default_params(box, Periodicity.P3, n=len(s))
+    kv = build_kgrid(box, Periodicity.P3, par.k_max).vectors
+    peak = _kspace_3p_peak(s, s.positions, True,
+                           *_half_lattice(box, kv, par.xi))
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
 
 # ---------------------------------------------------------------- zero modes
@@ -1044,7 +1065,7 @@ def test_eval_targets_validation():
     for layer in layers:
         with pytest.raises(ValueError, match=msg):
             layer(1.0, None)
-    for xi in (0.0, -1.0, math.nan):
+    for xi in (0.0, -1.0, math.nan, math.inf):
         for layer in layers:
             with pytest.raises(ValueError, match="xi must be positive"):
                 layer(xi, EvalTargets.at_sources())
@@ -1055,6 +1076,24 @@ def test_eval_targets_validation():
                             EwaldParams(xi, par.r_cut, par.k_max,
                                         par.real_layers),
                             EvalTargets.at_sources())
+
+
+def test_real_space_sum_checks_r_cut_and_layers():
+    # the rules and messages of EwaldParams: r_cut > 0 with infinity
+    # allowed, layers a non-negative integer
+    box = np.array([1.0, 1.0, 1.0])
+    s = make_system([[0.2, 0.5, 0.5], [0.7, 0.5, 0.5]], [1.0, -1.0], box)
+    at = EvalTargets.at_sources()
+    for r_cut in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^r_cut must be positive, got"):
+            real_space_sum(s, Periodicity.P3, 2.0, r_cut, 1, at)
+    for layers in (1.5, -1, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match="^layers must be a non-negative integer"):
+            real_space_sum(s, Periodicity.P3, 2.0, 1.0, layers, at)
+    got = real_space_sum(s, Periodicity.P3, 2.0, math.inf, 1.0, at)
+    want = real_space_sum(s, Periodicity.P3, 2.0, 1e30, 1, at)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_grid_mode_mismatch_errors():

@@ -352,12 +352,12 @@ def test_extended_lattice_matches_reference_loops(mode, box, offsets, pick,
                _ref_kspace(mode, s, t, par.xi, kgrid.vectors))
 
 
-def test_kspace_3p_memory_stays_bounded_on_a_spread_slab(monkeypatch):
+def test_kspace_3p_memory_stays_bounded_on_a_spread_slab():
     # 256 sources spread over z in [-100, 100], no gap wide enough to split
     # them: one 2p lattice of 27,626 half-lattice vectors, whose (M, K/2)
-    # cos and sin buffers peak at 111 MiB in one slice against the 72 MiB
-    # bound; with _K_ELEMENTS at 2^22 the call takes two slices and 67 MiB
-    monkeypatch.setattr(kernels_numpy, "_K_ELEMENTS", 2 ** 22)
+    # cos and sin buffers peaked at 111 MiB in one slice against the 72 MiB
+    # bound.  Slices of _K_ELEMENTS keep about 29 MiB, most of it the
+    # sources' per-axis tables over the 1,900 distinct kz
     box = np.array([1.0, 1.1, 0.9])
     s = _uniform_system(256, box, 16)
     pos = np.array(s.positions)
@@ -371,7 +371,7 @@ def test_kspace_3p_memory_stays_bounded_on_a_spread_slab(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 8 * kernels_numpy._K_ELEMENTS, peak / 2 ** 20
+    assert peak <= 72 * 2 ** 20, peak / 2 ** 20
 
 
 _KSPACE_SUMS = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
@@ -380,33 +380,32 @@ _KSPACE_SUMS = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_kspace_slices_match_one_slice(monkeypatch, mode):
-    # at the 6 sources, slices of 64 (target, k) elements, 10 k each,
-    # against the whole half lattice in one slice; off the sources, where
-    # the kernel holds no (M, slice) array, one slice whatever _K_ELEMENTS
+    # slices of 64 (source, k) elements, 10 k each at the 6 sources, against
+    # the whole half lattice in one slice, at the sources and off them: the
+    # slice rule is the same for both, and only the order of the sums moves
     s = _system()
     par = default_params(s.box, mode)
     kgrid = build_kgrid(s.box, mode, par.k_max)
-    kspace_slice = kernels_numpy._kspace_slice
+    phases = kernels_numpy._phases
     for tpos, at_sources in _targets(s):
         targets = _eval_targets(tpos, at_sources)
-        whole = _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
-        slices = []
+        got, widths = {}, {}
+        for k_elements in (2 ** 40, 64):
+            widths[k_elements] = []
 
-        def counted(*args):
-            slices.append(len(args[-1]))
-            return kspace_slice(*args)
+            def counted(tables, key, c, *rest):
+                widths[k_elements].append(c.shape[1])
+                return phases(tables, key, c, *rest)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(kernels_numpy, "_K_ELEMENTS", 64)
-            mp.setattr(kernels_numpy, "_kspace_slice", counted)
-            sliced = _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
-        if at_sources:
-            assert max(slices) == 10
-            assert (np.abs(sliced - whole).max()
-                    <= 1e-14 * np.abs(whole).max())
-        else:
-            assert len(slices) == 1
-            assert sliced.tobytes() == whole.tobytes()
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels_numpy, "_K_ELEMENTS", k_elements)
+                mp.setattr(kernels_numpy, "_phases", counted)
+                got[k_elements] = _KSPACE_SUMS[mode](s, par.xi, kgrid,
+                                                     targets)
+        whole, sliced = got[2 ** 40], got[64]
+        assert len(set(widths[2 ** 40])) == 1 and max(widths[64]) == 10
+        assert len(widths[64]) > len(widths[2 ** 40])
+        assert np.abs(sliced - whole).max() <= 1e-14 * np.abs(whole).max()
 
 
 def _irregular_grid(rng, pairs, scale):
@@ -426,33 +425,6 @@ def test_kspace_3p_irregular_grid_matches_reference_loops():
         got = kspace_sum_3p(s, 2.0, grid, _eval_targets(tpos, at_sources))
         _close(got, ref_kspace_3p(s.positions, s.charges, tpos, 2.0,
                                   grid.vectors, volume))
-
-
-def test_kspace_3p_buffers_in_maps_keep_the_bytes(monkeypatch):
-    # a buffer of _MAP_BYTES or more is an anonymous map, which tracemalloc
-    # sees as long as it lives; the bytes do not depend on where the
-    # buffers live
-    s = _uniform_system(64, [1.0, 1.1, 0.9], 46)
-    grid = build_kgrid(s.box, Periodicity.P3, 40.0)
-    pts = np.random.default_rng(47).uniform(-0.5, 0.5, (50, 3))
-    assert kernels_numpy._buffer(2, 3).base is None   # numpy's own memory
-    tracemalloc.start()
-    try:
-        big = kernels_numpy._buffer(1024, 1024)
-        assert big.shape == (1024, 1024) and big.flags.writeable
-        assert big.base is not None                   # a view of the map
-        held = tracemalloc.get_traced_memory()[0]
-        del big
-        freed = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held - freed >= 8 * 2 ** 20, (held, freed)
-    for targets in (EvalTargets.at_sources(), EvalTargets.at_points(pts)):
-        got = {}
-        for limit in (0, math.inf):
-            monkeypatch.setattr(kernels_numpy, "_MAP_BYTES", limit)
-            got[limit] = kspace_sum_3p(s, 2.0, grid, targets)
-        assert got[0].tobytes() == got[math.inf].tobytes()
 
 
 def test_kspace_3p_tables_span_the_pairs_that_occur():
