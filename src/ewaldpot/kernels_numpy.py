@@ -28,9 +28,9 @@ whole vector set, built once per point, combined over the distinct
 (kx, ky) pairs of a slice of vectors and then per vector by
 cos(a + b) = cos a cos b - sin a sin b and
 sin(a + b) = sin a cos b + cos a sin b (see _phases).  One slice rule
-holds at the sources and off them: at most _K_ELEMENTS // N vectors, so
-no array of the kernel spans (points, K), and the sums of the slices are
-added in a fixed binary tree (_pairwise).  It evaluates in a
+holds at the sources and off them: _K_ELEMENTS // N vectors, _K_MIN at
+least, so no array of the kernel spans (points, K), and the sums of the
+slices are added in a fixed binary tree (_pairwise).  It evaluates in a
 fixed, written-down order with elementwise numpy operations and reductions
 only: each product and sum is its own float64 operation, with no complex
 arithmetic, no fused step and no matrix product (so no BLAS kernel, whose
@@ -69,11 +69,15 @@ _FEW_TARGETS = 128
 #: the cell when r_cut is long against it, no array spans all image points
 _ROW_ELEMENTS = 2 ** 15
 
-#: kspace_3p takes the vectors in slices of at most this many (source, k)
-#: elements, and at least one k, at the sources and off them alike, so a
-#: slice's arrays stay in the CPU cache.  The slices set the order of the
-#: k sum, the row blocks of _ROW_ELEMENTS no order, so the two stay apart
+#: kspace_3p takes the vectors in slices of _K_ELEMENTS // N, at the
+#: sources and off them alike, so a slice's (N, slice) arrays stay in the
+#: CPU cache; the slices set the order of the k sum, the row blocks of
+#: _ROW_ELEMENTS no order, so the two stay apart.  A slice takes _K_MIN
+#: vectors at least: below that numpy's cost per row of np.take and of
+#: the reductions outgrows the work (3p at N=4096, slices of 8, took 1.4
+#: times as long as in slices of 64)
 _K_ELEMENTS = 2 ** 15
+_K_MIN = 64
 
 
 def _target_blocks(targets, r_cut):
@@ -198,7 +202,7 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     is sum_k w_k sum_n q_n cos(k.(t - x_n)), over exactly the vectors kvecs
     (one row each) with weights w; at_sources says the targets are pos.
 
-    The vectors are taken in slices of at most _K_ELEMENTS // N (one at
+    The vectors are taken in slices of _K_ELEMENTS // N (_K_MIN at
     least), at the sources and off them alike.  _phases writes the cos and
     sin of k.x of a slice to (points, slice) rows from per-axis tables
     (_axis_tables) built once per point: once for the sources, and off the
@@ -222,7 +226,7 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     numpy's SIMD level.
     """
     n_src = len(pos)
-    step = max(1, _K_ELEMENTS // n_src)
+    step = max(_K_MIN, _K_ELEMENTS // n_src)
     axes, keys = _phase_keys(kvecs, step)
     blocks = [] if at_sources else _blocks(len(targets), step)
     rows = max([n_src] + [b.stop - b.start for b in blocks])

@@ -206,8 +206,8 @@ def test_kspace_3p_is_a_weighted_trig_sum_over_the_vectors_given(
         monkeypatch):
     # sum_k w_k sum_n q_n cos(k.(t - x_n)) over exactly the vectors given:
     # a set not closed under negation (some k with -k, most without, one
-    # twice), weights of both signs, and at the sources in one slice and in
-    # slices of 4 vectors
+    # twice), weights of both signs, and at and off the sources in one
+    # slice and in slices of 4 vectors
     s = _system()
     rng = np.random.default_rng(47)
     k = np.vstack([rng.normal(scale=6.0, size=(11, 3)), [0.0, 3.1, -2.4]])
@@ -219,9 +219,10 @@ def test_kspace_3p_is_a_weighted_trig_sum_over_the_vectors_given(
             for wk, kv in zip(w, kvecs):
                 want[m] += wk * sum(qn * math.cos(kv @ (t - x))
                                     for qn, x in zip(s.charges, s.positions))
-        for k_elements in (kernels_numpy._K_ELEMENTS, 4 * len(tpos)):
+        for k_elements in (kernels_numpy._K_ELEMENTS, 4 * len(s)):
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_numpy, "_K_ELEMENTS", k_elements)
+                mp.setattr(kernels_numpy, "_K_MIN", 1)
                 got = kernels_numpy.kspace_3p(s.positions, s.charges, tpos,
                                               kvecs, w, at_sources)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -380,7 +381,8 @@ _KSPACE_SUMS = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_kspace_slices_match_one_slice(monkeypatch, mode):
-    # slices of 64 (source, k) elements, 10 k each at the 6 sources, against
+    # slices of 64 (source, k) elements, 10 k each at the 6 sources (no
+    # floor of _K_MIN vectors), against
     # the whole half lattice in one slice, at the sources and off them: the
     # slice rule is the same for both, and only the order of the sums moves
     s = _system()
@@ -399,6 +401,7 @@ def test_kspace_slices_match_one_slice(monkeypatch, mode):
 
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_numpy, "_K_ELEMENTS", k_elements)
+                mp.setattr(kernels_numpy, "_K_MIN", 1)
                 mp.setattr(kernels_numpy, "_phases", counted)
                 got[k_elements] = _KSPACE_SUMS[mode](s, par.xi, kgrid,
                                                      targets)
