@@ -382,9 +382,9 @@ _KSPACE_SUMS = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_kspace_slices_match_one_slice(monkeypatch, mode):
     # slices of 64 (source, k) elements, 10 k each at the 6 sources (no
-    # floor of _K_MIN vectors), against
-    # the whole half lattice in one slice, at the sources and off them: the
-    # slice rule is the same for both, and only the order of the sums moves
+    # floor of _K_MIN vectors), against the whole half lattice in one
+    # slice, at the sources and off them: the slice rule is the same for
+    # both, and only the order of the sums moves
     s = _system()
     par = default_params(s.box, mode)
     kgrid = build_kgrid(s.box, mode, par.k_max)
