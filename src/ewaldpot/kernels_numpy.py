@@ -22,15 +22,21 @@ forms both, the only place that does: one k of each +-k pair of the mode's
 grid extended along its free axes (in 3p the grid as it is), with the
 Ewald weight 8 pi/V e^{-k^2/4xi^2}/k^2 (see the ewald module docstring).
 The kernel returns the real part only and never forms the imaginary part.
-It takes cos and sin of k.x from per-axis tables: libm cos and sin of
-x kx, y ky and z kz, one entry per point and distinct component of the
-whole vector set, built once per point, combined over the distinct
-(kx, ky) pairs of a slice of vectors and then per vector by
+It holds its arrays in (vectors, points) layout, one row per k, so each
+gather is a copy of whole contiguous rows.  It takes cos and sin of k.x
+from per-axis tables: libm cos and sin of kx x, ky y and kz z, one row
+per distinct component of the whole vector set and one column per point,
+built once per point, combined over the distinct (kx, ky) pairs of a
+slice of vectors and then per vector by
 cos(a + b) = cos a cos b - sin a sin b and
-sin(a + b) = sin a cos b + cos a sin b (see _phases).  One slice rule
-holds at the sources and off them: _K_ELEMENTS // N vectors, _K_MIN at
-least, so no array of the kernel spans (points, K), and the sums of the
-slices are added in a fixed binary tree (_pairwise).  It evaluates in a
+sin(a + b) = sin a cos b + cos a sin b (see _phases).  libm runs on the
+distinct |k| of an axis only, and the rows of -|k| take the same cos and
+the negated sin; that is exact on the assumption, checked by the tests,
+that libm cos is even and sin odd.  One slice rule holds at the sources
+and off them: _K_ELEMENTS // N vectors, so no array of the kernel spans
+(K, points).  S(k) is each row times q summed along its points; per
+target, a slice's rows are added in a fixed binary tree (_fold) and the
+sums of the slices in another (_pairwise).  It evaluates in a
 fixed, written-down order with elementwise numpy operations and reductions
 only: each product and sum is its own float64 operation, with no complex
 arithmetic, no fused step and no matrix product (so no BLAS kernel, whose
@@ -41,11 +47,11 @@ the exp and log of the zero modes.  The bytes of every layer therefore
 depend on neither the BLAS build nor numpy's SIMD dispatch level for these
 functions.
 
-Every kernel takes its points in row blocks under _ROW_ELEMENTS (_blocks),
+Every kernel takes its points in blocks under _ROW_ELEMENTS (_blocks),
 real space the targets of each spatial block in runs under it and
-kspace_3p its targets off the sources, so no kernel forms an (M, N)
-array; a row's terms and their order do not depend on the blocks, so
-neither do the bytes.
+kspace_3p its targets off the sources (as columns), so no kernel forms
+an (M, N) array; a point's terms and their order do not depend on the
+blocks, so neither do the bytes.
 """
 
 from __future__ import annotations
@@ -62,22 +68,23 @@ from .specfun import EULER_GAMMA, SQRT_PI
 #: block costs more than the pairs that blocks cull
 _FEW_TARGETS = 128
 
-#: every kernel takes its points in blocks of consecutive rows (_blocks),
-#: each array of a block at most this many (point, k), (target, source) or
-#: (target, candidate) elements, and at least one row's: a block's arrays
+#: every kernel takes its points in blocks of consecutive points (_blocks),
+#: each array of a block at most this many (k, point), (target, source) or
+#: (target, candidate) elements, and at least one point's: a block's arrays
 #: stay in the CPU cache, and in real space, where one spatial block spans
 #: the cell when r_cut is long against it, no array spans all image points
 _ROW_ELEMENTS = 2 ** 15
 
-#: kspace_3p takes the vectors in slices of _K_ELEMENTS // N, at the
-#: sources and off them alike, so a slice's (N, slice) arrays stay in the
-#: CPU cache; the slices set the order of the k sum, the row blocks of
-#: _ROW_ELEMENTS no order, so the two stay apart.  A slice takes _K_MIN
-#: vectors at least: below that numpy's cost per row of np.take and of
-#: the reductions outgrows the work (the 3p k-space sum at N=4096 took
-#: 1.36 times as long in slices of 8 as in slices of 64)
+#: kspace_3p takes the vectors in slices of _K_ELEMENTS // N (one at
+#: least), at the sources and off them alike, so a slice's (slice, N)
+#: arrays stay in the CPU cache; the slices set the order of the k sum,
+#: the column blocks of _ROW_ELEMENTS no order, so the two stay apart.
+#: With whole-row gathers no floor on the slice pays: slices of 8 vectors
+#: at 3p N=4096 ran 0.81 times as long as slices of 64
 _K_ELEMENTS = 2 ** 15
-_K_MIN = 64
+
+#: _libm converts this many elements to Python floats at a time
+_LIBM_RUN = 4096
 
 
 def _target_blocks(targets, r_cut):
@@ -119,9 +126,12 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     (target, candidate) pairs (one target at least).  The order of every
     rounding step is fixed:
 
-        d       sqrt(((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2),
+        d^2     ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2,
                 each component (t - x_n) + p, for every candidate pair
-        term    erfc(xi d) q_n / d, only for the pairs with d <= r_cut
+        d       sqrt(d^2), only for the pairs with d^2 <= T, T the largest
+                double with sqrt(T) <= r_cut (_square_cut): exactly the
+                pairs with d <= r_cut
+        term    erfc(xi d) q_n / d, for those pairs
         sum     per target, its kept terms in ascending j (image by image
                 in the order of images, source by source within an image)
                 through np.add.reduceat: the first term plus numpy's
@@ -138,6 +148,7 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     extent = max(np.abs(targets).max(), max(np.abs(y).max() for y in ycols))
     reach = r_cut + 1e-12 * (r_cut + extent)
     p0s = np.flatnonzero(~images.any(axis=1))
+    d2_cut = _square_cut(r_cut)
     for blk in _target_blocks(targets, r_cut):
         tb = targets[blk]
         lo = tb.min(axis=0) - reach
@@ -164,15 +175,14 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
                 da *= da
                 d += da
             del da
-            np.sqrt(d, out=d)
             if at_sources:
                 # target m's own image point p0 N + m sits on it, so it is
                 # a candidate; NaN drops the pair from both tests below
                 for p0 in p0s:
                     d[np.arange(len(run)),
                       np.searchsorted(cand, p0 * n + run)] = np.nan
-            keep = d <= r_cut
-            dk = d[keep]
+            keep = d <= d2_cut
+            dk = np.sqrt(d[keep])
             del d
             close = dk == 0.0 if at_sources else dk < eps
             if close.any():
@@ -186,13 +196,26 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
                     f"{src[cols[i]]}; evaluate at sources instead")
             terms = np.multiply(dk, xi)
             sp.erfc(terms, out=terms)
-            terms *= qs[np.nonzero(keep)[1]]
+            terms *= np.broadcast_to(qs, keep.shape)[keep]
             terms /= dk
             count = np.count_nonzero(keep, axis=1)
             has = count > 0
             first = np.cumsum(count) - count
             out[run[has]] = np.add.reduceat(terms, first[has])
     return out
+
+
+def _square_cut(r_cut):
+    """The largest double T with sqrt(T) <= r_cut: d <= r_cut exactly when
+    d^2 <= T, for d = sqrt(d^2) correctly rounded, as sqrt is monotone."""
+    if math.isinf(r_cut):
+        return math.inf
+    t = r_cut * r_cut
+    while math.sqrt(t) > r_cut:
+        t = math.nextafter(t, 0.0)
+    while math.sqrt(up := math.nextafter(t, math.inf)) <= r_cut:
+        t = up
+    return t
 
 
 def kspace_3p(pos, q, targets, kvecs, w, at_sources):
@@ -202,56 +225,56 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     is sum_k w_k sum_n q_n cos(k.(t - x_n)), over exactly the vectors kvecs
     (one row each) with weights w; at_sources says the targets are pos.
 
-    The vectors are taken in slices of _K_ELEMENTS // N (_K_MIN at
-    least), at the sources and off them alike.  _phases writes the cos and
-    sin of k.x of a slice to (points, slice) rows from per-axis tables
-    (_axis_tables) built once per point: once for the sources, and off the
-    sources once per row block of targets (_blocks), the outer loop there,
-    so no (M, components) table is held.  The order of every other rounding
-    step is fixed:
+    The vectors are taken in slices of _K_ELEMENTS // N (one at least),
+    at the sources and off them alike.  _phases writes the cos and
+    sin of k.x of a slice to (slice, points) arrays, one row per vector,
+    from per-axis tables (_axis_tables) built once per point: once for the
+    sources, and off the sources once per column block of targets
+    (_blocks), the outer loop there, so no (components, M) table is held.
+    The order of every other rounding step is fixed:
 
-        S(k)    per slice, cs and sn summed source by source, n = 0 .. N-1:
-                q_n times its cos (sin) row, and an axis-0 np.add.reduce,
-                which adds rows in order; then times w
-        slice   per target, c (w cs) + s (w sn) on its rows, in place, then
-                a numpy sum of it along the slice; at the sources the rows
-                of S(k) serve again as the target rows
+        S(k)    per vector, q times its cos (sin) row, summed along the
+                points by numpy's pairwise sum of a contiguous row; then
+                times w
+        slice   per target, c (w cs) + s (w sn) on its column, in place,
+                the rows then folded in a fixed binary tree (_fold); at the
+                sources the rows of S(k) serve again as the target rows
         sum     per target, the sums of the slices added in the fixed
                 binary tree of _pairwise
 
-    Every row is formed and summed from its own point alone, so the bytes
-    depend on neither the row blocks nor the other points; the slices, and
-    so N, move their last bits.  No BLAS routine is called and cos and sin
-    are libm's, so the result depends on neither the BLAS kernel nor
-    numpy's SIMD level.
+    Every column is formed and summed from its own point alone, so the
+    bytes depend on neither the column blocks nor the other targets; the
+    slices, and so N, move their last bits.  No BLAS routine is called and
+    cos and sin are libm's, so the result depends on neither the BLAS
+    kernel nor numpy's SIMD level.
     """
     n_src = len(pos)
-    step = max(_K_MIN, _K_ELEMENTS // n_src)
+    step = max(1, _K_ELEMENTS // n_src)
     axes, keys = _phase_keys(kvecs, step)
     blocks = [] if at_sources else _blocks(len(targets), step)
-    rows = max([n_src] + [b.stop - b.start for b in blocks])
-    # c, s and the work rows of _phases, reused from slice to slice: fresh
-    # arrays of this size per slice cost page faults, as glibc returns them
-    # to the system between slices
-    buf = np.empty((5, rows * min(step, len(w))))
+    cols = max([n_src] + [b.stop - b.start for b in blocks])
+    # c, s and the work arrays of _phases, reused from slice to slice:
+    # fresh arrays of this size per slice cost page faults, as glibc
+    # returns them to the system between slices
+    buf = np.empty((5, min(step, len(w)) * cols))
 
-    def phases(tables, key, m):    # c, s and a free work row, (m, slice)
-        c, s, *work = (b[:m * len(key[-1])].reshape(m, -1) for b in buf)
+    def phases(tables, key, m):    # c, s and a free work array, (slice, m)
+        c, s, *work = (b[:len(key[-1]) * m].reshape(-1, m) for b in buf)
         _phases(tables, key, c, s, work)
         return c, s, work[0]
 
-    def slice_sums(c, s, cs, sn):    # per target row, its sum over a slice
-        c *= cs
-        s *= sn
+    def slice_sums(c, s, cs, sn):    # per target column, its slice sum
+        c *= cs[:, None]
+        s *= sn[:, None]
         c += s
-        return c.sum(axis=1)
+        return _fold(c)
 
     def source_slices():    # per slice: its key, w S(k), and c and s
         tables = _axis_tables(pos, axes)
         for part, key in keys:
             c, s, t = phases(tables, key, n_src)
-            cs, sn = (np.add.reduce(np.multiply(p, q[:, None], out=t),
-                                    axis=0) * w[part] for p in (c, s))
+            cs, sn = (np.multiply(p, q, out=t).sum(axis=1) * w[part]
+                      for p in (c, s))
             yield key, cs, sn, c, s
 
     out = np.zeros(len(targets))
@@ -266,6 +289,18 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
             slice_sums(*phases(tables, key, blk.stop - blk.start)[:2], cs, sn)
             for key, cs, sn in sums)
     return out
+
+
+def _fold(rows):
+    """The column sums of rows, a copy, added in a fixed binary tree: while
+    n > 1 rows are left, the last h = n // 2 are added onto the first h
+    (rows[:h] += rows[n - h:n]) and n becomes n - h.  Overwrites rows."""
+    n = len(rows)
+    while n > 1:
+        h = n // 2
+        rows[:h] += rows[n - h:n]
+        n -= h
+    return rows[0].copy()
 
 
 def _pairwise(terms):
@@ -292,40 +327,61 @@ def _pairwise(terms):
 def _phase_keys(kvecs, step):
     """The keys of the per-axis tables of _phases, for slices of step vectors.
 
-    axes holds the distinct kx, ky and kz of all the vectors.  Per slice,
-    a key holds the distinct (kx, ky) pairs that occur in it, as indices px,
-    py into the distinct kx and ky, and per vector the index of its pair
-    and of its kz.
+    axes holds, per axis, the distinct |u| of its components u (kx, ky or
+    kz) over all the vectors, and whether any u is negative; the rows of
+    the axis' tables are those |u|, then, if any u is negative, their
+    negatives.  Per slice, a key holds the distinct (kx, ky) pairs that
+    occur in it, as row indices px, py into the x and y tables, and per
+    vector the index of its pair and its z table row.
     """
-    (ux, ix), (uy, iy), (uz, iz) = map(_distinct, kvecs.T)
+    axes, rows = [], []
+    for u in kvecs.T:
+        au, ia = _distinct(np.abs(u))
+        neg = u < 0.0
+        signed = bool(neg.any())
+        axes.append((au, signed))
+        rows.append(ia + len(au) * neg if signed else ia)
+    ix, iy, iz = rows
+    ny = len(axes[1][0]) * (1 + axes[1][1])    # rows of the y tables
     keys = []
     for start in range(0, len(kvecs), step):
         part = slice(start, start + step)
-        pairs, ixy = _distinct(ix[part] * len(uy) + iy[part])
-        keys.append((part, (*np.divmod(pairs, len(uy)), ixy, iz[part])))
-    return (ux, uy, uz), keys
+        pairs, ixy = _distinct(ix[part] * ny + iy[part])
+        keys.append((part, (*np.divmod(pairs, ny), ixy, iz[part])))
+    return axes, keys
 
 
 def _distinct(v):
     # the sorted distinct values of v and, per element, its index in them
-    u = np.unique(v)
+    # (np.unique's result, at a fraction of its fixed cost on short arrays)
+    sv = np.sort(v)
+    new = np.empty(len(sv), bool)
+    new[:1] = True
+    np.not_equal(sv[1:], sv[:-1], out=new[1:])
+    u = sv[new]
     return u, np.searchsorted(u, v)
 
 
 def _axis_tables(pts, axes):
-    """cx, sx, cy, sy, cz, sz: libm cos and sin of x ux, y uy and z uz,
-    points pts by the distinct components axes (each product rounded once).
-    A row depends on its own point alone."""
+    """cx, sx, cy, sy, cz, sz: libm cos and sin of u x, u y and u z over the
+    rows of each axis (_phase_keys) by the points pts, one column per point
+    (each product rounded once).  libm runs on the distinct |u| rows only:
+    a row of -|u| takes the cos of its |u| row and the negated sin.  That
+    is exact as (-u) x = -(u x) and libm cos is even and sin odd.  A
+    column depends on its own point alone."""
     tables = []
-    for a, u in enumerate(axes):
-        arg = np.multiply.outer(pts[:, a], u)
-        tables += [_libm(math.cos, arg), _libm(math.sin, arg)]
+    for coord, (au, signed) in zip(pts.T, axes):
+        arg = np.multiply.outer(au, coord)
+        cos, sin = _libm(math.cos, arg), _libm(math.sin, arg)
+        if signed:
+            cos, sin = np.concatenate((cos, cos)), np.concatenate((sin, -sin))
+        tables += [cos, sin]
     return tables
 
 
 def _phases(tables, key, c, s, work):
-    """cos and sin of k.x, the tables' points by a slice's vectors, into c
-    and s.
+    """cos and sin of k.x, a slice's vectors by the tables' points, into c
+    and s, one row per vector.
 
     From the per-axis tables (_axis_tables) and the slice's key
     (_phase_keys), in this order:
@@ -337,15 +393,15 @@ def _phases(tables, key, c, s, work):
 
     Each product, difference and sum is one np.multiply, np.subtract or
     np.add of float64 arrays, rounded on its own (no complex arithmetic
-    and no fused step); np.take picks the entries.  A row depends on its
-    own point alone.  The xy tables span the distinct pairs that occur,
-    never every (kx, ky) of the distinct kx and ky.  work holds three
-    buffers of c's shape.
+    and no fused step); np.take along axis 0 picks whole rows, contiguous
+    copies.  A column depends on its own point alone.  The xy tables span
+    the distinct pairs that occur, never every (kx, ky) of the distinct kx
+    and ky.  work holds three arrays of c's shape.
     """
     cx, sx, cy, sy, cz, sz = tables
     px, py, ixy, iz = key
-    gcx, gsx = np.take(cx, px, axis=1), np.take(sx, px, axis=1)
-    gcy, gsy = np.take(cy, py, axis=1), np.take(sy, py, axis=1)
+    gcx, gsx = cx[px], sx[px]
+    gcy, gsy = cy[py], sy[py]
     cxy = gcx * gcy
     t = gsx * gsy
     cxy -= t
@@ -354,12 +410,12 @@ def _phases(tables, key, c, s, work):
     sxy += t
     # mode "clip" (the indices are in range) as "raise" buffers out
     gc, gs, gz = work
-    np.take(cxy, ixy, axis=1, out=gc, mode="clip")
-    np.take(sxy, ixy, axis=1, out=gs, mode="clip")
-    np.take(cz, iz, axis=1, out=gz, mode="clip")
+    np.take(cxy, ixy, axis=0, out=gc, mode="clip")
+    np.take(sxy, ixy, axis=0, out=gs, mode="clip")
+    np.take(cz, iz, axis=0, out=gz, mode="clip")
     np.multiply(gc, gz, out=c)
     np.multiply(gs, gz, out=s)
-    np.take(sz, iz, axis=1, out=gz, mode="clip")
+    np.take(sz, iz, axis=0, out=gz, mode="clip")
     gs *= gz
     c -= gs
     gc *= gz
@@ -367,17 +423,23 @@ def _phases(tables, key, c, s, work):
 
 
 def _blocks(m, n):
-    """Slices of consecutive rows, each of at most _ROW_ELEMENTS // n rows
-    (one at least), that cover m rows of n elements."""
+    """Slices of consecutive points, each of at most _ROW_ELEMENTS // n
+    points (one at least), that cover m points of n elements each."""
     step = max(1, _ROW_ELEMENTS // max(1, n))
     return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
 def _libm(fn, x):
     # fn (math.exp, log, cos or sin) elementwise: libm, not numpy's SIMD
-    # loop
-    return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
-                       x.size).reshape(x.shape)
+    # loop.  The elements pass as Python floats in runs of _LIBM_RUN, so
+    # the peak stays near the size of the result, not five times it
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, _LIBM_RUN):
+        run = flat[i:i + _LIBM_RUN]
+        out[i:i + _LIBM_RUN] = np.fromiter(map(fn, run.tolist()),
+                                           np.float64, len(run))
+    return out.reshape(x.shape)
 
 
 def zero_mode_2p(zpos, q, ztar, xi, area):

@@ -491,8 +491,8 @@ def test_kspace_3p_numpy_at_sources_matches_general_path():
 
 
 def test_kspace_3p_holds_two_target_buffers():
-    # the cos and sin rows of one slice, (M, slice) at the sources and one
-    # row block off them, are the kernel's only target-sized arrays: the
+    # the cos and sin rows of one slice, (slice, M) at the sources and one
+    # column block off them, are the kernel's only target-sized arrays: the
     # potential is reduced in place in them, and no (M, K/2) array is formed
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.1, 0.9])

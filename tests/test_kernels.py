@@ -222,7 +222,6 @@ def test_kspace_3p_is_a_weighted_trig_sum_over_the_vectors_given(
         for k_elements in (kernels_numpy._K_ELEMENTS, 4 * len(s)):
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_numpy, "_K_ELEMENTS", k_elements)
-                mp.setattr(kernels_numpy, "_K_MIN", 1)
                 got = kernels_numpy.kspace_3p(s.positions, s.charges, tpos,
                                               kvecs, w, at_sources)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -357,8 +356,8 @@ def test_kspace_3p_memory_stays_bounded_on_a_spread_slab():
     # 256 sources spread over z in [-100, 100], no gap wide enough to split
     # them: one 2p lattice of 27,626 half-lattice vectors, whose (M, K/2)
     # cos and sin buffers peaked at 111 MiB in one slice against the 72 MiB
-    # bound.  Slices of _K_ELEMENTS keep about 29 MiB, most of it the
-    # sources' per-axis tables over the 1,900 distinct kz
+    # bound.  Slices of _K_ELEMENTS keep about 18 MiB, most of it the
+    # sources' z tables over the 1,837 distinct kz
     box = np.array([1.0, 1.1, 0.9])
     s = _uniform_system(256, box, 16)
     pos = np.array(s.positions)
@@ -381,10 +380,10 @@ _KSPACE_SUMS = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_kspace_slices_match_one_slice(monkeypatch, mode):
-    # slices of 64 (source, k) elements, 10 k each at the 6 sources (no
-    # floor of _K_MIN vectors), against the whole half lattice in one
-    # slice, at the sources and off them: the slice rule is the same for
-    # both, and only the order of the sums moves
+    # slices of 64 (source, k) elements, 10 k each at the 6 sources,
+    # against the whole half lattice in one slice, at the sources and off
+    # them: the slice rule is the same for both, and only the order of the
+    # sums moves
     s = _system()
     par = default_params(s.box, mode)
     kgrid = build_kgrid(s.box, mode, par.k_max)
@@ -396,12 +395,11 @@ def test_kspace_slices_match_one_slice(monkeypatch, mode):
             widths[k_elements] = []
 
             def counted(tables, key, c, *rest):
-                widths[k_elements].append(c.shape[1])
+                widths[k_elements].append(c.shape[0])
                 return phases(tables, key, c, *rest)
 
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_numpy, "_K_ELEMENTS", k_elements)
-                mp.setattr(kernels_numpy, "_K_MIN", 1)
                 mp.setattr(kernels_numpy, "_phases", counted)
                 got[k_elements] = _KSPACE_SUMS[mode](s, par.xi, kgrid,
                                                      targets)
@@ -467,6 +465,93 @@ def test_kspace_3p_calls_no_numpy_cos_or_sin(monkeypatch):
         got = [kspace_sum_3p(s, par.xi, kgrid, _eval_targets(t, a))
                for t, a in _targets(s)]
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _long_double_kspace(pos, q, tpos, kvecs, w):
+    # sum_k w_k (C_k cos k.t + S_k sin k.t) with every phase, cos, sin,
+    # product and sum in np.longdouble
+    ld = np.longdouble
+    k, qs, ws = kvecs.astype(ld), q.astype(ld), w.astype(ld)
+    src = k @ pos.astype(ld).T
+    cs = (np.cos(src) * qs).sum(axis=1) * ws
+    sn = (np.sin(src) * qs).sum(axis=1) * ws
+    tar = k @ tpos.astype(ld).T
+    return (cs[:, None] * np.cos(tar) + sn[:, None] * np.sin(tar)).sum(axis=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_kspace_3p_matches_a_long_double_sum(monkeypatch, mode):
+    # the kernel's every call (the 3p grid, or a 2p or 1p extended lattice)
+    # at and off the 16 sources, against the same sum in long double: the
+    # slices, the row folds and the pairwise slice sums keep the error
+    # near one rounding of the largest value (about 3e-16 of it here)
+    s = _uniform_system(16, [1.0, 1.1, 0.9], 48)
+    par = default_params(s.box, mode)
+    kgrid = build_kgrid(s.box, mode, par.k_max)
+    pts = np.random.default_rng(49).uniform(-0.5, 0.5, (20, 3)) * s.box
+    kspace_3p = kernels_numpy.kspace_3p
+    for targets in (EvalTargets.at_sources(), EvalTargets.at_points(pts)):
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return kspace_3p(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels_numpy, "kspace_3p", recorded)
+            _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
+        assert calls
+        for pos, q, tpos, kvecs, w, at_sources in calls:
+            want = _long_double_kspace(pos, q, tpos, kvecs, w)
+            got = kspace_3p(pos, q, tpos, kvecs, w, at_sources)
+            scale = float(np.abs(want).max())
+            assert float(np.abs(got - want).max()) <= 1e-15 * scale
+
+
+def test_axis_tables_equal_direct_libm_tables():
+    # the tables take libm on the distinct |u| only and the rows of -|u|
+    # from them (_axis_tables); their bytes must equal math.cos and
+    # math.sin of u x over every signed component, which holds while libm
+    # cos is even and sin odd
+    rng = np.random.default_rng(50)
+    s = _uniform_system(8, [1.0, 1.1, 0.9], 51)
+    pts = np.vstack([s.positions, rng.uniform(-40.0, 40.0, (8, 3))])
+    par = default_params(s.box, Periodicity.P3)
+    kgrid = build_kgrid(s.box, Periodicity.P3, par.k_max)
+    half, _ = _extended_lattice(Periodicity.P3, s.box, kgrid.vectors,
+                                np.zeros(0), par.xi)
+    irregular = rng.normal(scale=30.0, size=(20, 3))
+    for kvecs in (half, np.vstack([irregular, -irregular, [[0.0] * 3]])):
+        axes, _ = kernels_numpy._phase_keys(kvecs, len(kvecs))
+        tables = kernels_numpy._axis_tables(pts, axes)
+        for a, (au, signed) in enumerate(axes):
+            cos, sin = tables[2 * a], tables[2 * a + 1]
+            assert len(cos) == len(au) * (1 + signed)
+            for u in np.unique(kvecs[:, a]):
+                row = np.searchsorted(au, abs(u)) + len(au) * (u < 0.0)
+                assert au[row % len(au)] == abs(u)
+                for fn, table in ((math.cos, cos), (math.sin, sin)):
+                    direct = np.array([fn(u * x) for x in pts[:, a]])
+                    assert table[row].tobytes() == direct.tobytes(), (fn, u)
+
+
+def test_libm_peak_stays_near_its_result():
+    # the (components, points) shape of the z tables of the spread-slab
+    # test (1,837 distinct kz by 256 sources): a list of every element as
+    # a Python float took 17.9 MiB at the peak, five times the 3.6 MiB
+    # result; runs of _LIBM_RUN floats keep it near the result
+    x = np.random.default_rng(52).uniform(-300.0, 300.0, (1837, 256))
+    want = np.array([math.cos(v) for v in x.ravel()]).reshape(x.shape)
+    tracemalloc.start()
+    try:
+        got = kernels_numpy._libm(math.cos, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 1.25 * x.nbytes, peak / x.nbytes
 
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
@@ -703,6 +788,41 @@ def test_real_space_erfc_sees_only_pairs_within_cutoff(monkeypatch):
     assert seen.size == want
     assert want < 0.1 * len(images) * len(s) ** 2
     assert np.all((seen > 0.0) & (seen <= par.xi * par.r_cut))
+
+
+def test_real_space_cutoff_keeps_the_pairs_at_r_cut_to_the_last_ulp():
+    # from a source at the origin: targets on the x axis at r_cut and one
+    # ulp on either side (sqrt(x^2) = x exactly, so d is that x), and two
+    # off the axis whose d^2 lands on the two doubles above r_cut^2.  At
+    # this r_cut the first of them still has sqrt(d^2) = r_cut, so a cut
+    # at d^2 <= r_cut^2 would drop a pair with d <= r_cut
+    r_cut = 0.37123456789012393
+    sq = r_cut * r_cut
+    up = math.nextafter(sq, math.inf)
+    d2s = [up, math.nextafter(up, math.inf)]
+    ys = [next(y for y in (math.sqrt(j * math.ulp(sq)) for j in range(1, 64))
+               if sq + y * y == d2) for d2 in d2s]
+    ds = [math.nextafter(r_cut, 0.0), r_cut, math.nextafter(r_cut, 1.0),
+          *map(math.sqrt, d2s)]
+    assert ds[3] == r_cut < ds[4]
+    targets = np.array([[d, 0.0, 0.0] for d in ds[:3]]
+                       + [[r_cut, y, 0.0] for y in ys])
+    got = kernels_numpy.real_space(np.zeros((1, 3)), np.array([0.7]),
+                                   targets, False, np.zeros((1, 3)), 2.0,
+                                   r_cut, 1e-12)
+    want = [special.erfc(2.0 * d) * 0.7 / d if d <= r_cut else 0.0
+            for d in ds]
+    assert got.tolist() == want
+
+
+def test_square_cut_is_the_largest_square_below_r_cut():
+    rng = np.random.default_rng(53)
+    cuts = np.concatenate([10.0 ** rng.uniform(-150, 150, 2000),
+                           rng.uniform(0.1, 10.0, 2000), [1.0, 2.0, 1e200]])
+    for r in cuts.tolist():
+        t = kernels_numpy._square_cut(r)
+        assert math.sqrt(t) <= r < math.sqrt(math.nextafter(t, math.inf))
+    assert kernels_numpy._square_cut(math.inf) == math.inf
 
 
 def test_real_space_memory_stays_below_the_pair_table():
