@@ -14,7 +14,10 @@ math and the scalar routines of specfun.
 
 real_space takes erfc only of the pairs within r_cut: it finds them block
 by block of nearby targets, among the image points near each block, and
-never forms an array over all (target, source, image) triples.
+never forms an array over all (target, source, image) triples.  At the
+sources it forms each pair of targets once, the pair of target m, source
+n, image p with that of n, m, -p, and adds it to both; the blocks own the
+pairs, so there they set the order of the sum.
 
 kspace_3p is the k-space sum of every mode, a plain weighted trig sum
 over exactly the vectors and weights it is given.  ewald._extended_lattice
@@ -50,7 +53,7 @@ functions.
 Every kernel takes its points in blocks under _ROW_ELEMENTS (_blocks),
 real space the targets of each spatial block in runs under it and
 kspace_3p its targets off the sources (as columns), so no kernel forms
-an (M, N) array; a point's terms and their order do not depend on the
+an (M, N) array; a point's terms and their order do not depend on these
 blocks, so neither do the bytes.
 """
 
@@ -65,7 +68,9 @@ from .specfun import EULER_GAMMA, SQRT_PI
 
 
 #: up to this many targets form a single block: below it the work per
-#: block costs more than the pairs that blocks cull
+#: block costs more than the pairs that blocks cull.  At the sources the
+#: blocks own the pairs (_real_at_sources), so this sets the order of the
+#: real-space sum there; off the sources it sets no order
 _FEW_TARGETS = 128
 
 #: every kernel takes its points in blocks of consecutive points (_blocks),
@@ -123,8 +128,9 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     by r_cut (and a rounding margin), so every pair within r_cut is a
     candidate.  Its targets are taken in runs of consecutive targets
     (_blocks over its candidates), each run with at most _ROW_ELEMENTS
-    (target, candidate) pairs (one target at least).  The order of every
-    rounding step is fixed:
+    (target, candidate) pairs (one target at least); per run only (run
+    targets, candidates) arrays are held, never (M, N) ones.  Off the
+    sources the order of every rounding step is fixed:
 
         d^2     ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2,
                 each component (t - x_n) + p, for every candidate pair
@@ -138,25 +144,22 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
                 pairwise sum of the others; 0.0 without a kept term
 
     The terms and their order per target do not depend on the partition
-    into blocks and runs, so neither do the bytes of the result.  Per run
-    only (run targets, candidates) arrays are held, never (M, N) ones.
+    into blocks and runs, so neither do the bytes of the result.  At the
+    sources each pair is formed once (_real_at_sources).
     """
     n = pos.shape[0]
-    out = np.zeros(targets.shape[0])
     # (P N,) per axis: image point j of source j % N and image j // N
     ycols = [(pos[None, :, a] - images[:, None, a]).ravel() for a in range(3)]
     extent = max(np.abs(targets).max(), max(np.abs(y).max() for y in ycols))
     reach = r_cut + 1e-12 * (r_cut + extent)
-    p0s = np.flatnonzero(~images.any(axis=1))
+    blocks = _target_blocks(targets, r_cut)
+    if at_sources:
+        return _real_at_sources(pos, q, images, ycols, blocks, reach, xi,
+                                r_cut)
+    out = np.zeros(targets.shape[0])
     d2_cut = _square_cut(r_cut)
-    for blk in _target_blocks(targets, r_cut):
-        tb = targets[blk]
-        lo = tb.min(axis=0) - reach
-        hi = tb.max(axis=0) + reach
-        inbox = (ycols[0] >= lo[0]) & (ycols[0] <= hi[0])
-        for a in (1, 2):
-            inbox &= (ycols[a] >= lo[a]) & (ycols[a] <= hi[a])
-        cand = np.flatnonzero(inbox)
+    for blk in blocks:
+        cand = _in_box(ycols, targets[blk], reach)
         img, src = np.divmod(cand, n)
         # per axis, the (candidates,) source and image coordinates
         xs = [pos[src, a] for a in range(3)]
@@ -164,31 +167,13 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
         qs = q[src]
         for part in _blocks(len(blk), len(cand)):
             run = blk[part]
-            tr = targets[run]
-            d = np.subtract.outer(tr[:, 0], xs[0])
-            d += ps[0]
-            d *= d
-            da = np.empty_like(d)
-            for a in (1, 2):
-                np.subtract.outer(tr[:, a], xs[a], out=da)
-                da += ps[a]
-                da *= da
-                d += da
-            del da
-            if at_sources:
-                # target m's own image point p0 N + m sits on it, so it is
-                # a candidate; NaN drops the pair from both tests below
-                for p0 in p0s:
-                    d[np.arange(len(run)),
-                      np.searchsorted(cand, p0 * n + run)] = np.nan
+            d = np.empty((len(run), len(cand)))
+            _square_distances(targets[run], xs, ps, d, np.empty_like(d))
             keep = d <= d2_cut
             dk = np.sqrt(d[keep])
             del d
-            close = dk == 0.0 if at_sources else dk < eps
+            close = dk < eps
             if close.any():
-                if at_sources:
-                    raise ValueError(
-                        "zero distance between a target and a periodic image")
                 rows, cols = np.nonzero(keep)
                 i = np.argmax(close)
                 raise ValueError(
@@ -203,6 +188,142 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
             first = np.cumsum(count) - count
             out[run[has]] = np.add.reduceat(terms, first[has])
     return out
+
+
+def _real_at_sources(pos, q, images, ycols, blocks, reach, xi, r_cut):
+    """real_space at the sources: each pair formed once, by its owner.
+
+    The term of (target m, source n, image p) and that of (n, m, -p) have
+    the same d^2 bit for bit ((x_n - x_m) - p = -((x_m - x_n) + p) per
+    component), so the pair is formed once and adds q_n t to target m and
+    q_m t to target n, t = erfc(xi d)/d.  This takes the image set closed
+    under negation, as build_image_vectors' is.  The owner of a pair is
+    the target of the earlier block (_target_blocks); within one block,
+    the target whose image p lies in the upper half, the one whose first
+    nonzero coordinate is positive; for p = 0 within one block, the lower
+    index.  So a block keeps as candidates the image points of the sources
+    of later blocks and, of its own sources, those of the upper half and
+    of p = 0, the latter for the sources n > m of a target m only (which
+    leaves out its own point).  It takes its targets in runs as
+    real_space does, and forms d^2 and d as there; the order of the other
+    rounding steps is fixed:
+
+        t       erfc(xi d) / d, for the owned pairs with d <= r_cut
+        own     per target, q_n t over the block's candidates in ascending
+                j, 0.0 where no pair is kept: numpy's pairwise sum of the
+                row
+        mirror  per candidate j, q_m t over the block's targets m in
+                ascending order, in the binary tree of _pairwise_rows,
+                which does not depend on the runs; per source, the sums
+                of its image points in the block (0.0 for those not
+                candidates) in the binary tree of _fold over the images;
+                the blocks' sums in the binary tree of _pairwise
+        sum     own + mirror
+
+    The bytes thus depend on the blocks, which own the pairs, but not on
+    the runs.  Besides a run's arrays, a block holds (P N,) ones and
+    log2 of its target count of (candidates,) partial sums, and _pairwise
+    log2 of the block count of (N,) ones.
+    """
+    n = pos.shape[0]
+    d2_cut = _square_cut(r_cut)
+    owner = np.empty(n, np.intp)    # the block of each source
+    for b, blk in enumerate(blocks):
+        owner[blk] = b
+    half = _image_halves(images)
+    out = np.zeros(n)
+    # d^2 (then q_m t), a work array and the kept pairs' d of a run, reused
+    # from run to run: fresh arrays per run cost page faults, as glibc
+    # returns them to the system between runs
+    buf = np.empty((3, _ROW_ELEMENTS))
+
+    def block_sums():    # per block, what it adds to each image point
+        for b, blk in enumerate(blocks):
+            cand = _in_box(ycols, pos[blk], reach)
+            img, src = np.divmod(cand, n)
+            # 3 (block - b) + half: the block keeps 0, 1 (for n > m) and
+            # from 3 on
+            r = 3 * (owner[src] - b) + half[img]
+            own = (r >= 0) & (r != 2)
+            cand, img, src = cand[own], img[own], src[own]
+            tri = r[own] == 1    # p = 0 in the own block: n > m only
+            span = np.flatnonzero(tri)
+            span = slice(span[0], span[-1] + 1) if span.size else None
+            xs = [pos[src, a] for a in range(3)]
+            ps = [images[img, a] for a in range(3)]
+            qs = q[src]
+
+            def mirrored_rows():    # per target, q_m t of its kept pairs
+                nonlocal buf
+                if len(cand) > buf.shape[1]:    # a run of one target
+                    buf = np.empty((3, len(cand)))
+                for part in _blocks(len(blk), len(cand)):
+                    run = blk[part]
+                    d, w = (a[:len(run) * len(cand)].reshape(len(run), -1)
+                            for a in buf[:2])
+                    _square_distances(pos[run], xs, ps, d, w)
+                    if span is not None:
+                        # NaN fails the test of d^2 below
+                        drop = tri[span] & (src[span] <= run[:, None])
+                        d[:, span][drop] = np.nan
+                    keep = np.flatnonzero(d <= d2_cut)
+                    dk = d.ravel().take(keep, out=buf[2, :len(keep)],
+                                        mode="clip")
+                    np.sqrt(dk, out=dk)
+                    if (dk == 0.0).any():
+                        raise ValueError("zero distance between a target "
+                                         "and a periodic image")
+                    t = np.multiply(dk, xi, out=w.ravel()[:len(keep)])
+                    sp.erfc(t, out=t)
+                    t /= dk
+                    # t per (target, candidate), 0.0 where not kept
+                    d.fill(0.0)
+                    d.ravel().put(keep, t)
+                    out[run] = np.multiply(d, qs, out=w).sum(axis=1)
+                    d *= q[run, None]
+                    yield d
+
+            grid = np.bincount(cand, _pairwise_rows(mirrored_rows()),
+                               len(ycols[0]))
+            yield _fold(grid.reshape(-1, n))
+
+    mirror = _pairwise(block_sums())
+    out += mirror
+    return out
+
+
+def _in_box(ycols, tb, reach):
+    # the image points inside the bounding box of the points tb widened
+    # by reach, as indices j
+    lo = tb.min(axis=0) - reach
+    hi = tb.max(axis=0) + reach
+    inbox = (ycols[0] >= lo[0]) & (ycols[0] <= hi[0])
+    for a in (1, 2):
+        inbox &= (ycols[a] >= lo[a]) & (ycols[a] <= hi[a])
+    return np.flatnonzero(inbox)
+
+
+def _image_halves(images):
+    """Per image p: 0 if its first nonzero coordinate is positive (the
+    upper half), 1 for p = 0, 2 if it is negative (the lower half)."""
+    first = np.argmax(images != 0.0, axis=1)
+    lead = images[np.arange(len(images)), first]
+    return 1 - np.sign(lead).astype(np.intp)
+
+
+def _square_distances(tr, xs, ps, d, work):
+    """d^2 of the targets tr by the candidates (source coordinates xs and
+    image shifts ps per axis) into d, (targets, candidates), in the fixed
+    order ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2, each
+    component (t - x_n) + p; work is an array of d's shape."""
+    np.subtract.outer(tr[:, 0], xs[0], out=d)
+    d += ps[0]
+    d *= d
+    for a in (1, 2):
+        np.subtract.outer(tr[:, a], xs[a], out=work)
+        work += ps[a]
+        work *= work
+        d += work
 
 
 def _square_cut(r_cut):
@@ -304,23 +425,46 @@ def _fold(rows):
 
 
 def _pairwise(terms):
-    """The sum of the arrays that terms yields, in a fixed binary tree.
+    """The sum of the arrays that terms yields, in the fixed binary tree of
+    _pairwise_rows, one term per row; 0.0 when terms yields none."""
+    return _pairwise_rows(t[None] for t in terms)
 
-    Consecutive runs of 1, 2, 4, ... terms are added as they complete, the
+
+def _pairwise_rows(chunks):
+    """The sum of the rows of the arrays that chunks yields, in a fixed
+    binary tree over the rows that does not depend on the chunks.
+
+    Consecutive runs of 1, 2, 4, ... rows are added as they complete, the
     earlier run on the left, and the runs left at the end from the last
     to the first, so at most log2 of their count partial sums are held.
-    0.0 when terms yields none; one term is returned as it is.
+    A chunk adds its rows in aligned runs at once, a run of 2^j rows as
+    ((r0 + r1) + (r2 + r3)) + ..., neighbours level by level in place.
+    Overwrites the chunks.  0.0 when chunks yield no row.
     """
-    stack = []    # (terms in the run, its sum), the longest run first
-    for t in terms:
-        size = 1
-        while stack and stack[-1][0] == size:
-            t = stack.pop()[1] + t
-            size *= 2
-        stack.append((size, t))
+    stack = []    # (rows in the run, its sum), the longest run first
+    done = 0    # rows taken
+    for rows in chunks:
+        i = 0
+        while i < len(rows):
+            # the longest run from row done that is aligned and in the chunk
+            size = 1 << (len(rows) - i).bit_length() - 1
+            if done:
+                size = min(size, done & -done)
+            run = rows[i:i + size]
+            h = 1
+            while h < size:
+                run[::2 * h] += run[h::2 * h]
+                h *= 2
+            t = run[0].copy()
+            i += size
+            done += size
+            while stack and stack[-1][0] == size:
+                t += stack.pop()[1]
+                size *= 2
+            stack.append((size, t))
     total = stack.pop()[1] if stack else 0.0
     while stack:
-        total = stack.pop()[1] + total
+        total += stack.pop()[1]
     return total
 
 

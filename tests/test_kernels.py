@@ -657,16 +657,26 @@ def _uniform_system(n, box, seed):
 def _culled_matches_dense(monkeypatch, pos, q, tpos, at_sources, images, xi,
                           r_cut):
     # the default partition and one block per occupied cell (blocking
-    # forced on) give the same bytes, within 1e-14 of the dense formula
-    want = dense_real_space(pos, q, tpos, at_sources, images, xi, r_cut)
-    got = kernels_numpy.real_space(pos, q, tpos, at_sources, images, xi,
-                                   r_cut, COINCIDE_RTOL)
+    # forced on) both lie within 1e-14 of the dense formula.  Off the
+    # sources they give the same bytes.  At the sources the blocks own the
+    # pairs and so set the order of the sum: there the two agree in value,
+    # and runs of one target, which set no order, give the default bytes
+    args = (pos, q, tpos, at_sources, images, xi, r_cut, COINCIDE_RTOL)
+    want = dense_real_space(*args[:-1])
+    got = kernels_numpy.real_space(*args)
     with monkeypatch.context() as mp:
         mp.setattr(kernels_numpy, "_FEW_TARGETS", 0)
-        blocked = kernels_numpy.real_space(pos, q, tpos, at_sources, images,
-                                           xi, r_cut, COINCIDE_RTOL)
-    assert got.tobytes() == blocked.tobytes()
+        blocked = kernels_numpy.real_space(*args)
     scale = np.abs(want).max()
+    if at_sources:
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels_numpy, "_ROW_ELEMENTS", 1)
+            single = kernels_numpy.real_space(*args)
+        assert single.tobytes() == got.tobytes()
+        assert np.abs(blocked - got).max() <= 1e-14 * scale
+        assert np.abs(blocked - want).max() <= 1e-14 * scale
+    else:
+        assert got.tobytes() == blocked.tobytes()
     assert np.abs(got - want).max() <= 1e-14 * scale
     return got
 
@@ -783,10 +793,13 @@ def test_real_space_erfc_sees_only_pairs_within_cutoff(monkeypatch):
     kernels_numpy.real_space(s.positions, s.charges, s.positions, True,
                              images, par.xi, par.r_cut, COINCIDE_RTOL)
     seen = np.concatenate(args)
-    want = sum(int(keep.sum()) for _, keep in _dense_pairs(
+    # at the sources each unordered pair, (m, n, p) with (n, m, -p), takes
+    # erfc once; no ordered pair is its own mirror, as (m, m, 0) is left out
+    ordered = sum(int(keep.sum()) for _, keep in _dense_pairs(
         s.positions, s.positions, True, images, par.r_cut))
-    assert seen.size == want
-    assert want < 0.1 * len(images) * len(s) ** 2
+    assert ordered % 2 == 0
+    assert seen.size == ordered // 2
+    assert ordered < 0.1 * len(images) * len(s) ** 2
     assert np.all((seen > 0.0) & (seen <= par.xi * par.r_cut))
 
 
@@ -861,6 +874,36 @@ def test_real_space_bytes_do_not_depend_on_runs(monkeypatch, mode):
         assert single.tobytes() == default.tobytes()
 
 
+def _row_by_row(rows):
+    # the binary tree of _pairwise_rows, one row at a time: consecutive
+    # runs of 1, 2, 4, ... rows added as they complete, then from the last
+    stack = []
+    for t in rows:
+        size = 1
+        while stack and stack[-1][0] == size:
+            t = stack.pop()[1] + t
+            size *= 2
+        stack.append((size, t))
+    total = stack.pop()[1]
+    while stack:
+        total = stack.pop()[1] + total
+    return total
+
+
+def test_pairwise_rows_tree_does_not_depend_on_the_chunks():
+    # the mirrored real-space sums at the sources come in runs of targets
+    # that _ROW_ELEMENTS sets; their tree over the targets must not
+    rng = np.random.default_rng(17)
+    rows = rng.normal(size=(45, 7)) * 10.0 ** rng.uniform(-8, 8, (45, 1))
+    want = _row_by_row(rows.copy())
+    for cuts in ([], list(range(1, 45)), [1, 2, 3, 5, 8, 13, 21, 34],
+                 sorted(rng.choice(np.arange(1, 45), 9, replace=False))):
+        got = kernels_numpy._pairwise_rows(np.split(rows.copy(), cuts))
+        assert got.tobytes() == want.tobytes()
+    assert kernels_numpy._pairwise_rows([]) == 0.0
+    assert kernels_numpy._pairwise([]) == 0.0
+
+
 @pytest.mark.parametrize("mode", [Periodicity.P1, Periodicity.P2],
                          ids=lambda m: m.value)
 def test_real_space_memory_stays_bounded_when_one_block_spans_the_cell(
@@ -901,23 +944,68 @@ def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_numpy, "_target_blocks", blocks)
                 got = kernels_numpy.real_space(*args)
-            assert got.tobytes() == default.tobytes()
+                if at_sources:
+                    # the blocks own the pairs, so they set the order of
+                    # the sum; runs of one target set none
+                    mp.setattr(kernels_numpy, "_ROW_ELEMENTS", 1)
+                    single = kernels_numpy.real_space(*args)
+            if at_sources:
+                assert single.tobytes() == got.tobytes()
+                scale = np.abs(default).max()
+                assert np.abs(got - default).max() <= 1e-14 * scale
+                want = dense_real_space(*args[:-1])
+                assert np.abs(got - want).max() <= 1e-14 * scale
+            else:
+                assert got.tobytes() == default.tobytes()
     perm = rng.permutation(len(pts))
     got = kernels_numpy.real_space(s.positions, s.charges, pts[perm], False,
                                    images, par.xi, par.r_cut, COINCIDE_RTOL)
     want = kernels_numpy.real_space(s.positions, s.charges, pts, False,
                                     images, par.xi, par.r_cut, COINCIDE_RTOL)
     assert got.tobytes() == want[perm].tobytes()
-    perm = rng.permutation(len(s))
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_real_space_at_sources_follows_a_permutation_of_the_sources(mode):
+    # a permutation of the sources changes which target owns a pair and
+    # reorders each target's terms, so only the values are compared
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(200, box, 11)
+    par = default_params(box, mode)
+    images = build_image_vectors(box, mode, par.real_layers)
+    perm = np.random.default_rng(12).permutation(len(s))
     got = kernels_numpy.real_space(s.positions[perm], s.charges[perm],
                                    s.positions[perm], True, images, par.xi,
                                    par.r_cut, COINCIDE_RTOL)
     want = kernels_numpy.real_space(s.positions, s.charges, s.positions,
                                     True, images, par.xi, par.r_cut,
                                     COINCIDE_RTOL)
-    # at the sources a permutation of the sources also reorders each
-    # target's terms, so only the values are compared
     assert np.abs(got - want[perm]).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_real_space_at_sources_raises_on_a_zero_distance(mode):
+    # a pair is formed once, by the target that owns it; whichever owns a
+    # zero distance raises.  Two sources exactly one period apart lie in
+    # different blocks, two on the same point in one block
+    box = np.array([1.0, 1.1, 0.9])
+    r_cut = 0.3
+    images = build_image_vectors(box, mode, 1)
+    a = mode.periodic_axes[0]
+    for shift in (box[a], 0.0):
+        s = _uniform_system(kernels_numpy._FEW_TARGETS + 72, box, 16)
+        pos = np.array(s.positions)
+        pos[0] = [-0.25, -0.25, -0.25]
+        pos[1] = pos[0]
+        pos[1, a] += shift
+        assert pos[1, a] - shift == pos[0, a]
+        blocks = kernels_numpy._target_blocks(pos, r_cut)
+        assert len(blocks) > 1
+        owner = {int(m): b for b, blk in enumerate(blocks) for m in blk}
+        assert (owner[0] == owner[1]) == (shift == 0.0)
+        with pytest.raises(ValueError, match="zero distance"):
+            kernels_numpy.real_space(pos, s.charges, pos, True, images, 2.0,
+                                     r_cut, COINCIDE_RTOL)
 
 
 @pytest.mark.parametrize("module", ["scipy.spatial", "scipy.integrate"])
