@@ -280,7 +280,7 @@ def _kspace(mode, system, tpos, at_sources, xi, kgrid):
     return out
 
 
-def _zero(mode, system, tpos, xi):
+def _zero(mode, system, tpos, at_sources, xi):
     if mode is Periodicity.P3:
         return np.zeros(len(tpos))    # the k = 0 mode is gauged away
     if mode is Periodicity.P2:
@@ -289,7 +289,8 @@ def _zero(mode, system, tpos, xi):
                                           system.charges, tpos[:, 2],
                                           float(xi), area)
     return kernels_numpy.zero_mode_1p(system.positions, system.charges, tpos,
-                                      float(xi), float(system.box[2]))
+                                      float(xi), float(system.box[2]),
+                                      at_sources)
 
 
 def real_space_sum(system: ParticleSystem, mode: Periodicity, xi: float,
@@ -361,8 +362,8 @@ def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
     -(2 sqrt(pi)/L1L2) sum_n q_n [ e^{-xi^2 dz^2}/xi + sqrt(pi) dz erf(xi dz) ].
     """
     require_neutral(system)
-    tpos, _ = _resolve(system, xi, targets)
-    return _zero(Periodicity.P2, system, tpos, xi)
+    tpos, at_sources = _resolve(system, xi, targets)
+    return _zero(Periodicity.P2, system, tpos, at_sources, xi)
 
 
 def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets):
@@ -376,8 +377,8 @@ def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets):
     the axis of a source included.
     """
     require_neutral(system)
-    tpos, _ = _resolve(system, xi, targets)
-    return _zero(Periodicity.P1, system, tpos, xi)
+    tpos, at_sources = _resolve(system, xi, targets)
+    return _zero(Periodicity.P1, system, tpos, at_sources, xi)
 
 
 def ewald_potential(system: ParticleSystem, mode: Periodicity,
@@ -405,7 +406,7 @@ def ewald_potential(system: ParticleSystem, mode: Periodicity,
     real = _real(wrapped, tpos, at_sources, images, params.xi, params.r_cut)
     kgrid = build_kgrid(wrapped.box, mode, params.k_max)
     kspace = _kspace(mode, wrapped, tpos, at_sources, params.xi, kgrid)
-    zero = _zero(mode, wrapped, tpos, params.xi)
+    zero = _zero(mode, wrapped, tpos, at_sources, params.xi)
     if at_sources:
         self_vec = self_term(wrapped.charges, params.xi)
     else:

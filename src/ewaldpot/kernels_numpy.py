@@ -3,11 +3,11 @@
 One kernel per layer: the real-space pair sum, the k-space sum, and the 2p
 and 1p zero modes.  Each takes plain arrays (source positions and charges,
 target positions) that ewald.py has validated, and, where a layer treats
-targets at the sources differently (real space and the k-space sum), a flag
-that says they are the sources.  The zero modes need none: both are finite
-at every point, and the 1p one sums the screened logarithm
--gamma - log(rho^2 xi^2) - E1(rho^2 xi^2), which is +0.0 at rho = 0, at the
-sources and off them alike.
+targets at the sources differently, a flag that says they are the
+sources.  Both zero modes are finite at every point, and the 1p one sums
+the screened logarithm -gamma - log(rho^2 xi^2) - E1(rho^2 xi^2), which is
++0.0 at rho = 0, at the sources and off them alike; it takes the flag
+only to form the bracket of each pair of sources once there.
 It sums with numpy reductions in a fixed order, so reruns are
 bit-identical.  The test suite checks each kernel against a plain loop over
 math and the scalar routines of specfun.
@@ -25,25 +25,29 @@ forms both, the only place that does: one k of each +-k pair of the mode's
 grid extended along its free axes (in 3p the grid as it is), with the
 Ewald weight 8 pi/V e^{-k^2/4xi^2}/k^2 (see the ewald module docstring).
 The kernel returns the real part only and never forms the imaginary part.
-It holds its arrays in (vectors, points) layout, one row per k, so each
-gather is a copy of whole contiguous rows.  It takes cos and sin of k.x
-from per-axis tables: libm cos and sin of kx x, ky y and kz z, one row
-per distinct component of the whole vector set and one column per point,
-built once per point, combined over the distinct (kx, ky) pairs of a
-slice of vectors and then per vector by
-cos(a + b) = cos a cos b - sin a sin b and
-sin(a + b) = sin a cos b + cos a sin b (see _phases).  libm runs on the
-distinct |k| of an axis only, and the rows of -|k| take the same cos and
-the negated sin; that is exact on the assumption, checked by the tests,
-that libm cos is even and sin odd.  One slice rule holds at the sources
-and off them: _K_ELEMENTS // N vectors, so no array of the kernel spans
-(K, points).  S(k) is each row times q summed along its points; per
-target, a slice's rows are added in a fixed binary tree (_fold) and the
-sums of the slices in another (_pairwise).  It evaluates in a
-fixed, written-down order with elementwise numpy operations and reductions
-only: each product and sum is its own float64 operation, with no complex
-arithmetic, no fused step and no matrix product (so no BLAS kernel, whose
-rounding depends on the CPU it picks at run time).  Its cos and sin are
+It sums entries, not vectors: an entry holds the +|kz| and -|kz| vectors
+of one distinct (kx, ky) pair, so per entry four source sums and one
+target term serve both, by cos(a -+ b) = cos a cos b +- sin a sin b and
+sin(a -+ b) = sin a cos b -+ cos a sin b with a = kx x + ky y, b = |kz| z.
+Its cos and sin of a come from per-axis tables: libm cos and sin of kx x
+and ky y, one row per distinct component of the whole vector set and one
+column per point, built once per point and combined over the distinct
+pairs of a slice; those of b from the |kz| rows of the z tables.  libm
+runs on the distinct |k| of an axis only, and the x and y rows of -|k|
+take the same cos and the negated sin; that and the +-|kz| identity are
+exact on the assumption, checked by the tests, that libm cos is even and
+sin odd.  Its arrays hold pairs by points, one contiguous row per pair,
+and an entry's terms are products of a pair's row and a z row.  One slice
+rule holds at the sources and off them: _K_ELEMENTS // N pairs, so no
+array of the kernel spans (pairs, points).  Within a slice the entries
+form tiles of consecutive z rows by consecutive pairs (_tiles), at most
+half padding, so the work follows the vectors given; per target a tile's
+terms, a slice's pairs and the slices are added in fixed binary trees
+(_fold, _pairwise).  It evaluates in a fixed, written-down order with
+elementwise numpy operations and reductions only: each product and sum is
+its own float64 operation, with no complex arithmetic, no fused step and
+no matrix product (so no BLAS kernel, whose rounding depends on the CPU
+it picks at run time).  Its cos and sin are
 libm's through math (_libm; numpy's own SIMD exp, cos and sin differ from
 libm in the last bit on some CPUs), as are the exp of ewald's weights and
 the exp and log of the zero modes.  The bytes of every layer therefore
@@ -87,6 +91,12 @@ _ROW_ELEMENTS = 2 ** 15
 #: With whole-row gathers no floor on the slice pays: slices of 8 vectors
 #: at 3p N=4096 ran 0.81 times as long as slices of 64
 _K_ELEMENTS = 2 ** 15
+
+#: zero_mode_1p at the sources takes the sources in tiles of this many
+#: and each pair of tiles once (_zero_mode_1p_at_sources); the tiles set
+#: the order of its sum, so this is no budget: the tile arrays stay near
+#: _ROW_ELEMENTS / 2 elements
+_PAIR_TILE = 128
 
 #: _libm converts this many elements to Python floats at a time
 _LIBM_RUN = 4096
@@ -169,23 +179,24 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
             run = blk[part]
             d = np.empty((len(run), len(cand)))
             _square_distances(targets[run], xs, ps, d, np.empty_like(d))
-            keep = d <= d2_cut
-            dk = np.sqrt(d[keep])
+            # the kept pairs by index, in (target, candidate) order
+            keep = np.flatnonzero(d <= d2_cut)
+            dk = np.sqrt(d.ravel().take(keep))
             del d
             close = dk < eps
             if close.any():
-                rows, cols = np.nonzero(keep)
-                i = np.argmax(close)
+                row, col = divmod(int(keep[np.argmax(close)]), len(cand))
                 raise ValueError(
-                    f"target {run[rows[i]]} lies within {eps:.3e} of source "
-                    f"{src[cols[i]]}; evaluate at sources instead")
+                    f"target {run[row]} lies within {eps:.3e} of source "
+                    f"{src[col]}; evaluate at sources instead")
             terms = np.multiply(dk, xi)
             sp.erfc(terms, out=terms)
-            terms *= np.broadcast_to(qs, keep.shape)[keep]
+            terms *= qs.take(keep % len(cand))
             terms /= dk
-            count = np.count_nonzero(keep, axis=1)
-            has = count > 0
-            first = np.cumsum(count) - count
+            bounds = np.searchsorted(keep, np.arange(len(run) + 1)
+                                     * len(cand))
+            first = bounds[:-1]
+            has = bounds[1:] > first
             out[run[has]] = np.add.reduceat(terms, first[has])
     return out
 
@@ -346,82 +357,167 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     is sum_k w_k sum_n q_n cos(k.(t - x_n)), over exactly the vectors kvecs
     (one row each) with weights w; at_sources says the targets are pos.
 
-    The vectors are taken in slices of _K_ELEMENTS // N (one at least),
-    at the sources and off them alike.  _phases writes the cos and
-    sin of k.x of a slice to (slice, points) arrays, one row per vector,
-    from per-axis tables (_axis_tables) built once per point: once for the
-    sources, and off the sources once per column block of targets
-    (_blocks), the outer loop there, so no (components, M) table is held.
-    The order of every other rounding step is fixed:
+    It sums entries, not vectors (_entries): an entry (P, |kz|) holds the
+    vectors (kx, ky, +|kz|) and (kx, ky, -|kz|) of one distinct pair
+    P = (kx, ky), with weights w+ and w-, each the sum of the weights of
+    its vectors (0.0 for one not given).  With cxy, sxy the cos and sin of
+    kx x + ky y and cz, sz those of |kz| z, cos k.x = cxy cz -+ sxy sz and
+    sin k.x = sxy cz +- cxy sz for +-|kz|.  So per entry four sums over
+    the sources
 
-        S(k)    per vector, q times its cos (sin) row, summed along the
-                points by numpy's pairwise sum of a contiguous row; then
-                times w
-        slice   per target, c (w cs) + s (w sn) on its column, in place,
-                the rows then folded in a fixed binary tree (_fold); at the
-                sources the rows of S(k) serve again as the target rows
+        X = sum cxy q cz,  Z = sum sxy q cz,  W = sum cxy q sz,
+        Y = sum sxy q sz
+
+    give C+- = X -+ Y and S+- = Z +- W, and with a+- = w+- C+- and
+    b+- = w+- S+- the potential is sum_P cxy U_P + sxy V_P, where U_P and
+    V_P sum over the entries of P
+
+        U_P = (a+ + a-) cz + (b+ - b-) sz,  V_P = (b+ + b-) cz + (a- - a+) sz
+
+    Off the sources each target thus pays per entry, not per vector.  The
+    identity takes cz and sz on the |kz| rows only; that is exact on libm's
+    values as (-u) z = -(u z) and libm cos is even and sin odd, which the
+    x and y tables assume too (_axis_tables).
+
+    The pairs are taken in slices of _K_ELEMENTS // N (one at least), at
+    the sources and off them alike, so no array spans (pairs, points);
+    per slice the pair tables cxy, sxy (_pair_tables) are formed from the
+    per-axis tables, built once per point: once for the sources, and off
+    the sources once per column block of targets (_blocks), the outer loop
+    there.  A slice's entries are taken in tiles (_tiles), each a block of
+    consecutive |kz| rows by consecutive pairs whose cells, entries and
+    padding (weight 0.0), count at most twice its entries and at most
+    _K_ELEMENTS // N; every product of a tile is a contiguous run of pair
+    rows by one z row.  The order of every rounding step is fixed:
+
+        xy      per pair, cxy = (cx cy) - (sx sy), sxy = (sx cy) + (cx sy)
+        S(k)    per cell, cxy and sxy times q cz and q sz, each summed
+                along the points by numpy's pairwise sum of a contiguous
+                row: X, Z, W, Y
+        coeff   per cell, with ws = w+ + w- and wd = w+ - w-,
+                (X ws) - (Y wd) and (W ws) + (Z wd) for U, (Z ws) + (W wd)
+                and (Y ws) - (X wd) for V (_coefficients)
+        U, V    per tile, pair and target, its 2 x rows terms (coefficient
+                times cz or sz), cz rows then sz rows, folded in the fixed
+                binary tree of _fold; per slice the tiles' sums added from
+                0.0 in tile order
+        slice   per target, U cxy and V sxy over the slice's pairs, the
+                2 x pairs rows (U rows, then V rows) folded (_fold)
         sum     per target, the sums of the slices added in the fixed
                 binary tree of _pairwise
 
     Every column is formed and summed from its own point alone, so the
-    bytes depend on neither the column blocks nor the other targets; the
-    slices, and so N, move their last bits.  No BLAS routine is called and
+    bytes depend on neither the column blocks nor the other targets, and
+    at the sources they equal those of the general path; the slices and
+    tiles, and so N, move their last bits.  No BLAS routine is called and
     cos and sin are libm's, so the result depends on neither the BLAS
-    kernel nor numpy's SIMD level.
+    kernel nor numpy's SIMD level.  Work and memory follow the vectors
+    given: on an irregular grid, where each vector has a pair and |kz| of
+    its own, every tile is one entry, and no (|kz| rows, pairs) array is
+    formed.
     """
     n_src = len(pos)
     step = max(1, _K_ELEMENTS // n_src)
-    axes, keys = _phase_keys(kvecs, step)
-    blocks = [] if at_sources else _blocks(len(targets), step)
+    axes, px, py, wsd, slices = _entries(kvecs, w, step)
+    width = min(step, len(px))    # pairs in the widest slice
+    # cells in the largest tile, or pairs in the widest slice
+    most = max([width] + [c1 - c0 for _, tiles in slices
+                          for *_, c0, c1 in tiles])
+    blocks = [] if at_sources else _blocks(len(targets), most)
     cols = max([n_src] + [b.stop - b.start for b in blocks])
-    # c, s and the work arrays of _phases, reused from slice to slice:
-    # fresh arrays of this size per slice cost page faults, as glibc
-    # returns them to the system between slices
-    buf = np.empty((5, min(step, len(w)) * cols))
+    # the pair tables and the (U, V) rows of a slice and the work array of
+    # a tile, reused from slice to slice: fresh arrays of this size per
+    # slice cost page faults, as glibc returns them to the system between
+    # slices
+    buf = np.empty(4 * (width + most) * cols)
+    # [j, i, c]: per cell the source sums of z table j (cz, sz) and pair
+    # table i (cxy, sxy), then its coefficient of z table j in U (i = 0)
+    # or V (i = 1)
+    coef = np.empty((2, 2, wsd.shape[1]))
 
-    def phases(tables, key, m):    # c, s and a free work array, (slice, m)
-        c, s, *work = (b[:len(key[-1]) * m].reshape(-1, m) for b in buf)
-        _phases(tables, key, c, s, work)
-        return c, s, work[0]
+    def views(tables, part, m):    # the slice's (2, pairs, m) xy and UV
+        # arrays and the work array
+        size, n = 2 * width * m, len(px[part])
+        xy, uv = (buf[i * size:i * size + 2 * n * m].reshape(2, n, m)
+                  for i in (0, 1))
+        work = buf[2 * size:]
+        _pair_tables(tables, px[part], py[part], xy, work)
+        return xy, uv, work
 
-    def slice_sums(c, s, cs, sn):    # per target column, its slice sum
-        c *= cs[:, None]
-        s *= sn[:, None]
-        c += s
-        return _fold(c)
+    def products(tiles, work, m):    # per tile, its (2, rows, 2, pairs, m)
+        # array and its cells' coefficients
+        for ra, rb, p0, p1, c0, c1 in tiles:
+            c = coef[:, :, c0:c1].reshape(2, 2, rb - ra, p1 - p0)
+            t = work[:4 * (c1 - c0) * m].reshape(2, rb - ra, 2, p1 - p0, m)
+            yield ra, rb, p0, p1, c.transpose(0, 2, 1, 3), t
 
-    def source_slices():    # per slice: its key, w S(k), and c and s
+    def slice_sums(zs, tiles, xy, uv, work):    # per target, its slice sum
+        m = zs.shape[-1]
+        uv.fill(0.0)
+        for ra, rb, p0, p1, c, t in products(tiles, work, m):
+            np.multiply(c[..., None], zs[:, ra:rb, None, None], out=t)
+            uv[:, p0:p1] += _fold(t.reshape(2 * (rb - ra), -1)).reshape(
+                2, -1, m)
+        uv *= xy
+        return _fold(uv.reshape(-1, m))
+
+    def source_slices():    # per slice, after its cells' coefficients
         tables = _axis_tables(pos, axes)
-        for part, key in keys:
-            c, s, t = phases(tables, key, n_src)
-            cs, sn = (np.multiply(p, q, out=t).sum(axis=1) * w[part]
-                      for p in (c, s))
-            yield key, cs, sn, c, s
+        qz = tables[4] * q
+        for part, tiles in slices:
+            xy, uv, work = views(tables, part, n_src)
+            for ra, rb, p0, p1, c, t in products(tiles, work, n_src):
+                np.multiply(xy[:, p0:p1], qz[:, ra:rb, None, None], out=t)
+                t.sum(axis=-1, out=c)
+            if tiles:
+                cells = slice(tiles[0][4], tiles[-1][5])
+                _coefficients(coef[:, :, cells], wsd[:, cells])
+            yield tables[4], tiles, xy, uv, work
 
     out = np.zeros(len(targets))
     if at_sources:
-        out[:] = _pairwise(slice_sums(c, s, cs, sn)
-                           for _, cs, sn, c, s in source_slices())
+        out[:] = _pairwise(slice_sums(*args) for args in source_slices())
         return out
-    sums = [(key, cs, sn) for key, cs, sn, _, _ in source_slices()]
+    for _ in source_slices():    # every cell's coefficients first
+        pass
     for blk in blocks:
         tables = _axis_tables(targets[blk], axes)
         out[blk] = _pairwise(
-            slice_sums(*phases(tables, key, blk.stop - blk.start)[:2], cs, sn)
-            for key, cs, sn in sums)
+            slice_sums(tables[4], tiles,
+                       *views(tables, part, blk.stop - blk.start))
+            for part, tiles in slices)
     return out
 
 
+def _coefficients(s, wsd):
+    """In place of the cells' source sums s, s[j, i] of z table j and pair
+    table i (X, Z; W, Y), their coefficients s[j, i] of z table j in U
+    (i = 0) and V (i = 1), with ws = w+ + w- and wd = w+ - w- (wsd):
+
+        U cz   (X ws) - (Y wd)      V cz   (Z ws) + (W wd)
+        U sz   (W ws) + (Z wd)      V sz   (Y ws) - (X wd)
+
+    which is (a+ + a-), (b+ + b-), (b+ - b-) and (a- - a+) for
+    a+- = w+- (X -+ Y) and b+- = w+- (Z +- W)."""
+    ws, wd = wsd
+    s4 = s.reshape(4, -1)    # X, Z, W, Y
+    t = s4[::-1] * wd    # Y wd, W wd, Z wd, X wd
+    s4 *= ws
+    s4[1:3] += t[1:3]
+    s4[::3] -= t[::3]
+
+
 def _fold(rows):
-    """The column sums of rows, a copy, added in a fixed binary tree: while
-    n > 1 rows are left, the last h = n // 2 are added onto the first h
-    (rows[:h] += rows[n - h:n]) and n becomes n - h.  Overwrites rows."""
+    """The column sums of rows, added in a fixed binary tree: while n > 1
+    rows are left, the last h = n // 2 are added onto the first h
+    (rows[:h] += rows[n - h:n]) and n becomes n - h.  Overwrites rows and
+    returns rows[0], which holds the sums."""
     n = len(rows)
     while n > 1:
         h = n // 2
         rows[:h] += rows[n - h:n]
         n -= h
-    return rows[0].copy()
+    return rows[0]
 
 
 def _pairwise(terms):
@@ -468,31 +564,123 @@ def _pairwise_rows(chunks):
     return total
 
 
-def _phase_keys(kvecs, step):
-    """The keys of the per-axis tables of _phases, for slices of step vectors.
+def _entries(kvecs, w, step):
+    """The tables, pairs, entries and tiles of kspace_3p, for slices of
+    step pairs: (axes, px, py, wsd, slices).
 
-    axes holds, per axis, the distinct |u| of its components u (kx, ky or
-    kz) over all the vectors, and whether any u is negative; the rows of
-    the axis' tables are those |u|, then, if any u is negative, their
-    negatives.  Per slice, a key holds the distinct (kx, ky) pairs that
-    occur in it, as row indices px, py into the x and y tables, and per
-    vector the index of its pair and its z table row.
+    axes holds, per axis, the distinct |u| of its components u over all
+    the vectors (ascending) and whether the table takes signed rows: the x
+    and y tables have those |u| rows, then, if any u is negative, their
+    negatives; the z tables have the |kz| rows only.  The distinct pairs
+    (kx, ky) come by their last |kz| row, descending, then by their x and
+    y table rows, px and py: on a lattice cut by |k| the pairs of a |kz|
+    row are then a prefix.  The entries come by slice, then |kz| row, then
+    pair, and runs of them (one row, consecutive pairs) merge into tiles
+    (_tiles).  wsd holds per cell ws = w+ + w- and wd = w+ - w-, w+ and
+    w- the sums (np.bincount, in the given order) of the weights of its
+    vectors with kz >= 0 and kz < 0; padding cells have 0.0.  slices
+    holds per slice its pairs (a slice) and its tiles: (first and end z
+    row, first and end pair within the slice, first and end cell).
     """
-    axes, rows = [], []
+    # per axis the distinct |u| and, per vector, the key of its entry: its
+    # x, y and z table rows in mixed radix
+    axes, key = [], 0
     for u in kvecs.T:
         au, ia = _distinct(np.abs(u))
-        neg = u < 0.0
-        signed = bool(neg.any())
+        signed = len(axes) < 2 and bool((u < 0.0).any())
+        if signed:
+            ia += len(au) * (u < 0.0)
         axes.append((au, signed))
-        rows.append(ia + len(au) * neg if signed else ia)
-    ix, iy, iz = rows
-    ny = len(axes[1][0]) * (1 + axes[1][1])    # rows of the y tables
-    keys = []
-    for start in range(0, len(kvecs), step):
-        part = slice(start, start + step)
-        pairs, ixy = _distinct(ix[part] * ny + iy[part])
-        keys.append((part, (*np.divmod(pairs, ny), ixy, iz[part])))
-    return axes, keys
+        key *= len(au) * (1 + signed)
+        key += ia
+        del ia
+    nx, ny = (len(au) * (1 + signed) for au, signed in axes[:2])
+    n_rows = len(axes[2][0])
+    # the entries by pair (its x and y table rows), then |kz| row
+    ent, ie = _distinct(key)
+    del key
+    xy, row = np.divmod(ent, n_rows)
+    last = np.empty(len(ent), bool)    # the last entry of each pair
+    last[-1:] = True
+    np.not_equal(xy[1:], xy[:-1], out=last[:-1])
+    pair = np.cumsum(last) - last
+    # the pairs by their last |kz| row, descending, then by table rows
+    top = np.flatnonzero(last)
+    by_top = np.argsort((n_rows - row[top]) * nx * ny + xy[top],
+                        kind="stable")
+    px, py = np.divmod(xy[top[by_top]], ny)
+    n_pairs = len(top)
+    rank = np.empty(n_pairs, np.intp)
+    rank[by_top] = np.arange(n_pairs)
+    pair = rank[pair]
+    # the entries by slice, then |kz| row, then pair: a run of entries
+    # of one slice and row whose pairs are consecutive has consecutive keys
+    key = (pair // step * n_rows + row) * (n_pairs + 1) + pair % step
+    ent = np.argsort(key, kind="stable")
+    key = key[ent]
+    start = np.empty(len(ent), bool)
+    start[:1] = True
+    np.not_equal(key[1:] - key[:-1], 1, out=start[1:])
+    first = np.flatnonzero(start)
+    size = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=size[:-1])
+    size[-1:] = len(ent) - first[-1:]
+    hr, p0 = np.divmod(key[first], n_pairs + 1)
+    tiles, firsts = _tiles(np.array([hr // n_rows, hr % n_rows, p0, size]),
+                           step)
+    cell = np.empty(len(ent), np.intp)
+    cell[ent] = np.repeat(firsts - first, size) + np.arange(len(ent))
+    n_cells = tiles[-1][6] if tiles else 0
+    wsd = np.bincount(cell[ie] + n_cells * (kvecs[:, 2] < 0.0), w,
+                      2 * n_cells).reshape(2, -1)    # w+, w-
+    ws = wsd[0] + wsd[1]
+    np.subtract(wsd[0], wsd[1], out=wsd[1])
+    wsd[0] = ws
+    slices = [(slice(s * step, (s + 1) * step), []) for s in
+              range(-(-n_pairs // step))]
+    for h, *tile in tiles:
+        slices[h][1].append(tile)
+    return axes, px, py, wsd, slices
+
+
+def _tiles(runs, step):
+    """The runs (rows' slice, z row, first pair, size) merged into tiles,
+    (slice, first and end z row, first and end pair, first and end cell),
+    and per run the cell of its first entry.
+
+    A run joins the tile before it when both are of one slice, its row is
+    the tile's last row or the next one, and the tile then spans at most
+    step cells (rows by its first to last pair), at least half of them
+    entries.  So a tile's cells, entries and padding alike, count at most
+    twice its entries.  A tile's cells run row by row, pair by pair.
+    """
+    tiles, firsts, members = [], [], []
+
+    def close():    # the last tile's runs' first cells
+        _, ra, _, q0, q1, c0, _ = tiles[-1]
+        firsts.extend(c0 + (r - ra) * (q1 - q0) + p0 - q0
+                       for r, p0 in members)
+        members.clear()
+
+    for h, r, p0, size in zip(*runs.tolist()):
+        if tiles:
+            th, ra, rb, q0, q1, c0, _ = tiles[-1]
+            q0, q1 = min(q0, p0), max(q1, p0 + size)
+            cells = (r + 1 - ra) * (q1 - q0)
+            if (th == h and r <= rb and cells <= step
+                    and cells <= 2 * (count + size)):
+                tiles[-1] = (h, ra, r + 1, q0, q1, c0, c0 + cells)
+                members.append((r, p0))
+                count += size
+                continue
+            close()
+        c0 = tiles[-1][6] if tiles else 0
+        tiles.append((h, r, r + 1, p0, p0 + size, c0, c0 + size))
+        members.append((r, p0))
+        count = size
+    if tiles:
+        close()
+    return tiles, np.array(firsts, np.intp)
 
 
 def _distinct(v):
@@ -507,63 +695,54 @@ def _distinct(v):
 
 
 def _axis_tables(pts, axes):
-    """cx, sx, cy, sy, cz, sz: libm cos and sin of u x, u y and u z over the
-    rows of each axis (_phase_keys) by the points pts, one column per point
-    (each product rounded once).  libm runs on the distinct |u| rows only:
-    a row of -|u| takes the cos of its |u| row and the negated sin.  That
-    is exact as (-u) x = -(u x) and libm cos is even and sin odd.  A
-    column depends on its own point alone."""
+    """cx, sx, cy, sy and zs: libm cos and sin of u x and u y over the rows
+    of the x and y axes (_entries) by the points pts, one column per point
+    (each product rounded once), and zs, (2, rows, points), the cos and sin
+    of u z over the rows of the z axis.  libm runs on the distinct |u| rows
+    only, all axes in one call each for cos and sin: a row of -|u| takes
+    the cos of its |u| row and the negated sin.  That is exact as
+    (-u) x = -(u x) and libm cos is even and sin odd.  A column depends on
+    its own point alone."""
+    sizes = [len(au) for au, _ in axes]
+    arg = np.empty((sum(sizes), len(pts)))
+    ends = np.cumsum(sizes)
+    for (au, _), coord, end in zip(axes, pts.T, ends):
+        np.multiply.outer(au, coord, out=arg[end - len(au):end])
+    cos, sin = _libm(math.cos, arg), _libm(math.sin, arg)
     tables = []
-    for coord, (au, signed) in zip(pts.T, axes):
-        arg = np.multiply.outer(au, coord)
-        cos, sin = _libm(math.cos, arg), _libm(math.sin, arg)
+    for (au, signed), end in zip(axes[:2], ends):
+        c, s = cos[end - len(au):end], sin[end - len(au):end]
         if signed:
-            cos, sin = np.concatenate((cos, cos)), np.concatenate((sin, -sin))
-        tables += [cos, sin]
-    return tables
+            c, s = np.concatenate((c, c)), np.concatenate((s, -s))
+        tables += [c, s]
+    return tables + [np.stack((cos[ends[1]:], sin[ends[1]:]))]
 
 
-def _phases(tables, key, c, s, work):
-    """cos and sin of k.x, a slice's vectors by the tables' points, into c
-    and s, one row per vector.
+def _pair_tables(tables, px, py, out, work):
+    """cxy and sxy, the cos and sin of kx x + ky y of the pairs with x and
+    y table rows px and py by the tables' points, into out[0] and out[1]:
 
-    From the per-axis tables (_axis_tables) and the slice's key
-    (_phase_keys), in this order:
+        cxy = (cx cy) - (sx sy),  sxy = (sx cy) + (cx sy)
 
-        xy      per distinct (kx, ky) pair of the slice:
-                cxy = (cx cy) - (sx sy),  sxy = (sx cy) + (cx sy)
-        k.x     per vector, from its pair's xy and its kz's z entries:
-                c = (cxy cz) - (sxy sz),  s = (sxy cz) + (cxy sz)
-
-    Each product, difference and sum is one np.multiply, np.subtract or
+    each product, difference and sum one np.multiply, np.subtract or
     np.add of float64 arrays, rounded on its own (no complex arithmetic
-    and no fused step); np.take along axis 0 picks whole rows, contiguous
-    copies.  A column depends on its own point alone.  The xy tables span
-    the distinct pairs that occur, never every (kx, ky) of the distinct kx
-    and ky.  work holds three arrays of c's shape.
-    """
-    cx, sx, cy, sy, cz, sz = tables
-    px, py, ixy, iz = key
-    gcx, gsx = cx[px], sx[px]
-    gcy, gsy = cy[py], sy[py]
-    cxy = gcx * gcy
-    t = gsx * gsy
-    cxy -= t
-    sxy = gsx * gcy
-    np.multiply(gcx, gsy, out=t)
-    sxy += t
+    and no fused step); np.take along axis 0 gathers whole rows into work,
+    which holds twice out's elements.  A column depends on its own point
+    alone."""
+    cx, sx, cy, sy = tables[:4]
+    n = out[0].size
     # mode "clip" (the indices are in range) as "raise" buffers out
-    gc, gs, gz = work
-    np.take(cxy, ixy, axis=0, out=gc, mode="clip")
-    np.take(sxy, ixy, axis=0, out=gs, mode="clip")
-    np.take(cz, iz, axis=0, out=gz, mode="clip")
-    np.multiply(gc, gz, out=c)
-    np.multiply(gs, gz, out=s)
-    np.take(sz, iz, axis=0, out=gz, mode="clip")
-    gs *= gz
-    c -= gs
-    gc *= gz
-    s += gc
+    gcx, gsx, gcy, gsy = (
+        np.take(t, i, axis=0, mode="clip",
+                out=work[k * n:(k + 1) * n].reshape(out[0].shape))
+        for k, (t, i) in enumerate(((cx, px), (sx, px), (cy, py),
+                                    (sy, py))))
+    np.multiply(gcx, gcy, out=out[0])
+    gcy *= gsx
+    np.multiply(gcx, gsy, out=out[1])
+    gsy *= gsx
+    out[0] -= gsy
+    out[1] += gcy
 
 
 def _blocks(m, n):
@@ -611,13 +790,53 @@ def _log_e1_bracket_array(x):
     return out
 
 
-def zero_mode_1p(pos, q, targets, xi, length):
+def zero_mode_1p(pos, q, targets, xi, length, at_sources):
     # targets in blocks of rows (_blocks); each row summed on its own.  The
     # bracket is +0.0 at rho = 0, so a source whose axis holds the target
-    # (at the sources, the n = m term) adds nothing
+    # (at the sources, the n = m term) adds nothing.  At the sources each
+    # pair is taken once (_zero_mode_1p_at_sources)
+    if at_sources:
+        return _zero_mode_1p_at_sources(pos, q, xi) / length
     out = np.empty(len(targets))
     for part in _blocks(len(targets), len(pos)):
         dxy = targets[part, None, :2] - pos[None, :, :2]
         br = _log_e1_bracket_array((dxy ** 2).sum(axis=-1) * xi * xi)
         out[part] = (q[None, :] * br).sum(axis=1)
     return out / length
+
+
+def _zero_mode_1p_at_sources(pos, q, xi):
+    """The sum of zero_mode_1p at the sources, the bracket of each pair
+    taken once.
+
+    rho^2 xi^2 of (m, n) and of (n, m) are equal bit for bit (the
+    differences are negated, their squares equal), so one bracket serves
+    both.  The sources are taken in tiles of _PAIR_TILE consecutive
+    sources and each pair of tiles A <= B once: the bracket of A by B (of
+    the pairs m < n only when A = B, mirrored, 0.0 on the diagonal), then
+    per target of A the row of q_n br over B and, for A < B, per target of
+    B the row of q_m br over A, each summed by numpy's pairwise sum of a
+    contiguous row.  A target adds its tiles' row sums in ascending tile
+    order.  Up to _PAIR_TILE sources that is the one row sum of
+    zero_mode_1p off the sources, byte for byte.  Besides (N,) arrays a
+    tile pair holds a few (_PAIR_TILE, _PAIR_TILE) ones.
+    """
+    n = len(pos)
+    out = np.zeros(n)
+    tiles = [slice(i, min(i + _PAIR_TILE, n)) for i in range(0, n, _PAIR_TILE)]
+    for a, ta in enumerate(tiles):
+        for tb in tiles[a:]:
+            dxy = pos[ta, None, :2] - pos[None, tb, :2]
+            x = (dxy ** 2).sum(axis=-1) * xi * xi
+            if tb is ta:
+                upper = np.triu_indices(len(x), 1)
+                br = np.zeros_like(x)
+                br[upper] = _log_e1_bracket_array(x[upper])
+                br.T[upper] = br[upper]
+            else:
+                br = _log_e1_bracket_array(x)
+            out[ta] += (q[None, tb] * br).sum(axis=1)
+            if tb is not ta:
+                out[tb] += np.multiply(q[None, ta], br.T, order="C").sum(
+                    axis=1)
+    return out

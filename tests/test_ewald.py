@@ -351,7 +351,7 @@ def test_kspace_2p_matches_mode_quadrature():
 
 
 def test_kspace_2p_at_sources_matches_general_path():
-    # at the sources the kernel reuses the source phases; the general path
+    # at the sources the kernel reuses the source tables; the general path
     # (the sources plus one extra target inside their z extent, so the
     # extended lattice is the same) computes them again, in the same order
     rng = np.random.default_rng(37)
@@ -475,7 +475,7 @@ def test_kspace_1p_matches_2d_quadrature():
 
 
 def test_kspace_3p_numpy_at_sources_matches_general_path():
-    # the at-source path reuses the source phases; the general path (the
+    # the at-source path reuses the source tables; the general path (the
     # sources plus one extra target) computes them again, in the same order
     rng = np.random.default_rng(37)
     box = np.array([1.1, 0.9, 1.0])
@@ -491,9 +491,10 @@ def test_kspace_3p_numpy_at_sources_matches_general_path():
 
 
 def test_kspace_3p_holds_two_target_buffers():
-    # the cos and sin rows of one slice, (slice, M) at the sources and one
-    # column block off them, are the kernel's only target-sized arrays: the
-    # potential is reduced in place in them, and no (M, K/2) array is formed
+    # the pair tables, (U, V) rows and tile products of one slice, at the
+    # sources and for one column block off them, are the kernel's only
+    # target-sized arrays: the potential is reduced in place in them, and
+    # no (M, K/2) array is formed
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(rng, 64, box)
@@ -526,10 +527,11 @@ def _kspace_3p_peak(s, targets, at_sources, kvecs, w):
 
 
 def test_kspace_3p_peak_does_not_grow_with_the_lattice():
-    # at fixed N the slices keep every (points, k) array at _K_ELEMENTS: from
-    # K/2 = 3,611 to 29,015 (xi 6 and 12 / min L) the peak, at 64 sources
-    # and on a 4^3 grid, rises by the per-vector keys and weights alone
-    # (about 35 bytes a vector), where one (M, K/2) buffer would add 512
+    # at fixed N the slices keep every (points, pairs) array at
+    # _K_ELEMENTS: from K/2 = 3,611 to 29,015 (xi 6 and 12 / min L) the
+    # peak, at 64 sources and on a 4^3 grid, rises by the per-cell sums and
+    # weights and the widening of the slices from 252 pairs to their cap of
+    # 512 (about 51 bytes a vector), where one (M, K/2) buffer would add 512
     rng = np.random.default_rng(41)
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(rng, 64, box)
@@ -552,7 +554,7 @@ def test_kspace_3p_peak_does_not_grow_with_the_lattice():
 def test_kspace_3p_peak_at_the_bulk_benchmark_size():
     # 512 sources at the default parameters of that N, K/2 = 3,611: the
     # (N, K/2) cos and sin buffers of one slice took 29 MiB; slices of
-    # _K_ELEMENTS keep the kernel's peak at about 2.2 MiB
+    # _K_ELEMENTS keep the kernel's peak at about 2.9 MiB
     rng = np.random.default_rng(42)
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(rng, 512, box)

@@ -198,7 +198,8 @@ def test_kernels_match_reference_loops(mode):
             length = float(box[2])
             _close(kspace_sum_1p(s, xi, kgrid, targets),
                    ref_kspace_1p(pos, q, tpos, xi, kvecs, length))
-            _close(kernels_numpy.zero_mode_1p(pos, q, tpos, xi, length),
+            _close(kernels_numpy.zero_mode_1p(pos, q, tpos, xi, length,
+                                              at_sources),
                    ref_zero_mode_1p(pos, q, tpos, at_sources, xi, length))
 
 
@@ -249,7 +250,8 @@ def test_reference_loops_share_no_routine_with_the_kernels(monkeypatch):
             ((kernels_numpy.zero_mode_2p, pos[:, 2], q, tpos[:, 2], xi,
               area),
              (ref_zero_mode_2p, pos, q, tpos, xi, area)),
-            ((kernels_numpy.zero_mode_1p, pos, q, tpos, xi, length),
+            ((kernels_numpy.zero_mode_1p, pos, q, tpos, xi, length,
+              at_sources),
              (ref_zero_mode_1p, pos, q, tpos, at_sources, xi, length)),
         ]
         want = [kernel(*args) for (kernel, *args), _ in pairs]
@@ -380,27 +382,27 @@ _KSPACE_SUMS = {Periodicity.P3: kspace_sum_3p, Periodicity.P2: kspace_sum_2p,
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_kspace_slices_match_one_slice(monkeypatch, mode):
-    # slices of 64 (source, k) elements, 10 k each at the 6 sources,
-    # against the whole half lattice in one slice, at the sources and off
+    # slices of 64 (source, pair) elements, 10 (kx, ky) pairs each at the 6
+    # sources, against every pair in one slice, at the sources and off
     # them: the slice rule is the same for both, and only the order of the
     # sums moves
     s = _system()
     par = default_params(s.box, mode)
     kgrid = build_kgrid(s.box, mode, par.k_max)
-    phases = kernels_numpy._phases
+    pair_tables = kernels_numpy._pair_tables
     for tpos, at_sources in _targets(s):
         targets = _eval_targets(tpos, at_sources)
         got, widths = {}, {}
         for k_elements in (2 ** 40, 64):
             widths[k_elements] = []
 
-            def counted(tables, key, c, *rest):
-                widths[k_elements].append(c.shape[0])
-                return phases(tables, key, c, *rest)
+            def counted(tables, px, *rest):
+                widths[k_elements].append(len(px))
+                return pair_tables(tables, px, *rest)
 
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_numpy, "_K_ELEMENTS", k_elements)
-                mp.setattr(kernels_numpy, "_phases", counted)
+                mp.setattr(kernels_numpy, "_pair_tables", counted)
                 got[k_elements] = _KSPACE_SUMS[mode](s, par.xi, kgrid,
                                                      targets)
         whole, sliced = got[2 ** 40], got[64]
@@ -468,7 +470,7 @@ def test_kspace_3p_calls_no_numpy_cos_or_sin(monkeypatch):
 
 
 def _long_double_kspace(pos, q, tpos, kvecs, w):
-    # sum_k w_k (C_k cos k.t + S_k sin k.t) with every phase, cos, sin,
+    # sum_k w_k (C_k cos k.t + S_k sin k.t) with every k.x, cos, sin,
     # product and sum in np.longdouble
     ld = np.longdouble
     k, qs, ws = kvecs.astype(ld), q.astype(ld), w.astype(ld)
@@ -510,26 +512,109 @@ def test_kspace_3p_matches_a_long_double_sum(monkeypatch, mode):
             assert float(np.abs(got - want).max()) <= 1e-15 * scale
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+def test_kspace_3p_unpaired_kz_matches_a_long_double_sum():
+    # the 3p half lattice with a third of its kz < 0 vectors removed, so
+    # that many (kx, ky, kz) lack (kx, ky, -kz) and their entries hold one
+    # vector (the other weight 0.0), at and off the 16 sources, against
+    # the same sum in long double
+    s = _uniform_system(16, [1.0, 1.1, 0.9], 53)
+    par = default_params(s.box, Periodicity.P3)
+    kgrid = build_kgrid(s.box, Periodicity.P3, par.k_max)
+    half, w = _extended_lattice(Periodicity.P3, s.box, kgrid.vectors,
+                                np.zeros(0), par.xi)
+    rng = np.random.default_rng(54)
+    drop = (half[:, 2] < 0.0) & (rng.uniform(size=len(half)) < 1 / 3)
+    kvecs, w = half[~drop], w[~drop]
+    assert drop.sum() > 100
+    pts = rng.uniform(-0.5, 0.5, (20, 3)) * s.box
+    for tpos, at_sources in ((s.positions, True), (pts, False)):
+        want = _long_double_kspace(s.positions, s.charges, tpos, kvecs, w)
+        got = kernels_numpy.kspace_3p(s.positions, s.charges, tpos, kvecs,
+                                      w, at_sources)
+        scale = float(np.abs(want).max())
+        assert float(np.abs(got - want).max()) <= 1e-15 * scale
+
+
+def test_kspace_3p_peak_stays_below_a_kz_by_pairs_array():
+    # 2,000 vectors on no lattice: every vector has a pair and a |kz| of its
+    # own, so one float64 array of (distinct |kz|, pairs) would take 32 MB;
+    # with tiles of one entry each the kernel holds the per-axis tables,
+    # the per-vector keys and the tile list, about 4 MB, at and off the 8
+    # sources
+    rng = np.random.default_rng(55)
+    s = _uniform_system(8, [1.0, 1.1, 0.9], 56)
+    kvecs = rng.normal(scale=8.0, size=(2000, 3))
+    w = rng.uniform(0.5, 2.0, len(kvecs))
+    rectangle = 8 * len(np.unique(np.abs(kvecs[:, 2]))) * len(
+        np.unique(kvecs[:, :2], axis=0))
+    pts = rng.uniform(-0.5, 0.5, (8, 3))
+    for tpos, at_sources in ((s.positions, True), (pts, False)):
+        tracemalloc.start()
+        try:
+            kernels_numpy.kspace_3p(s.positions, s.charges, tpos, kvecs, w,
+                                    at_sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rectangle / 4, (peak, rectangle)
+
+
+@pytest.mark.parametrize("grid", ["lattice", "unpaired", "irregular"])
+def test_kspace_3p_tiles_hold_at_most_twice_their_entries(grid):
+    # a tile spans consecutive |kz| rows by consecutive pairs; its cells,
+    # entries and padding, count at most twice its entries and at most a
+    # slice of pairs, so the work follows the vectors given
+    rng = np.random.default_rng(57)
+    box = np.array([1.0, 1.1, 0.9])
+    par = default_params(box, Periodicity.P3)
+    kvecs, w = _extended_lattice(Periodicity.P3, box,
+                                 build_kgrid(box, Periodicity.P3,
+                                             par.k_max).vectors,
+                                 np.zeros(0), par.xi)
+    if grid == "unpaired":
+        keep = rng.uniform(size=len(kvecs)) < 0.6
+        kvecs, w = kvecs[keep], w[keep]
+    elif grid == "irregular":
+        kvecs = rng.normal(scale=8.0, size=(500, 3))
+        w = np.ones(len(kvecs))
+    entries = np.unique(np.column_stack([kvecs[:, :2], np.abs(kvecs[:, 2])]),
+                        axis=0)
+    for step in (7, 64, 4096):
+        _, px, _, wsd, slices = kernels_numpy._entries(kvecs, w, step)
+        tiles = [t for _, ts in slices for t in ts]
+        assert wsd.shape[1] == sum(c1 - c0 for *_, c0, c1 in tiles)
+        assert wsd.shape[1] <= 2 * len(entries)
+        assert max(c1 - c0 for *_, c0, c1 in tiles) <= step
+        # the weights land in their cells: w+ + w- sums to the weights
+        assert math.isclose(wsd[0].sum(), w.sum(), rel_tol=1e-12)
+        assert len(px) == len(np.unique(kvecs[:, :2], axis=0))
+
+
 def test_axis_tables_equal_direct_libm_tables():
-    # the tables take libm on the distinct |u| only and the rows of -|u|
-    # from them (_axis_tables); their bytes must equal math.cos and
-    # math.sin of u x over every signed component, which holds while libm
-    # cos is even and sin odd
+    # the tables take libm on the distinct |u| only and the x and y rows of
+    # -|u| from them (_axis_tables); their bytes must equal math.cos and
+    # math.sin of u x over every signed x and y component and every |kz|,
+    # which holds while libm cos is even and sin odd
     rng = np.random.default_rng(50)
     s = _uniform_system(8, [1.0, 1.1, 0.9], 51)
     pts = np.vstack([s.positions, rng.uniform(-40.0, 40.0, (8, 3))])
     par = default_params(s.box, Periodicity.P3)
     kgrid = build_kgrid(s.box, Periodicity.P3, par.k_max)
-    half, _ = _extended_lattice(Periodicity.P3, s.box, kgrid.vectors,
+    half, w = _extended_lattice(Periodicity.P3, s.box, kgrid.vectors,
                                 np.zeros(0), par.xi)
     irregular = rng.normal(scale=30.0, size=(20, 3))
     for kvecs in (half, np.vstack([irregular, -irregular, [[0.0] * 3]])):
-        axes, _ = kernels_numpy._phase_keys(kvecs, len(kvecs))
-        tables = kernels_numpy._axis_tables(pts, axes)
+        axes = kernels_numpy._entries(kvecs, np.ones(len(kvecs)), 64)[0]
+        cx, sx, cy, sy, zs = kernels_numpy._axis_tables(pts, axes)
+        tables = [(cx, sx), (cy, sy), tuple(zs)]
         for a, (au, signed) in enumerate(axes):
-            cos, sin = tables[2 * a], tables[2 * a + 1]
+            cos, sin = tables[a]
             assert len(cos) == len(au) * (1 + signed)
-            for u in np.unique(kvecs[:, a]):
+            assert signed == (a < 2 and bool((kvecs[:, a] < 0.0).any()))
+            comps = kvecs[:, a] if a < 2 else np.abs(kvecs[:, a])
+            for u in np.unique(comps):
                 row = np.searchsorted(au, abs(u)) + len(au) * (u < 0.0)
                 assert au[row % len(au)] == abs(u)
                 for fn, table in ((math.cos, cos), (math.sin, sin)):
@@ -585,9 +670,9 @@ def _zero_mode_calls(n, m, seed):
         "2p": lambda: kernels_numpy.zero_mode_2p(pos[:, 2], q, pts[:, 2],
                                                  2.0, 1.1),
         "1p_sources": lambda: kernels_numpy.zero_mode_1p(pos, q, pos, 1.0,
-                                                         0.9),
+                                                         0.9, True),
         "1p_points": lambda: kernels_numpy.zero_mode_1p(pos, q, pts, 1.0,
-                                                        0.9),
+                                                        0.9, False),
     }
 
 
@@ -619,6 +704,35 @@ def test_zero_mode_bytes_do_not_depend_on_row_blocks(monkeypatch):
                     mp.setattr(kernels_numpy, "_ROW_ELEMENTS", budget)
                     got[budget] = layer(s, 1.7, targets)
             assert got[4].tobytes() == got[2 ** 40].tobytes()
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_zero_mode_1p_takes_each_pair_once_at_the_sources(monkeypatch, n):
+    # at the sources the bracket runs on n (n - 1) / 2 pairs, not n^2
+    # targets by sources; up to one tile of sources (_PAIR_TILE) the result
+    # keeps the bytes of the off-source rows at the same points, and over
+    # more tiles, whose row sums add in tile order, it stays within a few
+    # roundings of them
+    rng = np.random.default_rng(58)
+    pos = rng.uniform(-0.5, 0.5, (n, 3))
+    q = rng.normal(size=n)
+    q -= q.mean()
+    bracket = kernels_numpy._log_e1_bracket_array
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return bracket(x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels_numpy, "_log_e1_bracket_array", counted)
+        got = kernels_numpy.zero_mode_1p(pos, q, pos, 1.3, 0.9, True)
+    assert sum(sizes) == n * (n - 1) // 2
+    rows = kernels_numpy.zero_mode_1p(pos, q, pos, 1.3, 0.9, False)
+    if n <= kernels_numpy._PAIR_TILE:
+        assert got.tobytes() == rows.tobytes()
+    else:
+        assert np.abs(got - rows).max() <= 1e-15 * np.abs(rows).max()
 
 
 # ------------------------------------------------- culled real-space kernel
