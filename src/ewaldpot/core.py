@@ -282,12 +282,13 @@ class KGrid:
 
 
 def _index_mesh(nmax):
-    """The integer points of [-n_a, n_a] per axis a, one row each: a (P, d)
-    int64 array in lexicographic order, one empty row when d = 0."""
+    """The integer points of [-n_a, n_a] per axis a, one column each: a
+    (d, P) int64 array, the points in lexicographic order, one empty
+    column when d = 0."""
     nmax = np.asarray(nmax, dtype=np.int64)
     shape = tuple(2 * nmax + 1)
     mesh = np.indices(shape, dtype=np.int64).reshape(len(nmax), math.prod(shape))
-    return np.ascontiguousarray(mesh.T - nmax)
+    return mesh - nmax[:, None]
 
 
 def build_kgrid(box, mode: Periodicity, k_max: float) -> KGrid:
@@ -301,12 +302,16 @@ def build_kgrid(box, mode: Periodicity, k_max: float) -> KGrid:
     axes = list(mode.periodic_axes)
     base = 2.0 * np.pi / box[axes]
     idx = _index_mesh(np.floor(k_max / base).astype(np.int64))
-    idx = idx[np.any(idx != 0, axis=1)]
-    vecs = idx * base[None, :]
-    norm = np.sqrt(np.sum(vecs * vecs, axis=1))
-    vecs = vecs[norm <= k_max]
-    if mode is Periodicity.P1:
-        vecs = vecs[:, 0]
+    # per axis, the components n_a (2 pi / L_a) of every index point;
+    # k^2 = (kx^2 + ky^2) + kz^2 and the nonzero test column by column
+    comps = idx * base[:, None]
+    k2 = comps[0] * comps[0]
+    keep = idx[0] != 0
+    for c, i in zip(comps[1:], idx[1:]):
+        k2 += c * c
+        keep |= i != 0
+    keep &= np.sqrt(k2) <= k_max
+    vecs = comps[0, keep] if mode is Periodicity.P1 else comps[:, keep].T
     vecs = np.ascontiguousarray(vecs)
     vecs.setflags(write=False)
     return KGrid(mode=mode, vectors=vecs)
@@ -323,7 +328,7 @@ def build_image_vectors(box, mode: Periodicity, layers: int) -> np.ndarray:
     require_layers("layers", layers)
     box = np.asarray(box, dtype=np.float64)
     axes = list(mode.periodic_axes)
-    idx = _index_mesh([layers] * len(axes))
+    idx = _index_mesh([layers] * len(axes)).T
     idx = idx[np.argsort(np.max(np.abs(idx), axis=1), kind="stable")]
     out = np.zeros((len(idx), 3), dtype=np.float64)
     for col, ax in enumerate(axes):

@@ -231,16 +231,17 @@ def _extended_lattice(mode, box, kp, lengths, xi):
     vector in lexicographic order of j (in 3p, which has no free axis, the
     grid cut at that k^2).  Of each +-k pair the vector whose first nonzero
     component is positive is kept, in that order, with the weight
-    (pref exp(-k^2 quart)) / k^2: libm exp, k^2 = (kx^2 + ky^2) + kz^2,
-    pref = 8 pi/V (twice 4 pi/V, exactly, for the -k left out) and
-    quart = 1/(4 xi^2).  V is the product of the periodic box lengths and
-    lengths (L1 L2 L3 in 3p).
+    (pref exp(-k^2 quart)) / k^2: k^2 = (kx^2 + ky^2) + kz^2,
+    pref = 8 pi/V (twice 4 pi/V, exactly, for the -k left out),
+    quart = 1/(4 xi^2) and exp glibc libm's, by one call per vector
+    through scipy's inv_boxcox at lambda = 0 (kernels_numpy._exp).  V is
+    the product of the periodic box lengths and lengths (L1 L2 L3 in 3p).
     """
     periodic, free = list(mode.periodic_axes), list(mode.free_axes)
     room = 4.0 * xi * xi * _FREE_DECAY - (kp * kp).sum(axis=1)
     base = 2.0 * np.pi / lengths
     span = math.sqrt(max(0.0, room.max()))
-    fk = _index_mesh(np.floor(span / base).astype(np.int64)) * base
+    fk = _index_mesh(np.floor(span / base).astype(np.int64)).T * base
     ip, jf = np.nonzero((fk * fk).sum(axis=1)[None, :] <= room[:, None])
     vecs = np.empty((len(ip), 3))
     vecs[:, periodic] = kp[ip]
@@ -253,7 +254,7 @@ def _extended_lattice(mode, box, kp, lengths, xi):
     volume = float(np.prod(box[periodic])) * float(np.prod(lengths))
     pref = 8.0 * math.pi / volume
     quart = 0.25 / (xi * xi)
-    return vecs, pref * kernels_numpy._libm(math.exp, -k2 * quart) / k2
+    return vecs, pref * kernels_numpy._exp(-k2 * quart) / k2
 
 
 def _kspace(mode, system, tpos, at_sources, xi, kgrid):

@@ -47,12 +47,20 @@ terms, a slice's pairs and the slices are added in fixed binary trees
 elementwise numpy operations and reductions only: each product and sum is
 its own float64 operation, with no complex arithmetic, no fused step and
 no matrix product (so no BLAS kernel, whose rounding depends on the CPU
-it picks at run time).  Its cos and sin are
-libm's through math (_libm; numpy's own SIMD exp, cos and sin differ from
-libm in the last bit on some CPUs), as are the exp of ewald's weights and
-the exp and log of the zero modes.  The bytes of every layer therefore
-depend on neither the BLAS build nor numpy's SIMD dispatch level for these
-functions.
+it picks at run time).
+
+Every exp, log, cos and sin of the layers is glibc libm's, through one
+compiled loop each that calls it once per element; numpy's own float64
+exp, log, cos and sin are SIMD loops that differ from libm in the last
+bit on some CPUs and arguments, and are never called.  cos and sin
+(_cos_sin) are numpy's complex exp of 0 + iy, which is C cexp: glibc's
+cexp(0 + iy) is exp(0) cos y + i exp(0) sin y with cos y and sin y from
+sincos, and exp(0) = 1 exactly.  exp (_exp, for ewald's weights and the
+2p zero mode) is scipy's inv_boxcox at lambda = 0, a call of C exp; log
+(_log, for the 1p zero mode) is scipy's xlogy(1, x), 1.0 times C log.
+The tests check all three byte for byte against math's libm calls, with
+numpy's SIMD dispatch on and off.  The bytes of every layer therefore
+depend on neither the BLAS build nor numpy's SIMD dispatch level.
 
 Every kernel takes its points in blocks under _ROW_ELEMENTS (_blocks),
 real space the targets of each spatial block in runs under it and
@@ -98,8 +106,9 @@ _K_ELEMENTS = 2 ** 15
 #: _ROW_ELEMENTS / 2 elements
 _PAIR_TILE = 128
 
-#: _libm converts this many elements to Python floats at a time
-_LIBM_RUN = 4096
+#: _cos_sin takes this many elements at a time through its complex
+#: scratch, 64 KiB; longer runs read no faster
+_TRIG_RUN = 2 ** 12
 
 
 def _target_blocks(targets, r_cut):
@@ -410,8 +419,9 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     bytes depend on neither the column blocks nor the other targets, and
     at the sources they equal those of the general path; the slices and
     tiles, and so N, move their last bits.  No BLAS routine is called and
-    cos and sin are libm's, so the result depends on neither the BLAS
-    kernel nor numpy's SIMD level.  Work and memory follow the vectors
+    cos and sin are glibc libm's sincos, through C cexp of 0 + iy
+    (_cos_sin), so the result depends on neither the BLAS kernel nor
+    numpy's SIMD level.  Work and memory follow the vectors
     given: on an irregular grid, where each vector has a pair and |kz| of
     its own, every tile is one entry, and no (|kz| rows, pairs) array is
     formed.
@@ -699,23 +709,26 @@ def _axis_tables(pts, axes):
     of the x and y axes (_entries) by the points pts, one column per point
     (each product rounded once), and zs, (2, rows, points), the cos and sin
     of u z over the rows of the z axis.  libm runs on the distinct |u| rows
-    only, all axes in one call each for cos and sin: a row of -|u| takes
-    the cos of its |u| row and the negated sin.  That is exact as
-    (-u) x = -(u x) and libm cos is even and sin odd.  A column depends on
-    its own point alone."""
+    only, all axes in one pass of _cos_sin, whose one cexp per element
+    gives both: a row of -|u| takes the cos of its |u| row and the
+    negated sin.  That is exact as (-u) x = -(u x) and libm cos is even
+    and sin odd.  The tables are rows of _cos_sin's contiguous (2, rows,
+    points) result, the negated rows copies.  A column depends on its own
+    point alone."""
     sizes = [len(au) for au, _ in axes]
     arg = np.empty((sum(sizes), len(pts)))
     ends = np.cumsum(sizes)
     for (au, _), coord, end in zip(axes, pts.T, ends):
         np.multiply.outer(au, coord, out=arg[end - len(au):end])
-    cos, sin = _libm(math.cos, arg), _libm(math.sin, arg)
+    cs = _cos_sin(arg)
+    del arg
     tables = []
     for (au, signed), end in zip(axes[:2], ends):
-        c, s = cos[end - len(au):end], sin[end - len(au):end]
+        c, s = cs[:, end - len(au):end]
         if signed:
             c, s = np.concatenate((c, c)), np.concatenate((s, -s))
         tables += [c, s]
-    return tables + [np.stack((cos[ends[1]:], sin[ends[1]:]))]
+    return tables + [cs[:, ends[1]:]]
 
 
 def _pair_tables(tables, px, py, out, work):
@@ -752,17 +765,39 @@ def _blocks(m, n):
     return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
-def _libm(fn, x):
-    # fn (math.exp, log, cos or sin) elementwise: libm, not numpy's SIMD
-    # loop.  The elements pass as Python floats in runs of _LIBM_RUN, so
-    # the peak stays near the size of the result, not five times it
+def _cos_sin(x):
+    """(2, *x.shape): libm cos and sin of x, elementwise, in one call of C
+    cexp per element.  numpy's complex exp is cexp, and glibc's
+    cexp(0 + iy) is exp(0) cos y + i exp(0) sin y, cos y and sin y from
+    sincos (y itself and 1 when |y| <= DBL_MIN) and exp(0) = 1 exactly, so
+    the products are exact.  The elements pass through a complex scratch
+    of _TRIG_RUN, and the tables are written to contiguous rows."""
     flat = x.ravel()
-    out = np.empty(flat.size)
-    for i in range(0, flat.size, _LIBM_RUN):
-        run = flat[i:i + _LIBM_RUN]
-        out[i:i + _LIBM_RUN] = np.fromiter(map(fn, run.tolist()),
-                                           np.float64, len(run))
-    return out.reshape(x.shape)
+    out = np.empty((2, flat.size))
+    z = np.empty(min(flat.size, _TRIG_RUN), complex)
+    for i in range(0, flat.size, _TRIG_RUN):
+        run = flat[i:i + _TRIG_RUN]
+        zr = z[:len(run)]
+        zr.real = 0.0
+        zr.imag = run
+        np.exp(zr, out=zr)
+        out[0, i:i + len(run)] = zr.real
+        out[1, i:i + len(run)] = zr.imag
+    return out.reshape((2,) + x.shape)
+
+
+def _exp(x):
+    """libm exp of x, elementwise: scipy's inv_boxcox at lambda = 0 calls C
+    exp once per element (numpy's float64 exp is its own SIMD loop, which
+    differs from libm in the last bit)."""
+    return sp.inv_boxcox(x, 0.0)
+
+
+def _log(x):
+    """libm log of x, elementwise: scipy's xlogy(1, x) is 1.0 times C log,
+    once per element (numpy's float64 log differs from libm in the last
+    bit on some arguments)."""
+    return sp.xlogy(1.0, x)
 
 
 def zero_mode_2p(zpos, q, ztar, xi, area):
@@ -771,7 +806,7 @@ def zero_mode_2p(zpos, q, ztar, xi, area):
     for part in _blocks(len(ztar), len(zpos)):
         dz = ztar[part, None] - zpos[None, :]
         w = xi * dz
-        terms = _libm(math.exp, -w * w) / xi + SQRT_PI * dz * sp.erf(w)
+        terms = _exp(-w * w) / xi + SQRT_PI * dz * sp.erf(w)
         out[part] = (q[None, :] * terms).sum(axis=1)
     return (-2.0 * SQRT_PI / area) * out
 
@@ -786,7 +821,7 @@ def _log_e1_bracket_array(x):
     out[small] = xs * (-1.0 + xs * (0.25 - xs / 18.0))
     large = x >= 1e-3
     xl = x[large]
-    out[large] = -EULER_GAMMA - _libm(math.log, xl) - sp.exp1(xl)
+    out[large] = -EULER_GAMMA - _log(xl) - sp.exp1(xl)
     return out
 
 

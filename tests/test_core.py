@@ -275,3 +275,42 @@ def test_potential_result_component_sum(rng):
 def test_potential_result_rejects_nonfinite():
     with pytest.raises(ValueError):
         PotentialResult([np.inf], [0.0], [0.0], [0.0], [0.0])
+
+
+def _kgrid_by_rows(box, mode, k_max):
+    # build_kgrid's former construction over (P, d) rows: the nonzero test
+    # and |k| by reductions along each row
+    box = np.asarray(box, dtype=np.float64)
+    axes = list(mode.periodic_axes)
+    base = 2.0 * np.pi / box[axes]
+    nmax = np.floor(k_max / base).astype(np.int64)
+    idx = np.array(list(itertools.product(*(range(-n, n + 1)
+                                            for n in nmax))), np.int64)
+    idx = idx[np.any(idx != 0, axis=1)]
+    vecs = idx * base[None, :]
+    vecs = vecs[np.sqrt(np.sum(vecs * vecs, axis=1)) <= k_max]
+    return vecs[:, 0] if mode is Periodicity.P1 else vecs
+
+
+def test_kgrid_equals_the_row_construction_byte_for_byte():
+    # build_kgrid forms k^2 as (kx^2 + ky^2) + kz^2 and the nonzero test
+    # column by column; the vectors and their order are those of the
+    # reductions along (P, d) rows, over random boxes, modes and k_max.
+    # Every other k_max is the |k| of a lattice vector, as the rows form
+    # it, so a vector sits on the cut and the order of k^2 shows
+    rng = np.random.default_rng(56)
+    for trial in range(120):
+        mode = list(Periodicity)[trial % 3]
+        box = rng.uniform(0.3, 3.0, size=3)
+        k_max = rng.uniform(0.5, 40.0)
+        if trial % 2:
+            axes = list(mode.periodic_axes)
+            n = rng.integers(1, 7, size=len(axes)) * rng.choice([-1, 1],
+                                                                len(axes))
+            k = n * (2.0 * np.pi / box[axes])
+            k_max = float(np.sqrt(np.sum(k[None] * k[None], axis=1))[0])
+        got = build_kgrid(box, mode, k_max).vectors
+        want = _kgrid_by_rows(box, mode, k_max)
+        assert got.shape == want.shape, (trial, box, k_max)
+        assert got.tobytes() == want.tobytes(), (trial, box, k_max)
+        assert got.flags.c_contiguous

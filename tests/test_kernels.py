@@ -12,6 +12,7 @@ with a numpy reference.
 """
 
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,7 @@ from scipy import special
 
 from ewaldpot import (
     EvalTargets,
+    ewald_potential,
     kernels_numpy,
     kspace_sum_1p,
     kspace_sum_2p,
@@ -469,6 +471,44 @@ def test_kspace_3p_calls_no_numpy_cos_or_sin(monkeypatch):
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_evaluation_calls_no_python_libm_float_transcendental_or_blas(
+        monkeypatch, mode):
+    # every layer at and off the sources, with the parameters resolved
+    # beforehand: no per-element math call (libm goes through the
+    # compiled routes of kernels_numpy), no numpy float64 exp, log, cos or
+    # sin (SIMD loops whose last bit depends on the CPU; numpy's complex
+    # exp, C cexp, is the one allowed) and no BLAS routine.  The bytes hold
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    np_exp = np.exp
+
+    def complex_exp(x, *args, **kwargs):
+        if not np.iscomplexobj(x):
+            raise AssertionError("numpy float exp called")
+        return np_exp(x, *args, **kwargs)
+
+    s = _uniform_system(24, [1.0, 1.1, 0.9], 54)
+    par = default_params(s.box, mode)
+    pts = np.random.default_rng(55).uniform(-0.5, 0.5, (12, 3)) * s.box
+    runs = (EvalTargets.at_sources(), EvalTargets.at_points(pts))
+    want = [ewald_potential(s, mode, par, t) for t in runs]
+    with monkeypatch.context() as mp:
+        for name in ("exp", "log", "cos", "sin"):
+            mp.setattr(math, name, refuse(f"math.{name}"))
+        for name in ("log", "cos", "sin", "expm1", "log1p", "dot",
+                     "matmul", "einsum", "inner", "tensordot"):
+            mp.setattr(np, name, refuse(f"np.{name}"))
+        mp.setattr(np, "exp", complex_exp)
+        got = [ewald_potential(s, mode, par, t) for t in runs]
+    for g, w in zip(got, want):
+        for field in ("total", "real", "kspace", "zero_mode"):
+            assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+
+
 def _long_double_kspace(pos, q, tpos, kvecs, w):
     # sum_k w_k (C_k cos k.t + S_k sin k.t) with every k.x, cos, sin,
     # product and sum in np.longdouble
@@ -622,21 +662,102 @@ def test_axis_tables_equal_direct_libm_tables():
                     assert table[row].tobytes() == direct.tobytes(), (fn, u)
 
 
-def test_libm_peak_stays_near_its_result():
+def test_cos_sin_peak_stays_near_its_result():
     # the (components, points) shape of the z tables of the spread-slab
-    # test (1,837 distinct kz by 256 sources): a list of every element as
-    # a Python float took 17.9 MiB at the peak, five times the 3.6 MiB
-    # result; runs of _LIBM_RUN floats keep it near the result
+    # test (1,837 distinct kz by 256 sources): the tables are the result,
+    # 7.2 MiB; the complex scratch of _TRIG_RUN elements adds 64 KiB
     x = np.random.default_rng(52).uniform(-300.0, 300.0, (1837, 256))
-    want = np.array([math.cos(v) for v in x.ravel()]).reshape(x.shape)
+    want = [np.array([fn(v) for v in x.ravel()]).reshape(x.shape)
+            for fn in (math.cos, math.sin)]
     tracemalloc.start()
     try:
-        got = kernels_numpy._libm(math.cos, x)
+        got = kernels_numpy._cos_sin(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.tobytes() == want.tobytes()
-    assert peak <= 1.25 * x.nbytes, peak / x.nbytes
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert peak <= 1.05 * got.nbytes, peak / got.nbytes
+
+
+def _libm_route_samples():
+    # per route, its arguments: wide samples and the edges of each function
+    rng = np.random.default_rng(53)
+    one = np.array([1.0, 1.0])
+    near_one = [np.nextafter(one, [0.0, 2.0])]
+    for _ in range(1000):
+        near_one.append(np.nextafter(near_one[-1], [0.0, 2.0]))
+    quarter = np.arange(-6400, 6401) * (np.pi / 2.0)
+    tiny = np.array([5e-324, 2.2250738585072014e-308, 1e-300, 1e-30])
+    return {
+        # underflow into the subnormals (below -708.4) and to 0 (below
+        # -745.1), and the range of the Ewald weights
+        "exp": np.concatenate([
+            rng.uniform(-750.0, 700.0, 60000),
+            rng.uniform(-746.0, -707.0, 20000),
+            rng.uniform(-45.0, 0.0, 40000),
+            [-750.0, -745.2, -745.1, -708.4, -45.0, -1e-300, -0.0, 0.0,
+             700.0]]),
+        "log": np.concatenate([
+            10.0 ** rng.uniform(-3.0, 6.0, 80000),
+            rng.uniform(0.99, 1.01, 20000),
+            np.ravel(near_one), [1e-3, 1.0, 1e6]]),
+        # cos and sin next to multiples of pi/2, a few ulps either side
+        "cos_sin": np.concatenate([
+            rng.uniform(-1e4, 1e4, 80000),
+            rng.uniform(-1e-8, 1e-8, 10000),
+            quarter, np.nextafter(quarter, np.inf),
+            np.nextafter(quarter, -np.inf),
+            np.nextafter(np.nextafter(quarter, np.inf), np.inf),
+            tiny, -tiny, [0.0, -0.0, 1e4, -1e4]]),
+    }
+
+
+def _libm_route_mismatches():
+    """The routes of kernels_numpy (_exp, _log, _cos_sin) whose bytes
+    differ from math's libm call on _libm_route_samples, with the count of
+    elements that differ; empty when every byte holds."""
+    bad = {}
+    for name, x in _libm_route_samples().items():
+        if name == "cos_sin":
+            got = kernels_numpy._cos_sin(x)
+            pairs = [("cos", got[0], math.cos), ("sin", got[1], math.sin)]
+        else:
+            route = getattr(kernels_numpy, f"_{name}")
+            pairs = [(name, route(x), getattr(math, name))]
+        for fn_name, g, fn in pairs:
+            want = np.array([fn(v) for v in x.tolist()])
+            if g.tobytes() != want.tobytes():
+                diff = g.view(np.int64) != want.view(np.int64)
+                bad[fn_name] = int(diff.sum())
+    return bad
+
+
+def test_libm_routes_equal_math_byte_for_byte():
+    # the determinism contract: exp, log, cos and sin of every layer are
+    # glibc's, as math's are, on the whole of their ranges and at the edges
+    # (subnormal underflow, neighbours of 1, multiples of pi/2, +-0.0)
+    assert _libm_route_mismatches() == {}
+
+
+def test_libm_routes_with_simd_dispatch_disabled():
+    # the routes keep math's bytes with every dispatch target above numpy's
+    # baseline disabled, as the goldens do; a numpy build that vectorises
+    # complex exp, or scipy's exp or log, fails here on arguments the
+    # goldens never reach.  With no target present, this is the plain run
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+    present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(present))
+    code = (f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
+            "import test_kernels; "
+            "bad = test_kernels._libm_route_mismatches(); "
+            "print(bad); sys.exit(bool(bad))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, (present, r.stdout, r.stderr)
 
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
