@@ -147,14 +147,23 @@ def test_byte_identical_json_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
-# (golden name, extra CLI arguments): the demo at its sources, and at the
-# points of demo_points.txt, off the sources and out along the free axes
+# (golden name, input file, extra CLI arguments): the demo at its sources,
+# and at the points of demo_points.txt, off the sources and out along the
+# free axes; then larger charge sets whose k-space sums take several
+# slices of (kx, ky) pairs, so their goldens pin the order of the slices
+# and of the tiles within them (3p at xi = 10: 3 slices of 256 pairs;
+# 2p at xi = 6: 2 slices of 128 pairs in tiles of up to 6 |kz| rows;
+# 1p: 2 slices)
+POINTS = ["--targets", str(DATA / "demo_points.txt")]
 GOLDEN_CASES = [
-    (f"demo_{mode}{suffix}", ["--mode", mode, *extra])
-    for suffix, extra in (
-        ("", []),
-        ("_points", ["--targets", str(DATA / "demo_points.txt")]))
-    for mode in ("1p", "2p", "3p")
+    (f"{stem}_{mode}{suffix}", DATA / f"{stem}.txt",
+     ["--mode", mode, *extra, *targets])
+    for stem, mode, extra in (
+        ("demo", "1p", []), ("demo", "2p", []), ("demo", "3p", []),
+        ("cloud128", "3p", ["--xi", "10"]),
+        ("cloud256", "2p", ["--xi", "6"]),
+        ("cloud128", "1p", []))
+    for suffix, targets in (("", []), ("_points", POINTS))
 ]
 
 
@@ -162,9 +171,9 @@ def test_golden_files_numpy_lane(tmp_path):
     # the 3p k-space sum runs in a fixed order with no BLAS call and libm
     # exp, so its bytes depend on neither the BLAS kernel nor numpy's SIMD
     # level
-    for name, extra in GOLDEN_CASES:
+    for name, source, extra in GOLDEN_CASES:
         out = tmp_path / f"{name}.csv"
-        r = run_cli([str(DATA / "demo.txt"), *extra, "--out", str(out)])
+        r = run_cli([str(source), *extra, "--out", str(out)])
         assert r.returncode == 0, r.stderr
         got = out.read_bytes()
         want = (GOLDEN / f"{name}.csv").read_bytes()
@@ -182,10 +191,10 @@ def test_golden_files_with_simd_dispatch_disabled(tmp_path):
     )
     present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(present))
-    for name, extra in GOLDEN_CASES:
+    for name, source, extra in GOLDEN_CASES:
         out = tmp_path / f"{name}.csv"
         r = subprocess.run([sys.executable, "-m", "ewaldpot.cli",
-                            str(DATA / "demo.txt"), *extra,
+                            str(source), *extra,
                             "--out", str(out)],
                            capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
