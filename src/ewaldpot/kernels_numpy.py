@@ -39,9 +39,13 @@ exact on the assumption, checked by the tests, that libm cos is even and
 sin odd.  Its arrays hold pairs by points, one contiguous row per pair,
 and an entry's terms are products of a pair's row and a z row.  One slice
 rule holds at the sources and off them: _K_ELEMENTS // N pairs, so no
-array of the kernel spans (pairs, points).  Within a slice the entries
-form tiles of consecutive z rows by consecutive pairs (_tiles), at most
-half padding, so the work follows the vectors given; per target a tile's
+array of the kernel spans (pairs, points).  The pairs come by their last
+z row, descending, so on a lattice cut by |k| those that reach a z row
+are a prefix of their slice, and a slice's entries form tiles of
+consecutive z rows by such a prefix (_entries), at most half padding, so
+the work follows the vectors given.  A set of K vectors whose pairs'
+staircase of (pair, z row) cells exceeds 2K plus the pairs of a slice
+lies on no lattice and is refused (ValueError).  Per target a tile's
 terms, a slice's pairs and the slices are added in fixed binary trees
 (_fold, _pairwise).  It evaluates in a fixed, written-down order with
 elementwise numpy operations and reductions only: each product and sum is
@@ -393,9 +397,10 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     per slice the pair tables cxy, sxy (_pair_tables) are formed from the
     per-axis tables, built once per point: once for the sources, and off
     the sources once per column block of targets (_blocks), the outer loop
-    there.  A slice's entries are taken in tiles (_tiles), each a block of
-    consecutive |kz| rows by consecutive pairs whose cells, entries and
-    padding (weight 0.0), count at most twice its entries and at most
+    there.  A slice's entries are taken in tiles (_entries), each a block
+    of consecutive |kz| rows by the first pairs of the slice, those that
+    reach its first row, whose cells, entries and padding (weight 0.0),
+    count at most twice its cells of the pairs' staircase and at most
     _K_ELEMENTS // N; every product of a tile is a contiguous run of pair
     rows by one z row.  The order of every rounding step is fixed:
 
@@ -421,10 +426,11 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     tiles, and so N, move their last bits.  No BLAS routine is called and
     cos and sin are glibc libm's sincos, through C cexp of 0 + iy
     (_cos_sin), so the result depends on neither the BLAS kernel nor
-    numpy's SIMD level.  Work and memory follow the vectors
-    given: on an irregular grid, where each vector has a pair and |kz| of
-    its own, every tile is one entry, and no (|kz| rows, pairs) array is
-    formed.
+    numpy's SIMD level.  Work and memory follow the vectors given: on
+    the lattices of ewald._extended_lattice, cut by |k|, the tiles hold
+    fewer cells than vectors, and a set of K vectors whose staircase
+    exceeds 2K + _K_ELEMENTS // N cells raises ValueError before any array
+    beyond O(K) is formed.
     """
     n_src = len(pos)
     step = max(1, _K_ELEMENTS // n_src)
@@ -456,17 +462,17 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
 
     def products(tiles, work, m):    # per tile, its (2, rows, 2, pairs, m)
         # array and its cells' coefficients
-        for ra, rb, p0, p1, c0, c1 in tiles:
-            c = coef[:, :, c0:c1].reshape(2, 2, rb - ra, p1 - p0)
-            t = work[:4 * (c1 - c0) * m].reshape(2, rb - ra, 2, p1 - p0, m)
-            yield ra, rb, p0, p1, c.transpose(0, 2, 1, 3), t
+        for ra, rb, n, c0, c1 in tiles:
+            c = coef[:, :, c0:c1].reshape(2, 2, rb - ra, n)
+            t = work[:4 * (c1 - c0) * m].reshape(2, rb - ra, 2, n, m)
+            yield ra, rb, n, c.transpose(0, 2, 1, 3), t
 
     def slice_sums(zs, tiles, xy, uv, work):    # per target, its slice sum
         m = zs.shape[-1]
         uv.fill(0.0)
-        for ra, rb, p0, p1, c, t in products(tiles, work, m):
+        for ra, rb, n, c, t in products(tiles, work, m):
             np.multiply(c[..., None], zs[:, ra:rb, None, None], out=t)
-            uv[:, p0:p1] += _fold(t.reshape(2 * (rb - ra), -1)).reshape(
+            uv[:, :n] += _fold(t.reshape(2 * (rb - ra), -1)).reshape(
                 2, -1, m)
         uv *= xy
         return _fold(uv.reshape(-1, m))
@@ -476,11 +482,11 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
         qz = tables[4] * q
         for part, tiles in slices:
             xy, uv, work = views(tables, part, n_src)
-            for ra, rb, p0, p1, c, t in products(tiles, work, n_src):
-                np.multiply(xy[:, p0:p1], qz[:, ra:rb, None, None], out=t)
+            for ra, rb, n, c, t in products(tiles, work, n_src):
+                np.multiply(xy[:, :n], qz[:, ra:rb, None, None], out=t)
                 t.sum(axis=-1, out=c)
             if tiles:
-                cells = slice(tiles[0][4], tiles[-1][5])
+                cells = slice(tiles[0][3], tiles[-1][4])
                 _coefficients(coef[:, :, cells], wsd[:, cells])
             yield tables[4], tiles, xy, uv, work
 
@@ -578,119 +584,92 @@ def _entries(kvecs, w, step):
     """The tables, pairs, entries and tiles of kspace_3p, for slices of
     step pairs: (axes, px, py, wsd, slices).
 
+    axes holds the tables' rows (_axes).  The distinct pairs (kx, ky)
+    come by their last |kz| row, descending, then by their x and y table
+    rows, px and py: on a lattice cut by |k| the pairs that reach a |kz|
+    row are then a prefix of their slice, and the pairs' staircase of
+    cells (P, |kz| row), each pair's rows up to its last, holds every
+    entry.  A set whose staircase exceeds 2K + step cells, K the vectors,
+    raises ValueError: no lattice from ewald._extended_lattice comes near
+    that, and so the tiles and every array here stay O(K + step).
+
+    A slice's tiles come by row: a tile starts at a row with the pairs
+    that reach it, and takes the next row while it then spans at most
+    step cells, at least half of them in the staircase.  A tile's cells
+    run row by row, pair by pair; a cell that holds no entry is
+    padding.  wsd holds per cell ws = w+ + w- and wd = w+ - w-,
+    w+ and w- the sums (np.bincount, in the given order) of the weights of
+    its vectors with kz >= 0 and kz < 0; padding cells have 0.0.  slices
+    holds per slice its pairs (a slice) and its tiles: (first and end z
+    row, pairs, first and end cell); a tile's pairs are the first of its
+    slice.
+    """
+    axes, (ix, iy, row) = _axes(kvecs)
+    ny = len(axes[1][0]) * (1 + axes[1][1])
+    xy, pair = _distinct(ix * ny + iy)
+    last = np.zeros(len(xy), np.intp)
+    np.maximum.at(last, pair, row)
+    cells = int(last.sum()) + len(xy)
+    if cells > 2 * len(kvecs) + step:
+        raise ValueError(
+            f"kspace_3p: the {len(xy)} (kx, ky) pairs of the {len(kvecs)} "
+            f"vectors span {cells} (pair, |kz|) cells, more than 2K + step "
+            f"= {2 * len(kvecs) + step}; it sums a lattice cut by |k|")
+    by_last = np.argsort(-last, kind="stable")
+    px, py = np.divmod(xy[by_last], ny)
+    last = last[by_last]
+    pair = np.argsort(by_last)[pair]    # the inverse permutation
+    # per slice and row the cell of its first pair (base), the rows of
+    # each slice in turn
+    slices, base, end = [], [], 0
+    for p0 in range(0, len(xy), step):
+        part = last[p0:p0 + step]
+        tiles = []
+        # per row the pairs that reach it
+        for r, n in enumerate(np.searchsorted(
+                -part, -np.arange(part[0] + 1), "right").tolist()):
+            base.append(end)
+            if tiles and (r + 1 - tile[0]) * tile[2] <= min(
+                    step, 2 * (filled + n)):
+                tile[1] = r + 1
+                filled += n
+            else:
+                tile = [r, r + 1, n, end, end]
+                tiles.append(tile)
+                filled = n
+            end += tile[2]
+            tile[4] = end
+        slices.append((slice(p0, p0 + step), tiles))
+    rows = last[::step] + 1
+    cell = np.array(base, np.intp)[(np.cumsum(rows) - rows)[pair // step]
+                                   + row]
+    cell += pair % step
+    wsd = np.bincount(cell + end * (kvecs[:, 2] < 0.0), w,
+                      2 * end).reshape(2, -1)    # w+, w-
+    ws = wsd[0] + wsd[1]
+    np.subtract(wsd[0], wsd[1], out=wsd[1])
+    wsd[0] = ws
+    return axes, px, py, wsd, slices
+
+
+def _axes(kvecs):
+    """The table rows of the vectors' components: (axes, rows).
+
     axes holds, per axis, the distinct |u| of its components u over all
     the vectors (ascending) and whether the table takes signed rows: the x
     and y tables have those |u| rows, then, if any u is negative, their
-    negatives; the z tables have the |kz| rows only.  The distinct pairs
-    (kx, ky) come by their last |kz| row, descending, then by their x and
-    y table rows, px and py: on a lattice cut by |k| the pairs of a |kz|
-    row are then a prefix.  The entries come by slice, then |kz| row, then
-    pair, and runs of them (one row, consecutive pairs) merge into tiles
-    (_tiles).  wsd holds per cell ws = w+ + w- and wd = w+ - w-, w+ and
-    w- the sums (np.bincount, in the given order) of the weights of its
-    vectors with kz >= 0 and kz < 0; padding cells have 0.0.  slices
-    holds per slice its pairs (a slice) and its tiles: (first and end z
-    row, first and end pair within the slice, first and end cell).
+    negatives; the z tables have the |kz| rows only.  rows holds, per
+    axis, each vector's row in its table.
     """
-    # per axis the distinct |u| and, per vector, the key of its entry: its
-    # x, y and z table rows in mixed radix
-    axes, key = [], 0
+    axes, rows = [], []
     for u in kvecs.T:
         au, ia = _distinct(np.abs(u))
         signed = len(axes) < 2 and bool((u < 0.0).any())
         if signed:
             ia += len(au) * (u < 0.0)
         axes.append((au, signed))
-        key *= len(au) * (1 + signed)
-        key += ia
-        del ia
-    nx, ny = (len(au) * (1 + signed) for au, signed in axes[:2])
-    n_rows = len(axes[2][0])
-    # the entries by pair (its x and y table rows), then |kz| row
-    ent, ie = _distinct(key)
-    del key
-    xy, row = np.divmod(ent, n_rows)
-    last = np.empty(len(ent), bool)    # the last entry of each pair
-    last[-1:] = True
-    np.not_equal(xy[1:], xy[:-1], out=last[:-1])
-    pair = np.cumsum(last) - last
-    # the pairs by their last |kz| row, descending, then by table rows
-    top = np.flatnonzero(last)
-    by_top = np.argsort((n_rows - row[top]) * nx * ny + xy[top],
-                        kind="stable")
-    px, py = np.divmod(xy[top[by_top]], ny)
-    n_pairs = len(top)
-    rank = np.empty(n_pairs, np.intp)
-    rank[by_top] = np.arange(n_pairs)
-    pair = rank[pair]
-    # the entries by slice, then |kz| row, then pair: a run of entries
-    # of one slice and row whose pairs are consecutive has consecutive keys
-    key = (pair // step * n_rows + row) * (n_pairs + 1) + pair % step
-    ent = np.argsort(key, kind="stable")
-    key = key[ent]
-    start = np.empty(len(ent), bool)
-    start[:1] = True
-    np.not_equal(key[1:] - key[:-1], 1, out=start[1:])
-    first = np.flatnonzero(start)
-    size = np.empty_like(first)
-    np.subtract(first[1:], first[:-1], out=size[:-1])
-    size[-1:] = len(ent) - first[-1:]
-    hr, p0 = np.divmod(key[first], n_pairs + 1)
-    tiles, firsts = _tiles(np.array([hr // n_rows, hr % n_rows, p0, size]),
-                           step)
-    cell = np.empty(len(ent), np.intp)
-    cell[ent] = np.repeat(firsts - first, size) + np.arange(len(ent))
-    n_cells = tiles[-1][6] if tiles else 0
-    wsd = np.bincount(cell[ie] + n_cells * (kvecs[:, 2] < 0.0), w,
-                      2 * n_cells).reshape(2, -1)    # w+, w-
-    ws = wsd[0] + wsd[1]
-    np.subtract(wsd[0], wsd[1], out=wsd[1])
-    wsd[0] = ws
-    slices = [(slice(s * step, (s + 1) * step), []) for s in
-              range(-(-n_pairs // step))]
-    for h, *tile in tiles:
-        slices[h][1].append(tile)
-    return axes, px, py, wsd, slices
-
-
-def _tiles(runs, step):
-    """The runs (rows' slice, z row, first pair, size) merged into tiles,
-    (slice, first and end z row, first and end pair, first and end cell),
-    and per run the cell of its first entry.
-
-    A run joins the tile before it when both are of one slice, its row is
-    the tile's last row or the next one, and the tile then spans at most
-    step cells (rows by its first to last pair), at least half of them
-    entries.  So a tile's cells, entries and padding alike, count at most
-    twice its entries.  A tile's cells run row by row, pair by pair.
-    """
-    tiles, firsts, members = [], [], []
-
-    def close():    # the last tile's runs' first cells
-        _, ra, _, q0, q1, c0, _ = tiles[-1]
-        firsts.extend(c0 + (r - ra) * (q1 - q0) + p0 - q0
-                       for r, p0 in members)
-        members.clear()
-
-    for h, r, p0, size in zip(*runs.tolist()):
-        if tiles:
-            th, ra, rb, q0, q1, c0, _ = tiles[-1]
-            q0, q1 = min(q0, p0), max(q1, p0 + size)
-            cells = (r + 1 - ra) * (q1 - q0)
-            if (th == h and r <= rb and cells <= step
-                    and cells <= 2 * (count + size)):
-                tiles[-1] = (h, ra, r + 1, q0, q1, c0, c0 + cells)
-                members.append((r, p0))
-                count += size
-                continue
-            close()
-        c0 = tiles[-1][6] if tiles else 0
-        tiles.append((h, r, r + 1, p0, p0 + size, c0, c0 + size))
-        members.append((r, p0))
-        count = size
-    if tiles:
-        close()
-    return tiles, np.array(firsts, np.intp)
+        rows.append(ia)
+    return axes, rows
 
 
 def _distinct(v):
@@ -706,7 +685,7 @@ def _distinct(v):
 
 def _axis_tables(pts, axes):
     """cx, sx, cy, sy and zs: libm cos and sin of u x and u y over the rows
-    of the x and y axes (_entries) by the points pts, one column per point
+    of the x and y axes (_axes) by the points pts, one column per point
     (each product rounded once), and zs, (2, rows, points), the cos and sin
     of u z over the rows of the z axis.  libm runs on the distinct |u| rows
     only, all axes in one pass of _cos_sin, whose one cexp per element

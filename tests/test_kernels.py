@@ -210,10 +210,14 @@ def test_kspace_3p_is_a_weighted_trig_sum_over_the_vectors_given(
     # sum_k w_k sum_n q_n cos(k.(t - x_n)) over exactly the vectors given:
     # a set not closed under negation (some k with -k, most without, one
     # twice), weights of both signs, and at and off the sources in one
-    # slice and in slices of 4 vectors
+    # slice and in slices of 4 (kx, ky) pairs.  The vectors lie on a
+    # lattice, a subset of its half cut by |k| with some rows left out, as
+    # the kernel refuses a set far from one (_entries)
     s = _system()
     rng = np.random.default_rng(47)
-    k = np.vstack([rng.normal(scale=6.0, size=(11, 3)), [0.0, 3.1, -2.4]])
+    k = np.array([[0, 0, 1], [0, 0, 2], [1, 0, 0], [1, 0, 1], [1, 0, -1],
+                  [1, 0, -2], [-1, 2, 0], [-1, 2, -1], [2, -1, 0],
+                  [2, -1, 2], [0, 1, -1], [0, 3, -1]]) * [2.9, 3.7, 2.3]
     kvecs = np.vstack([k, -k[:4], k[:1]])
     w = rng.uniform(0.5, 2.0, len(kvecs)) * (-1.0) ** np.arange(len(kvecs))
     for tpos, at_sources in _targets(s):
@@ -435,8 +439,9 @@ def test_kspace_3p_irregular_grid_matches_reference_loops():
 def test_kspace_3p_tables_span_the_pairs_that_occur():
     # on an irregular grid every half-lattice vector has its own kx and ky:
     # one (point, distinct kx, distinct ky) table would take 8 M Ux Uy
-    # bytes, 14.7 MB here; the per-axis, (point, pair) and block arrays
-    # take about 1.4 MB
+    # bytes, 14.7 MB here.  Its 240 pairs' staircase of (pair, |kz|) cells
+    # far exceeds 2K + step, so the kernel refuses the grid (_entries),
+    # having formed no array beyond O(K) per-vector rows
     rng = np.random.default_rng(44)
     s = _uniform_system(32, [1.0, 1.1, 0.9], 45)
     grid = _irregular_grid(rng, 240, 8.0)
@@ -445,7 +450,8 @@ def test_kspace_3p_tables_span_the_pairs_that_occur():
     for targets in (EvalTargets.at_sources(), EvalTargets.at_points(pts)):
         tracemalloc.start()
         try:
-            kspace_sum_3p(s, 2.0, grid, targets)
+            with pytest.raises(ValueError, match="2K \\+ step"):
+                kspace_sum_3p(s, 2.0, grid, targets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -579,10 +585,10 @@ def test_kspace_3p_unpaired_kz_matches_a_long_double_sum():
 
 def test_kspace_3p_peak_stays_below_a_kz_by_pairs_array():
     # 2,000 vectors on no lattice: every vector has a pair and a |kz| of its
-    # own, so one float64 array of (distinct |kz|, pairs) would take 32 MB;
-    # with tiles of one entry each the kernel holds the per-axis tables,
-    # the per-vector keys and the tile list, about 4 MB, at and off the 8
-    # sources
+    # own, so one float64 array of (distinct |kz|, pairs) would take 32 MB.
+    # The pairs' staircase of (pair, |kz|) cells exceeds 2K + step, and the
+    # kernel refuses the set (_entries) at and off the 8 sources, having
+    # formed no array beyond O(K) per-vector rows
     rng = np.random.default_rng(55)
     s = _uniform_system(8, [1.0, 1.1, 0.9], 56)
     kvecs = rng.normal(scale=8.0, size=(2000, 3))
@@ -593,43 +599,101 @@ def test_kspace_3p_peak_stays_below_a_kz_by_pairs_array():
     for tpos, at_sources in ((s.positions, True), (pts, False)):
         tracemalloc.start()
         try:
-            kernels_numpy.kspace_3p(s.positions, s.charges, tpos, kvecs, w,
-                                    at_sources)
+            with pytest.raises(ValueError, match="2K \\+ step"):
+                kernels_numpy.kspace_3p(s.positions, s.charges, tpos, kvecs,
+                                        w, at_sources)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < rectangle / 4, (peak, rectangle)
 
 
-@pytest.mark.parametrize("grid", ["lattice", "unpaired", "irregular"])
-def test_kspace_3p_tiles_hold_at_most_twice_their_entries(grid):
-    # a tile spans consecutive |kz| rows by consecutive pairs; its cells,
-    # entries and padding, count at most twice its entries and at most a
-    # slice of pairs, so the work follows the vectors given
+def _lattices(monkeypatch, mode, system, targets):
+    # the (vectors, weights, sources) of each kernel call of the mode's
+    # k-space sum, one per free-axis group, its result left out
+    par = default_params(system.box, mode)
+    kgrid = build_kgrid(system.box, mode, par.k_max)
+    calls = []
+
+    def record(pos, q, tpos, kvecs, w, at_sources):
+        calls.append((kvecs, w, len(pos)))
+        return np.zeros(len(tpos))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels_numpy, "kspace_3p", record)
+        _KSPACE_SUMS[mode](system, par.xi, kgrid, targets)
+    return calls
+
+
+@pytest.mark.parametrize("grid", ["lattice", "unpaired", "irregular", "2p",
+                                  "1p", "spread slab"])
+def test_kspace_3p_tiles_hold_at_most_twice_their_entries(monkeypatch, grid):
+    # a tile spans consecutive |kz| rows by the first pairs of its slice;
+    # its cells, entries and padding, count at most twice its cells of the
+    # pairs' staircase and at most a slice of pairs.  The lattices of
+    # every mode, at and off the sources and per free-axis group, pass the
+    # kernel's guard with at most one cell per vector; a subset of one
+    # passes it too, and a set on no lattice is refused
     rng = np.random.default_rng(57)
     box = np.array([1.0, 1.1, 0.9])
-    par = default_params(box, Periodicity.P3)
-    kvecs, w = _extended_lattice(Periodicity.P3, box,
-                                 build_kgrid(box, Periodicity.P3,
-                                             par.k_max).vectors,
-                                 np.zeros(0), par.xi)
-    if grid == "unpaired":
-        keep = rng.uniform(size=len(kvecs)) < 0.6
-        kvecs, w = kvecs[keep], w[keep]
-    elif grid == "irregular":
-        kvecs = rng.normal(scale=8.0, size=(500, 3))
-        w = np.ones(len(kvecs))
-    entries = np.unique(np.column_stack([kvecs[:, :2], np.abs(kvecs[:, 2])]),
-                        axis=0)
-    for step in (7, 64, 4096):
-        _, px, _, wsd, slices = kernels_numpy._entries(kvecs, w, step)
-        tiles = [t for _, ts in slices for t in ts]
-        assert wsd.shape[1] == sum(c1 - c0 for *_, c0, c1 in tiles)
-        assert wsd.shape[1] <= 2 * len(entries)
-        assert max(c1 - c0 for *_, c0, c1 in tiles) <= step
-        # the weights land in their cells: w+ + w- sums to the weights
-        assert math.isclose(wsd[0].sum(), w.sum(), rel_tol=1e-12)
-        assert len(px) == len(np.unique(kvecs[:, :2], axis=0))
+    if grid in ("lattice", "unpaired", "irregular"):
+        par = default_params(box, Periodicity.P3)
+        kvecs, w = _extended_lattice(Periodicity.P3, box,
+                                     build_kgrid(box, Periodicity.P3,
+                                                 par.k_max).vectors,
+                                     np.zeros(0), par.xi)
+        if grid == "unpaired":
+            keep = rng.uniform(size=len(kvecs)) < 0.6
+            kvecs, w = kvecs[keep], w[keep]
+        elif grid == "irregular":
+            kvecs = rng.normal(scale=8.0, size=(500, 3))
+            w = np.ones(len(kvecs))
+            for step in (7, 64, 4096):
+                with pytest.raises(ValueError, match="2K \\+ step"):
+                    kernels_numpy._entries(kvecs, w, step)
+            return
+        sets = [(kvecs, w, None)]
+    else:
+        # 64 sources, and 16 targets two of them out along each free axis;
+        # the spread slab's sources span 30 box lengths in z in each of
+        # three groups 60 apart, its targets in all three
+        mode = Periodicity.P1 if grid == "1p" else Periodicity.P2
+        s = _uniform_system(64, box, 58)
+        pts = rng.uniform(-0.5, 0.5, (16, 3)) * box
+        pts[:6] += [[0.0, 0.0, 5.0], [0.0, 0.0, -5.0], [5.0, 0.0, 0.0],
+                    [-5.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, -5.0, 0.0]]
+        if grid == "spread slab":
+            pos = np.array(s.positions)
+            pos[:, 2] = np.linspace(-15.0, 15.0, len(pos))
+            pos[:, 2] += 60.0 * (np.arange(len(pos)) % 3)
+            s = ParticleSystem(pos, s.charges, box)
+            pts[:, 2] += 60.0 * (np.arange(len(pts)) % 3)
+        sets = [lattice for targets in (EvalTargets.at_sources(),
+                                        EvalTargets.at_points(pts))
+                for lattice in _lattices(monkeypatch, mode, s, targets)]
+        assert len(sets) == (6 if grid == "spread slab" else 2)
+    for kvecs, w, n_src in sets:
+        entries = np.unique(
+            np.column_stack([kvecs[:, :2], np.abs(kvecs[:, 2])]), axis=0)
+        steps = (7, 64, 4096) + ((max(1, 2 ** 15 // n_src),) if n_src
+                                 else ())
+        for step in steps:
+            _, px, _, wsd, slices = kernels_numpy._entries(kvecs, w, step)
+            tiles = [t for _, ts in slices for t in ts]
+            assert wsd.shape[1] == sum(c1 - c0 for *_, c0, c1 in tiles)
+            assert wsd.shape[1] <= 2 * len(entries)
+            assert max(c1 - c0 for *_, c0, c1 in tiles) <= step
+            if grid != "unpaired":
+                assert wsd.shape[1] <= len(kvecs)
+            # a tile's cells are its rows by its pairs, the first of its
+            # slice
+            for part, ts in slices:
+                for ra, rb, n, c0, c1 in ts:
+                    assert c1 - c0 == (rb - ra) * n
+                    assert n <= len(px[part])
+            # the weights land in their cells: w+ + w- sums to the weights
+            assert math.isclose(wsd[0].sum(), w.sum(), rel_tol=1e-12)
+            assert len(px) == len(np.unique(kvecs[:, :2], axis=0))
 
 
 def test_axis_tables_equal_direct_libm_tables():
@@ -646,7 +710,7 @@ def test_axis_tables_equal_direct_libm_tables():
                                 np.zeros(0), par.xi)
     irregular = rng.normal(scale=30.0, size=(20, 3))
     for kvecs in (half, np.vstack([irregular, -irregular, [[0.0] * 3]])):
-        axes = kernels_numpy._entries(kvecs, np.ones(len(kvecs)), 64)[0]
+        axes = kernels_numpy._axes(kvecs)[0]
         cx, sx, cy, sy, zs = kernels_numpy._axis_tables(pts, axes)
         tables = [(cx, sx), (cy, sy), tuple(zs)]
         for a, (au, signed) in enumerate(axes):
