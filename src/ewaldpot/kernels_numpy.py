@@ -45,7 +45,7 @@ are a prefix of their slice, and a slice's entries form tiles of
 consecutive z rows by such a prefix (_entries), at most half padding, so
 the work follows the vectors given.  A set of K vectors whose pairs'
 staircase of (pair, z row) cells exceeds 2K plus the pairs of a slice
-lies on no lattice and is refused (ValueError).  Per target a tile's
+is far from any lattice cut by |k| and is refused (ValueError).  Per target a tile's
 terms, a slice's pairs and the slices are added in fixed binary trees
 (_fold, _pairwise).  It evaluates in a fixed, written-down order with
 elementwise numpy operations and reductions only: each product and sum is
@@ -640,7 +640,7 @@ def _entries(kvecs, w, step):
             end += tile[2]
             tile[4] = end
         slices.append((slice(p0, p0 + step), tiles))
-    rows = last[::step] + 1
+    rows = last[::step] + 1    # per slice, those of its first pair
     cell = np.array(base, np.intp)[(np.cumsum(rows) - rows)[pair // step]
                                    + row]
     cell += pair % step

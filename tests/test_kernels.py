@@ -654,9 +654,10 @@ def test_kspace_3p_tiles_hold_at_most_twice_their_entries(monkeypatch, grid):
             return
         sets = [(kvecs, w, None)]
     else:
-        # 64 sources, and 16 targets two of them out along each free axis;
-        # the spread slab's sources span 30 box lengths in z in each of
-        # three groups 60 apart, its targets in all three
+        # 64 sources, and 16 targets, six of them 5 out along the axes
+        # (wrapped back along the periodic ones); the spread slab's sources
+        # span 30 in z in each of three groups 60 apart, its targets lie in
+        # all three
         mode = Periodicity.P1 if grid == "1p" else Periodicity.P2
         s = _uniform_system(64, box, 58)
         pts = rng.uniform(-0.5, 0.5, (16, 3)) * box
