@@ -22,6 +22,7 @@ from ewaldpot.core import (
     default_xi,
 )
 from ewaldpot.ewald import (
+    _FREE_DECAY,
     EvalTargets,
     _extended_lattice,
     ewald_potential,
@@ -364,6 +365,29 @@ def test_kspace_2p_at_sources_matches_general_path():
     re_g = kspace_sum_2p(s, 2.0, grid, EvalTargets.at_points(
         np.vstack([s.positions, extra])))
     assert np.array_equal(re, re_g[:-1])
+
+
+@pytest.mark.parametrize("mode", [Periodicity.P3, Periodicity.P1],
+                         ids=lambda m: m.value)
+def test_kspace_3p_at_sources_matches_general_path(mode):
+    # the mode's extended lattice, as _kspace forms it, summed by kspace_3p
+    # at the 512 sources (4 slices of pairs) and with the targets a copy of
+    # the sources: the general path forms the target tables and every
+    # product again, per column block, and gives the same bytes
+    rng = np.random.default_rng(38)
+    box = np.array([1.1, 0.9, 1.0])
+    s = random_neutral(rng, 512, box)
+    par = default_params(box, mode)
+    kp = np.asarray(build_kgrid(box, mode, par.k_max).vectors, dtype=float)
+    kp = kp[:, None] if kp.ndim == 1 else kp
+    free = list(mode.free_axes)
+    reach = _FREE_DECAY / math.sqrt((kp * kp).sum(axis=1).min())
+    lengths = np.ptp(s.positions[:, free], axis=0) + reach
+    kvecs, w = _extended_lattice(mode, box, kp, lengths, par.xi)
+    pos, q = s.positions, s.charges
+    at = kernels_numpy.kspace_3p(pos, q, pos, kvecs, w, True)
+    general = kernels_numpy.kspace_3p(pos, q, pos.copy(), kvecs, w, False)
+    assert at.tobytes() == general.tobytes()
 
 
 def _loop_2p(s, xi, vecs, tpos):
