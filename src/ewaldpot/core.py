@@ -192,38 +192,50 @@ def _gauss_cut(tol: float) -> float:
     return math.sqrt(-math.log(tol))
 
 
-#: (c, n_fit) per mode: default xi = c (n_eff / n_fit)^(1/6) / min periodic L;
-#: n_fit None means no dependence on N or M
-_XI_LAW = {Periodicity.P1: (1.0, None), Periodicity.P2: (2.25, 64),
-           Periodicity.P3: (6.0, 512)}
+#: (c, n_fit, e) per mode: default xi = c (n_eff / n_fit)^e / min periodic L
+_XI_LAW = {Periodicity.P1: (0.7, 44, 1.0 / 4.0),
+           Periodicity.P2: (2.25, 64, 1.0 / 6.0),
+           Periodicity.P3: (6.0, 512, 1.0 / 6.0)}
 
 
 def default_xi(box, mode: Periodicity, n: int | None = None,
                m: int | None = None) -> float:
-    """Default decomposition parameter, c (n_eff / n_fit)^(1/6) / min periodic L.
+    """Default decomposition parameter, c (n_eff / n_fit)^e / min periodic L.
 
     n is the number of sources and m the number of off-source targets
-    (None: the targets are the sources).  Real space costs about
-    M N r_cut^3 / V, or M N / xi^3 at the Gaussian cut of default_params,
-    and k space about N K at the sources or (M + N) K off them, with
-    K proportional to xi^3.  The two balance at xi^6 proportional to
-    n_eff = n at the sources, n m / (n + m) off them.  Without n, n_eff =
-    n_fit and xi = c / min periodic L.
+    (None: the targets are the sources), n_eff = n at the sources and
+    n m / (n + m) off them.  Without n, n_eff = n_fit and
+    xi = c / min periodic L.
+
+    The exponent e balances real space against k space.  Real space costs
+    about M N r_cut^3 / V in 3p and 2p, or M N / xi^3 at the Gaussian cut
+    of default_params.  In 1p the sources lie within one cross section of
+    the wire, so when r_cut exceeds it a target meets about N r_cut / L3
+    image points, and real space costs about M N / xi.  k space costs
+    about N K at the sources or (M + N) K off them, with K, the vectors of
+    the lattice it sums (in 2p and 1p the grid extended along the free
+    axes), in proportion to xi^3.  The two balance at xi^6 ~ n_eff in 3p
+    and 2p, e = 1/6, and at xi^4 ~ n_eff in 1p, e = 1/4.  The 1p zero
+    mode, N^2 / 2 pairs at the sources, costs about the same at any xi,
+    since its bracket sums the series of -Ein(x) for x = rho^2 xi^2 up to
+    4, and so sets no balance of its own.
 
     The constants come from scans at the benchmark's sizes (README, the
     table after default_params): c = 6 at n_fit = 512 in 3p, c = 2.25 at
-    n_fit = 64 in 2p.  In 1p, c = 1 for every n and m: a smaller c is
-    faster, but below about 0.8 the k grid at 0.7 xi and tol 1e-14 is
-    empty, which would leave the xi-invariance checks no k-space sum to
-    test, and the 1p zero mode, whose cost does not depend on xi,
-    dominates at large N.
+    n_fit = 64 in 2p.  In 1p the law is c = 0.6 at n = 24 on the ladder of
+    N, and n_fit = 44 puts c = 0.7 without n: below about 0.68 the calls
+    of N = 256 and 1024 that pass no n ran slower than at the former
+    c = 1.  The 1p k grid is empty where c < pi / sqrt(ln(1/tol)), 0.553
+    at tol = 1e-14, so c = 0.7 keeps it non-empty without n, while the
+    law empties it for a few sources (c = 0.38 at n = 4); the k-space sum
+    is then 0 and each of its terms lies below tol.
     """
     if (n is not None and n < 1) or (m is not None and m < 1):
         raise ValueError(f"n and m must be at least 1, got n={n}, m={m}")
-    c, n_fit = _XI_LAW[mode]
-    if n_fit is not None and n is not None:
+    c, n_fit, e = _XI_LAW[mode]
+    if n is not None:
         n_eff = n if m is None else n * m / (n + m)
-        c *= (n_eff / n_fit) ** (1.0 / 6.0)
+        c *= (n_eff / n_fit) ** e
     box = np.asarray(box, dtype=np.float64)
     return c / float(np.min(box[list(mode.periodic_axes)]))
 

@@ -372,10 +372,11 @@ def zero_mode_1p(system: ParticleSystem, xi: float, targets: EvalTargets):
     (1/L3) sum_n q_n [ -gamma - log(rho_n^2 xi^2) - E1(rho_n^2 xi^2) ].
 
     By neutrality this equals -(1/L3) sum_n q_n [ log(rho_n^2)
-    + E1(rho_n^2 xi^2) ], but its bracket is finite per term and tends to 0
-    as rho_n -> 0 (it is exactly 0 at rho_n = 0).  So the same sum serves
-    at the sources, where the n = m term drops, and at any point, one on
-    the axis of a source included.
+    + E1(rho_n^2 xi^2) ], but its bracket, -Ein(rho_n^2 xi^2) with Ein
+    entire, is finite per term and tends to 0 as rho_n -> 0 (it is exactly
+    0 at rho_n = 0).  So the same sum serves at the sources, where the
+    n = m term drops, and at any point, one on the axis of a source
+    included.
     """
     require_neutral(system)
     tpos, at_sources = _resolve(system, xi, targets)

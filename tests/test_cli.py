@@ -153,7 +153,7 @@ def test_byte_identical_json_reruns(tmp_path):
 # slices of (kx, ky) pairs, so their goldens pin the order of the slices
 # and of the tiles within them (3p at xi = 10: 3 slices of 256 pairs;
 # 2p at xi = 6: 2 slices of 128 pairs in tiles of up to 6 |kz| rows;
-# 1p: 2 slices)
+# 1p at xi = 1.5: 3 slices in 5 tiles, off the sources 5 in 8)
 POINTS = ["--targets", str(DATA / "demo_points.txt")]
 GOLDEN_CASES = [
     (f"{stem}_{mode}{suffix}", DATA / f"{stem}.txt",
@@ -162,7 +162,7 @@ GOLDEN_CASES = [
         ("demo", "1p", []), ("demo", "2p", []), ("demo", "3p", []),
         ("cloud128", "3p", ["--xi", "10"]),
         ("cloud256", "2p", ["--xi", "6"]),
-        ("cloud128", "1p", []))
+        ("cloud128", "1p", ["--xi", "1.5"]))
     for suffix, targets in (("", []), ("_points", POINTS))
 ]
 

@@ -198,27 +198,26 @@ def test_default_params_pass_their_own_check(mode, tol):
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_default_xi_scales_as_the_sixth_root_of_n_eff(mode):
-    # xi = c (n_eff / n_fit)^(1/6) / min periodic L, n_eff = n at the
-    # sources and n m / (n + m) off them; c alone without n, and in 1p
-    # for every n and m
+    # xi = c (n_eff / n_fit)^e / min periodic L, n_eff = n at the sources
+    # and n m / (n + m) off them, c alone without n; e = 1/6 in 3p and 2p,
+    # and 1/4 in 1p, where real space costs M N / xi, not M N / xi^3
     box = [1.0, 1.1, 0.9]
     min_l = min(box[a] for a in mode.periodic_axes)
-    c, n_fit = {Periodicity.P1: (1.0, None), Periodicity.P2: (2.25, 64),
-                Periodicity.P3: (6.0, 512)}[mode]
+    c, n_fit, e = {Periodicity.P1: (0.7, 44, 1.0 / 4.0),
+                   Periodicity.P2: (2.25, 64, 1.0 / 6.0),
+                   Periodicity.P3: (6.0, 512, 1.0 / 6.0)}[mode]
     assert default_xi(box, mode) == c / min_l
     assert default_xi(box, mode, m=1000) == c / min_l
     for n, m in ((2, None), (64, None), (512, None), (4096, None),
                  (64, 1000), (512, 512), (1000, 3)):
         n_eff = n if m is None else n * m / (n + m)
-        want = c / min_l
-        if n_fit is not None:
-            want *= (n_eff / n_fit) ** (1.0 / 6.0)
+        want = c * (n_eff / n_fit) ** e / min_l
         assert default_xi(box, mode, n=n, m=m) == pytest.approx(want, rel=1e-14)
         assert default_params(box, mode, n=n, m=m).xi == default_xi(box, mode, n, m)
-    if n_fit is not None:
-        assert default_xi(box, mode, n=n_fit) == pytest.approx(c / min_l, rel=1e-15)
-        assert (default_xi(box, mode, n=64 * n_fit)
-                == pytest.approx(2.0 * c / min_l, rel=1e-14))
+    assert default_xi(box, mode, n=n_fit) == pytest.approx(c / min_l, rel=1e-15)
+    grow = 2 ** round(1 / e)    # 64 in 3p and 2p, 16 in 1p
+    assert (default_xi(box, mode, n=grow * n_fit)
+            == pytest.approx(2.0 * c / min_l, rel=1e-14))
     for bad in ({"n": 0}, {"n": 4, "m": 0}):
         with pytest.raises(ValueError, match="^n and m must"):
             default_xi(box, mode, **bad)
@@ -235,9 +234,14 @@ def test_default_params_rejects_bad_arguments(kwargs, name):
 
 
 def test_default_params_p1_uses_periodic_length():
+    # c = 0.7 over L3 = 2 without n, and c (n / 44)^(1/4) with it; the
+    # free lengths 50 play no part
     p = default_params([50.0, 50.0, 2.0], Periodicity.P1)
-    assert p.xi == pytest.approx(0.5)
-    assert p.real_layers == 6
+    assert p.xi == pytest.approx(0.35)
+    assert p.real_layers == 9
+    p = default_params([50.0, 50.0, 2.0], Periodicity.P1, n=704)
+    assert p.xi == pytest.approx(0.7)
+    assert p.real_layers == 5
 
 
 def test_default_params_p2_uses_smallest_periodic_length():
@@ -250,12 +254,20 @@ def test_default_params_p2_uses_smallest_periodic_length():
 @pytest.mark.parametrize("box", [[1.0, 1.1, 0.9], [1.0, 3.0, 0.9],
                                  [3.0, 2.0, 0.5]])
 def test_kgrid_nonempty_near_default_xi(box, mode):
-    # the xi-invariance checks run down to 0.7 xi0 at tol 1e-14, and the
-    # benchmark's reference at 0.75 xi0 with tol 1e-16: both must keep a
-    # k-space sum to check
-    for f, tol in ((0.7, 1e-14), (0.75, 1e-16)):
-        par = default_params(box, mode, xi=f * default_xi(box, mode),
-                             tol=tol)
+    # the xi-invariance checks must keep k-space sums to compare.  In 3p
+    # and 2p they run down to 0.7 xi0 at tol 1e-14, and the benchmark's
+    # reference at 0.75 xi0 with tol 1e-16.  In 1p the default c = 0.7
+    # lies near pi / sqrt(ln(1/tol)) = 0.553, where the grid empties; the
+    # 1p invariance test with k-space sums runs from c = 0.7 up, and the
+    # benchmark's traced run indexes a vector of the default grid at
+    # tol 1e-14
+    xi0 = default_xi(box, mode)
+    if mode is Periodicity.P1:
+        cases = ((xi0, 1e-14),)
+    else:
+        cases = ((0.7 * xi0, 1e-14), (0.75 * xi0, 1e-16))
+    for xi, tol in cases:
+        par = default_params(box, mode, xi=xi, tol=tol)
         assert len(build_kgrid(box, mode, par.k_max)) > 0
 
 

@@ -728,6 +728,51 @@ def test_ewald_xi_invariance_quick():
         assert np.abs(vals[0] - vals[1]).max() < 1e-8
 
 
+def _random_1p_cases():
+    # the systems of acceptance criterion 1, with four points off the
+    # sources, some beyond the cell along the free axes
+    for case in range(20):
+        rng = np.random.default_rng(1000 + case)
+        box = rng.uniform(0.8, 1.4, 3)
+        s = random_neutral(rng, (2, 8, 16)[case % 3], box)
+        pts = EvalTargets.at_points(rng.uniform(-0.5, 1.5, (4, 3)) * box)
+        yield box, s, pts
+
+
+def _total_1p(s, c, targets):
+    # the 1p total at xi = c / L3, and the size of its k grid
+    par = default_params(s.box, Periodicity.P1, xi=c / s.box[2])
+    k = len(build_kgrid(s.box, Periodicity.P1, par.k_max))
+    return ewald_potential(s, Periodicity.P1, par, targets).total, k
+
+
+def test_ewald_1p_xi_invariance_compares_kspace_sums():
+    # the 1p default c = 0.7 lies near pi / sqrt(ln(1/tol)) = 0.553, where
+    # the k grid empties, so the sweeps around the default compare k-space
+    # sums in part only; at c = 0.7, 1 and 1.4 over L3 every grid holds
+    # vectors, and the totals at the sources agree within 1e-13 of max|total|
+    for box, s, _ in _random_1p_cases():
+        totals = []
+        for c in (0.7, 1.0, 1.4):
+            total, k = _total_1p(s, c, EvalTargets.at_sources())
+            assert k > 0
+            totals.append(total)
+        scale = np.abs(totals[1]).max()
+        for a in totals[::2]:
+            assert np.abs(a - totals[1]).max() <= 1e-13 * scale
+
+
+def test_ewald_1p_xi_invariance_across_the_empty_k_grid():
+    # at c = 0.5 the 1p k grid is empty and real space, zero mode and self
+    # term carry the whole total; it agrees with c = 1, whose grid is not,
+    # within 1e-13 of max|total|, at the sources and off them
+    for box, s, pts in _random_1p_cases():
+        for targets in (EvalTargets.at_sources(), pts):
+            (a, ka), (b, kb) = (_total_1p(s, c, targets) for c in (0.5, 1.0))
+            assert ka == 0 and kb > 0
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
 @settings(max_examples=40)
 @given(n=st.integers(2, 8),
        box=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,18 +133,22 @@ def ref_zero_mode_2p(pos, q, tpos, xi, area):
     return -2.0 * SQRT_PI / area * out
 
 
-def _bracket(x):
-    # -gamma - log(x) - E1(x), 0 at x = 0
+def _mp_bracket(x):
+    # -gamma - log(x) - E1(x) in mpmath at 40 digits, where the log and E1
+    # cancel below x = 1 without cost; 0 at x = 0
     if x == 0.0:
         return 0.0
-    if x < 1.0:    # sum_k (-x)^k / (k k!), free of the log cancellation
-        s, term, k = 0.0, 1.0, 0
-        while True:
-            k += 1
-            term *= -x / k
-            s += term / k
-            if abs(term / k) < 1e-18:
-                return s
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return float(-mpmath.euler - mpmath.log(x) - mpmath.e1(x))
+
+
+def _bracket(x):
+    # -gamma - log(x) - E1(x), 0 at x = 0: mpmath below x = 1, where log
+    # and E1 cancel in floats, and math with specfun's E1 above; neither is
+    # the kernel's series of -Ein
+    if x < 1.0:
+        return _mp_bracket(x)
     return -EULER_GAMMA - math.log(x) - expint_e1(x)
 
 
@@ -890,6 +895,44 @@ def test_zero_mode_bytes_do_not_depend_on_row_blocks(monkeypatch):
                     mp.setattr(kernels_numpy, "_ROW_ELEMENTS", budget)
                     got[budget] = layer(s, 1.7, targets)
             assert got[4].tobytes() == got[2 ** 40].tobytes()
+
+
+def _bracket_points():
+    # 0, a log grid over [1e-12, 50], and both sides of the switch at _EIN_X0
+    x0 = kernels_numpy._EIN_X0
+    near = [x0, np.nextafter(x0, 0.0), np.nextafter(x0, np.inf)]
+    return np.concatenate([[0.0], np.geomspace(1e-12, 50.0, 400),
+                           np.linspace(x0 - 0.1, x0 + 0.1, 41), near])
+
+
+def test_log_e1_bracket_against_mpmath():
+    # the kernel's bracket within 1e-15 of max(|bracket|, 1) of mpmath at 40
+    # digits on [0, 50], the series below _EIN_X0 and log/E1 above it, and
+    # +0.0, not -0.0, at x = 0
+    x = _bracket_points()
+    got = kernels_numpy._log_e1_bracket_array(x)
+    want = np.array([_mp_bracket(v) for v in x])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
+    assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
+    assert (x < kernels_numpy._EIN_X0).any() and (x > kernels_numpy._EIN_X0).any()
+
+
+def test_log_e1_bracket_bytes_follow_each_element_alone():
+    # an element's bracket keeps its bytes when the array around it is
+    # permuted, split or reshaped, on both sides of _EIN_X0
+    rng = np.random.default_rng(5)
+    x = np.concatenate([_bracket_points(), rng.uniform(0.0, 8.0, 1000)])
+    x = x[rng.permutation(len(x))][:1440]
+    bracket = kernels_numpy._log_e1_bracket_array
+    whole = bracket(x)
+    perm = rng.permutation(len(x))
+    assert bracket(x[perm]).tobytes() == whole[perm].tobytes()
+    alone = [bracket(x[i:i + 1]) for i in range(len(x))]
+    assert np.concatenate(alone).tobytes() == whole.tobytes()
+    order = np.argsort(x)    # runs of only small, or only large, x
+    runs = [bracket(x[order[a:a + 160]]) for a in range(0, len(x), 160)]
+    assert np.concatenate(runs).tobytes() == whole[order].tobytes()
+    assert bracket(x.reshape(36, 40)).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("n", [100, 300])
