@@ -42,13 +42,17 @@ included), and volume V = L1 L2 L_eff or Lx_eff Ly_eff L3, so the prefactor
 4 pi/V is the 3p one.  3p is the case with no free axis: one group, the
 grid itself as its lattice and V = L1 L2 L3.  _extended_lattice is the one
 place that forms the half lattice, one k of each +-k pair at double
-weight (exact as _check_grid holds the grid closed under negation), and
-the weight 8 pi/V e^{-k^2/4xi^2}/k^2 of each k; kspace_3p sums
-sum_k w_k sum_n q_n cos(k.(t - x_n)) over what it is given.  The rule
-sums, besides the wanted pair term, its aliases L_eff apart along the free
-axes, where the kernel has decayed like e^{-k_min d}; k_min is the
-shortest grid vector, 2 pi/max(L1, L2) in 2p and 2 pi/L3 in 1p for a
-build_kgrid grid.  With C = _FREE_DECAY = 40:
+weight (exact as _check_grid holds the grid closed under negation), with
+the weight 8 pi/V e^{-k^2/4xi^2}/k^2 of each k.  It builds the lattice in
+kspace_3p's own form, as it knows it: the free components are 2 pi j /
+L_eff, each (kx, ky) pair reaches the |kz| rows that its room k^2 left
+under the cut allows (one searchsorted), and the weights land in the
+cells of the kernel's tiles; no list of vectors is formed, and the kernel
+sorts nothing.  kspace_3p sums sum_k w_k sum_n q_n cos(k.(t - x_n)) over
+that lattice.  The rule sums, besides the wanted pair term, its aliases
+L_eff apart along the free axes, where the kernel has decayed like
+e^{-k_min d}; k_min is the shortest grid vector, 2 pi/max(L1, L2) in 2p
+and 2 pi/L3 in 1p for a build_kgrid grid.  With C = _FREE_DECAY = 40:
 
     split    the sources and targets are split at every gap wider than
              C/k_min along a free axis (in 1p along x and along y, and
@@ -92,7 +96,6 @@ from .core import (
     ParticleSystem,
     Periodicity,
     PotentialResult,
-    _index_mesh,
     build_image_vectors,
     build_kgrid,
     require_neutral,
@@ -173,9 +176,8 @@ def _check_grid(kgrid: KGrid, mode: Periodicity):
     if kgrid.mode is not mode:
         raise ValueError(
             f"k grid was built for {kgrid.mode.value}, needed {mode.value}")
-    vecs = np.asarray(kgrid.vectors, dtype=np.float64)
-    if vecs.ndim == 1:    # P1: one k3 per row
-        vecs = vecs[:, None]
+    # one row per vector (in P1 one k3 per row)
+    vecs = np.atleast_2d(np.asarray(kgrid.vectors, dtype=np.float64).T).T
     # k = 0 belongs to the zero mode, and its weight 1/k^2 has no value
     if not vecs.any(axis=1).all():
         raise ValueError(f"a {mode.value} k grid must not hold the zero vector")
@@ -206,8 +208,12 @@ def _free_groups(coords, gap):
     per free axis) split at every gap wider than gap along any axis.
 
     A group is split along its first axis with such a gap, and its parts in
-    turn, until no group has one; each group holds ascending indices.
+    turn, until no group has one; each group holds ascending indices.  No
+    axis whose extent is at most gap has such a gap, so then the rows form
+    one group, found without a sort.
     """
+    if (np.ptp(coords, axis=0) <= gap).all():
+        return [np.arange(len(coords))]
     todo, groups = [np.arange(len(coords))], []
     while todo:
         idx = todo.pop()
@@ -222,50 +228,119 @@ def _free_groups(coords, gap):
     return groups
 
 
-def _extended_lattice(mode, box, kp, lengths, xi):
-    """The grid as a 3p half lattice: (vectors, weights) for kspace_3p.
+def _extended_lattice(mode, box, kp, lengths, xi, step):
+    """The grid as a 3p half lattice, in kspace_3p's form for slices of
+    step pairs: (axes, px, py, wsd, slices) (see kspace_3p).
 
-    kp holds the grid vectors, one row each.  Each is joined with the free
-    components 2 pi j / lengths (j integer per free axis) that keep
-    k^2 = kp^2 + free^2 <= 4 xi^2 _FREE_DECAY, in grid order and per grid
-    vector in lexicographic order of j (in 3p, which has no free axis, the
-    grid cut at that k^2).  Of each +-k pair the vector whose first nonzero
-    component is positive is kept, in that order, with the weight
-    (pref exp(-k^2 quart)) / k^2: k^2 = (kx^2 + ky^2) + kz^2,
-    pref = 8 pi/V (twice 4 pi/V, exactly, for the -k left out),
-    quart = 1/(4 xi^2) and exp glibc libm's, by one call per vector
-    through scipy's inv_boxcox at lambda = 0 (kernels_numpy._exp).  V is
-    the product of the periodic box lengths and lengths (L1 L2 L3 in 3p).
+    kp holds the grid vectors, one row each, closed under negation.  Each
+    is joined with the free components 2 pi j / lengths (j integer per
+    free axis) that pass free^2 <= room = 4 xi^2 _FREE_DECAY - kp^2, so
+    k^2 <= 4 xi^2 _FREE_DECAY (in 3p, which has no free axis, the grid
+    cut at that k^2).  Of each +-k pair the vector whose first nonzero
+    component is positive is kept, so kx >= 0 and only the y table may
+    take signed rows.  V is the product of the periodic box lengths and
+    lengths (L1 L2 L3 in 3p).
+
+    The lattice is built in that form, not recovered from a vector list.
+    A free axis takes its distinct |u| as j 2 pi / lengths.  In 2p the
+    pairs are the grid's (kx, ky) and each reaches the |kz| rows j with
+    (j 2 pi / L_eff)^2 <= its room; in 1p the pairs are the mesh
+    (i, j) 2 pi / L_eff and each reaches the grid's |k3| rows whose room
+    holds its kx^2 + ky^2: one searchsorted each, the test above, so a
+    pair holds every row up to its last.  In 3p the grid vectors give
+    pairs, rows and cells, and a grid whose staircase of (pair, |kz|)
+    cells exceeds 2K + step, K the vectors kept, raises ValueError: no
+    lattice cut by |k| comes near that, so every array stays
+    O(K + step).
+
+    A vector's weight is (pref exp(-k^2 quart)) / k^2, k^2 = (kx^2 + ky^2)
+    + kz^2 of the table values, pref = 8 pi/V (twice 4 pi/V, exactly, for
+    the -k left out), quart = 1/(4 xi^2) and exp glibc libm's
+    (kernels_numpy._exp).  A cell's w+ and w- are the weights of its
+    vectors with kz >= 0 and kz < 0 (np.bincount): in 3p each grid
+    vector's in grid order, in 2p and 1p m times the cell's weight for m
+    like vectors (grid rows that occur twice, or the grid's -|k3| rows,
+    as many as its +|k3| ones by the closure), 0.0 for none.
     """
-    periodic, free = list(mode.periodic_axes), list(mode.free_axes)
-    room = 4.0 * xi * xi * _FREE_DECAY - (kp * kp).sum(axis=1)
+    top = 4.0 * xi * xi * _FREE_DECAY
+    room = top - sum(u * u for u in kp.T)    # (kp * kp).sum(axis=1)
     base = 2.0 * np.pi / lengths
-    span = math.sqrt(max(0.0, room.max()))
-    fk = _index_mesh(np.floor(span / base).astype(np.int64)).T * base
-    ip, jf = np.nonzero((fk * fk).sum(axis=1)[None, :] <= room[:, None])
-    vecs = np.empty((len(ip), 3))
-    vecs[:, periodic] = kp[ip]
-    vecs[:, free] = fk[jf]
-    kx, ky, kz = vecs.T
-    half = (kx > 0.0) | (kx == 0.0) & ((ky > 0.0) | (ky == 0.0) & (kz > 0.0))
-    vecs = vecs[half]
-    kx, ky, kz = vecs.T
-    k2 = (kx * kx + ky * ky) + kz * kz
-    volume = float(np.prod(box[periodic])) * float(np.prod(lengths))
-    pref = 8.0 * math.pi / volume
-    quart = 0.25 / (xi * xi)
-    return vecs, pref * kernels_numpy._exp(-k2 * quart) / k2
+    span = np.floor(math.sqrt(max(0.0, room.max())) / base).astype(np.int64)
+    if mode is Periodicity.P1:    # pairs (i bx, j by) of the free mesh
+        # rows: the |k3| of the grid, each with as many +|k3| as -|k3|
+        # vectors (the grid closed under negation)
+        uz, count = np.unique(np.abs(kp[room >= 0.0, 0]),
+                              return_counts=True)
+        mult = np.array([count, count]) // 2
+        nj = 2 * span[1] + 1    # the mesh with i >= 0, |j| <= span
+        i, j = np.divmod(np.arange((span[0] + 1) * nj), nj)
+        j -= span[1]
+        kx, ky = i * base[0], j * base[1]
+        # per pair its last row: the rows with kx^2 + ky^2 <= their room
+        row = np.searchsorted(uz * uz - top, -(kx * kx + ky * ky),
+                              "right") - 1
+        keep = (row >= 0) & ((i > 0) | (j >= 0))
+        ix, iy, ky, row = i[keep], np.abs(j[keep]), ky[keep], row[keep]
+        ux = np.arange(ix.max(initial=-1) + 1) * base[0]
+        uy = np.arange(iy.max(initial=-1) + 1) * base[1]
+    else:    # pairs from the grid; rows its |kz| (3p) or free (2p)
+        kx, ky, kz = kp.T[[0, 1, -1]]    # 2p: kz = ky
+        keep = (room >= 0.0) & ((kx > 0.0) | (kx == 0.0) & (
+            (ky > 0.0) | (ky == 0.0) & (kz > 0.0)))
+        kx, ky, kz = kx[keep], ky[keep], kz[keep]
+        ux, ix = np.unique(np.abs(kx), return_inverse=True)
+        uy, iy = np.unique(np.abs(ky), return_inverse=True)
+        if mode is Periodicity.P3:
+            uz, row = np.unique(np.abs(kz), return_inverse=True)
+        else:    # per grid vector its last row: the kz^2 <= its room
+            uz = np.arange(span[0] + 1) * base[0]
+            row = np.searchsorted(uz * uz, room[keep], "right") - 1
+            uz = uz[:row.max(initial=-1) + 1]
+            mult = np.arange(len(uz)) > [[-1], [0]]    # +kz; -kz but 0
+    ny = len(uy) * (1 + bool((ky < 0.0).any()))
+    keys, pair = np.unique(ix * ny + iy + len(uy) * (ky < 0.0),
+                           return_inverse=True)
+    last = np.zeros(len(keys), np.intp)
+    np.maximum.at(last, pair, row)
+    order = np.argsort(-last, kind="stable")
+    px, py = np.divmod(keys[order], ny)
+    last, pair = last[order], np.argsort(order)[pair]
+    kx, ky = ux[px], uy[py % len(uy)]    # per pair
+    # the weighted (pair, row) terms: in 3p one per grid vector kept, m 1
+    # for its sign; else one per cell of the staircase, a pair's rows up
+    # to its last, m its grid vector's +-kz (2p) or its row's grid
+    # vectors (1p; the pair (0, 0) the +|k3| ones only)
+    if mode is Periodicity.P3:
+        p, r, m = pair, row, np.array([kz >= 0.0, kz < 0.0])
+        if len(last) + last.sum() > 2 * len(kz) + step:
+            raise ValueError(f"kspace_3p: {len(last) + last.sum()} (pair, "
+                             f"|kz|) cells exceed 2K + step, K = {len(kz)}")
+    else:
+        n = row + 1
+        p = np.repeat(pair, n)
+        r = np.arange(len(p)) - np.repeat(np.cumsum(n) - n, n)
+        m = mult[:, r]
+        m[1] *= ((kx != 0.0) | (ky != 0.0))[p]
+    k2 = (kx * kx + ky * ky)[p] + uz[r] * uz[r]
+    volume = np.prod(box[list(mode.periodic_axes)]) * np.prod(lengths)
+    mw = m * (8.0 * math.pi / volume * kernels_numpy._exp(
+        -k2 * (0.25 / (xi * xi))) / k2)
+    slices, cell, end = kernels_numpy._tiles(last, step, p, r)
+    # per cell w+ + w- and w+ - w-
+    wsd = np.bincount(cell, mw[0], end) + np.bincount(
+        cell, mw[1], end) * np.array([[1.0], [-1.0]])
+    return [(ux, False), (uy, ny > len(uy)), (uz, False)], px, py, wsd, slices
 
 
 def _kspace(mode, system, tpos, at_sources, xi, kgrid):
     pos, q, box, xi = system.positions, system.charges, system.box, float(xi)
     out = np.zeros(len(tpos))
-    kp = np.asarray(kgrid.vectors, dtype=np.float64)
-    kp = kp[:, None] if kp.ndim == 1 else kp    # P1: one k3 per row
+    # one row per vector (in P1 one k3 per row)
+    kp = np.atleast_2d(np.asarray(kgrid.vectors, dtype=np.float64).T).T
     if not len(kp):
         return out
     # C/k_min: the split distance and the margin of L_eff
-    reach = _FREE_DECAY / math.sqrt((kp * kp).sum(axis=1).min())
+    reach = _FREE_DECAY / math.sqrt(sum(u * u for u in kp.T).min())
     free = list(mode.free_axes)
     coords = pos[:, free] if at_sources else np.vstack([pos, tpos])[:, free]
     n = len(pos)
@@ -275,9 +350,10 @@ def _kspace(mode, system, tpos, at_sources, xi, kgrid):
         if not (len(src) and len(tgt)):
             continue    # no source within reach: the term is below e^-C
         lengths = np.ptp(coords[group], axis=0) + reach
-        kvecs, w = _extended_lattice(mode, box, kp, lengths, xi)
+        lattice = _extended_lattice(mode, box, kp, lengths, xi, max(
+            1, kernels_numpy._K_ELEMENTS // len(src)))
         out[tgt] = kernels_numpy.kspace_3p(pos[src], q[src], tpos[tgt],
-                                           kvecs, w, at_sources)
+                                           lattice, at_sources)
     return out
 
 

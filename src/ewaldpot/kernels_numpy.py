@@ -25,38 +25,39 @@ n, image p with that of n, m, -p, and adds it to both; the blocks own the
 pairs, so there they set the order of the sum.
 
 kspace_3p is the k-space sum of every mode, a plain weighted trig sum
-over exactly the vectors and weights it is given.  ewald._extended_lattice
-forms both, the only place that does: one k of each +-k pair of the mode's
-grid extended along its free axes (in 3p the grid as it is), with the
-Ewald weight 8 pi/V e^{-k^2/4xi^2}/k^2 (see the ewald module docstring).
+over a lattice handed over in the kernel's own form (axes, px, py, wsd,
+slices): the per-axis tables' rows, the (kx, ky) pairs, the slices and
+tiles and the weights per cell.  ewald._extended_lattice builds that form,
+the only place in the library that does, as it builds the lattice: one k
+of each +-k pair of the mode's grid extended along its free axes (in 3p
+the grid as it is), with the Ewald weight 8 pi/V e^{-k^2/4xi^2}/k^2 (see
+the ewald module docstring).  The kernel sorts nothing and recovers
+nothing from a vector list; it starts at the tiles.
 The kernel returns the real part only and never forms the imaginary part.
 It sums entries, not vectors: an entry holds the +|kz| and -|kz| vectors
 of one distinct (kx, ky) pair, so per entry four source sums and one
 target term serve both, by cos(a -+ b) = cos a cos b +- sin a sin b and
 sin(a -+ b) = sin a cos b -+ cos a sin b with a = kx x + ky y, b = |kz| z.
 Its cos and sin of a come from per-axis tables: libm cos and sin of kx x
-and ky y, one row per distinct component of the whole vector set and one
-column per point, built once per point and combined over the distinct
-pairs of a slice; those of b from the |kz| rows of the z tables.  libm
-runs on the distinct |k| of an axis only, and the x and y rows of -|k|
-take the same cos and the negated sin; that and the +-|kz| identity are
-exact on the assumption, checked by the tests, that libm cos is even and
-sin odd.  Its arrays hold pairs by points, one contiguous row per pair,
-and an entry's terms are products of a pair's row and a z row.  One slice
-rule holds at the sources and off them: _K_ELEMENTS // N pairs, so no
-array of the kernel spans (pairs, points).  The pairs come by their last
-z row, descending, so on a lattice cut by |k| those that reach a z row
-are a prefix of their slice, and a slice's entries form tiles of
-consecutive z rows by such a prefix (_entries), at most half padding, so
-the work follows the vectors given.  A set of K vectors whose pairs'
-staircase of (pair, z row) cells exceeds 2K plus the pairs of a slice
-is far from any lattice cut by |k| and is refused (ValueError).  Per target a tile's
-terms, a slice's pairs and the slices are added in fixed binary trees
-(_fold, _pairwise).  It evaluates in a fixed, written-down order with
-elementwise numpy operations and reductions only: each product and sum is
-its own float64 operation, with no complex arithmetic, no fused step and
-no matrix product (so no BLAS kernel, whose rounding depends on the CPU
-it picks at run time).
+and ky y, one row per distinct component of the lattice and one column
+per point, built once per point and combined over the pairs of a slice;
+those of b from the |kz| rows of the z tables.  libm runs on the distinct
+|k| of an axis only, and the x and y rows of -|k| take the same cos and
+the negated sin; that and the +-|kz| identity are exact on the
+assumption, checked by the tests, that libm cos is even and sin odd.  Its
+arrays hold pairs by points, one contiguous row per pair, and an entry's
+terms are products of a pair's row and a z row.  One slice rule holds at
+the sources and off them: _K_ELEMENTS // N pairs, so no array of the
+kernel spans (pairs, points).  The pairs come by their last z row,
+descending, so on a lattice cut by |k| those that reach a z row are a
+prefix of their slice, and a slice's entries form tiles of consecutive z
+rows by such a prefix (_tiles), at most half padding, so the work follows
+the lattice.  Per target a tile's terms, a slice's pairs and the slices
+are added in fixed binary trees (_fold, _pairwise).  It evaluates in a
+fixed, written-down order with elementwise numpy operations and
+reductions only: each product and sum is its own float64 operation, with
+no complex arithmetic, no fused step and no matrix product (so no BLAS
+kernel, whose rounding depends on the CPU it picks at run time).
 
 Every exp, log, cos and sin of the layers is glibc libm's, through one
 compiled loop each that calls it once per element; numpy's own float64
@@ -102,8 +103,9 @@ _FEW_TARGETS = 128
 #: the cell when r_cut is long against it, no array spans all image points
 _ROW_ELEMENTS = 2 ** 15
 
-#: kspace_3p takes the vectors in slices of _K_ELEMENTS // N (one at
-#: least), at the sources and off them alike, so a slice's (slice, N)
+#: kspace_3p takes the pairs in slices of _K_ELEMENTS // N (one at
+#: least; ewald._extended_lattice builds the slices for the N sources of
+#: its call), at the sources and off them alike, so a slice's (slice, N)
 #: arrays stay in the CPU cache; the slices set the order of the k sum,
 #: the column blocks of _ROW_ELEMENTS no order, so the two stay apart.
 #: With whole-row gathers no floor on the slice pays: slices of 8 vectors
@@ -382,20 +384,33 @@ def _square_cut(r_cut):
     return t
 
 
-def kspace_3p(pos, q, targets, kvecs, w, at_sources):
+def kspace_3p(pos, q, targets, lattice, at_sources):
     """Weighted trig sum sum_k w_k (C_k cos k.t + S_k sin k.t) per target t.
 
     C_k and S_k are sum_n q_n cos k.x_n and sum_n q_n sin k.x_n, so the sum
-    is sum_k w_k sum_n q_n cos(k.(t - x_n)), over exactly the vectors kvecs
-    (one row each) with weights w; at_sources says the targets are pos.
+    is sum_k w_k sum_n q_n cos(k.(t - x_n)) over the vectors of lattice;
+    at_sources says the targets are pos.  lattice is the kernel's form of
+    the vectors and weights, (axes, px, py, wsd, slices), for slices of
+    _K_ELEMENTS // N pairs (ewald._extended_lattice):
 
-    It sums entries, not vectors (_entries): an entry (P, |kz|) holds the
+        axes    per axis x, y, z the distinct |u| of the components u
+                (ascending) and whether the table takes signed rows (x and
+                y: the |u| rows, then, if signed, the rows of -|u|; z: the
+                |kz| rows only)
+        px, py  per distinct pair (kx, ky) its x and y table rows, by its
+                last |kz| row descending, then by px and py
+        slices  per slice of pairs its pairs (a slice) and its tiles, each
+                (first and end z row, pairs, first and end cell): the rows
+                ra .. rb - 1 by the first pairs of the slice (_tiles)
+        wsd     per cell ws = w+ + w- and wd = w+ - w-
+
+    It sums entries, not vectors: an entry (P, |kz|), a cell, holds the
     vectors (kx, ky, +|kz|) and (kx, ky, -|kz|) of one distinct pair
     P = (kx, ky), with weights w+ and w-, each the sum of the weights of
-    its vectors (0.0 for one not given).  With cxy, sxy the cos and sin of
-    kx x + ky y and cz, sz those of |kz| z, cos k.x = cxy cz -+ sxy sz and
-    sin k.x = sxy cz +- cxy sz for +-|kz|.  So per entry four sums over
-    the sources
+    its vectors (0.0 for one the lattice lacks).  With cxy, sxy the cos
+    and sin of kx x + ky y and cz, sz those of |kz| z, cos k.x =
+    cxy cz -+ sxy sz and sin k.x = sxy cz +- cxy sz for +-|kz|.  So per
+    entry four sums over the sources
 
         X = sum cxy q cz,  Z = sum sxy q cz,  W = sum cxy q sz,
         Y = sum sxy q sz
@@ -416,7 +431,7 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     per slice the pair tables cxy, sxy (_pair_tables) are formed from the
     per-axis tables, built once per point: once for the sources, and off
     the sources once per column block of targets (_blocks), the outer loop
-    there.  A slice's entries are taken in tiles (_entries), each a block
+    there.  A slice's entries are taken in tiles (_tiles), each a block
     of consecutive |kz| rows by the first pairs of the slice, those that
     reach its first row, whose cells, entries and padding (weight 0.0),
     count at most twice its cells of the pairs' staircase and at most
@@ -454,16 +469,15 @@ def kspace_3p(pos, q, targets, kvecs, w, at_sources):
     tiles, and so N, move their last bits.  No BLAS routine is called and
     cos and sin are glibc libm's sincos, through C cexp of 0 + iy
     (_cos_sin), so the result depends on neither the BLAS kernel nor
-    numpy's SIMD level.  Work and memory follow the vectors given: on
-    the lattices of ewald._extended_lattice, cut by |k|, the tiles hold
-    fewer cells than vectors, and a set of K vectors whose staircase
-    exceeds 2K + _K_ELEMENTS // N cells raises ValueError before any array
-    beyond O(K) is formed.
+    numpy's SIMD level.  Work and memory follow the lattice: on the
+    lattices of ewald._extended_lattice, cut by |k|, the tiles hold fewer
+    cells than vectors, and the builder refuses a grid whose staircase
+    exceeds 2K + _K_ELEMENTS // N cells before any array beyond O(K) is
+    formed.
     """
     n_src = len(pos)
-    step = max(1, _K_ELEMENTS // n_src)
-    axes, px, py, wsd, slices = _entries(kvecs, w, step)
-    width = min(step, len(px))    # pairs in the widest slice
+    axes, px, py, wsd, slices = lattice
+    width = max([0] + [len(px[part]) for part, _ in slices])
     # cells in the largest tile, or pairs in the widest slice
     most = max([width] + [c1 - c0 for _, tiles in slices
                           for *_, c0, c1 in tiles])
@@ -612,120 +626,54 @@ def _pairwise_rows(chunks):
     return total
 
 
-def _entries(kvecs, w, step):
-    """The tables, pairs, entries and tiles of kspace_3p, for slices of
-    step pairs: (axes, px, py, wsd, slices).
-
-    axes holds the tables' rows (_axes).  The distinct pairs (kx, ky)
-    come by their last |kz| row, descending, then by their x and y table
-    rows, px and py: on a lattice cut by |k| the pairs that reach a |kz|
-    row are then a prefix of their slice, and the pairs' staircase of
-    cells (P, |kz| row), each pair's rows up to its last, holds every
-    entry.  A set whose staircase exceeds 2K + step cells, K the vectors,
-    raises ValueError: no lattice from ewald._extended_lattice comes near
-    that, and so the tiles and every array here stay O(K + step).
+def _tiles(last, step, pair, row):
+    """The slices and tiles of kspace_3p for pairs whose last |kz| rows,
+    last, descend, in slices of step pairs: (slices, cell, end).
 
     A slice's tiles come by row: a tile starts at a row with the pairs
     that reach it, and takes the next row while it then spans at most
-    step cells, at least half of them in the staircase.  A tile's cells
-    run row by row, pair by pair; a cell that holds no entry is
-    padding.  wsd holds per cell ws = w+ + w- and wd = w+ - w-,
-    w+ and w- the sums (np.bincount, in the given order) of the weights of
-    its vectors with kz >= 0 and kz < 0; padding cells have 0.0.  slices
-    holds per slice its pairs (a slice) and its tiles: (first and end z
-    row, pairs, first and end cell); a tile's pairs are the first of its
-    slice.
+    step cells, at least half of them in the pairs' staircase.  A tile's
+    cells run row by row, pair by pair, numbered from 0 to end over the
+    tiles in order.  slices holds per slice its pairs (a slice) and its
+    tiles: (first and end z row, pairs, first and end cell); a tile's
+    pairs are the first of its slice.  cell holds the cell of each
+    (pair, row) given, each row at most the last of its pair.
     """
-    axes, (ix, iy, row) = _axes(kvecs)
-    ny = len(axes[1][0]) * (1 + axes[1][1])
-    xy, pair = _distinct(ix * ny + iy)
-    last = np.zeros(len(xy), np.intp)
-    np.maximum.at(last, pair, row)
-    cells = int(last.sum()) + len(xy)
-    if cells > 2 * len(kvecs) + step:
-        raise ValueError(
-            f"kspace_3p: the {len(xy)} (kx, ky) pairs of the {len(kvecs)} "
-            f"vectors span {cells} (pair, |kz|) cells, more than 2K + step "
-            f"= {2 * len(kvecs) + step}; it sums a lattice cut by |k|")
-    by_last = np.argsort(-last, kind="stable")
-    px, py = np.divmod(xy[by_last], ny)
-    last = last[by_last]
-    pair = np.argsort(by_last)[pair]    # the inverse permutation
     # per slice and row the cell of its first pair (base), the rows of
     # each slice in turn
     slices, base, end = [], [], 0
-    for p0 in range(0, len(xy), step):
-        part = last[p0:p0 + step]
-        tiles = []
+    for p0 in range(0, len(last), step):
         # per row the pairs that reach it
-        for r, n in enumerate(np.searchsorted(
-                -part, -np.arange(part[0] + 1), "right").tolist()):
-            base.append(end)
-            if tiles and (r + 1 - tile[0]) * tile[2] <= min(
-                    step, 2 * (filled + n)):
-                tile[1] = r + 1
-                filled += n
-            else:
-                tile = [r, r + 1, n, end, end]
-                tiles.append(tile)
-                filled = n
-            end += tile[2]
-            tile[4] = end
+        reach = np.searchsorted(-last[p0:p0 + step], -np.arange(last[p0] + 1),
+                                "right").tolist()
+        tiles, ra = [], 0
+        while ra < len(reach):
+            rb, n = ra + 1, reach[ra]
+            filled = n
+            while rb < len(reach) and (rb + 1 - ra) * n <= min(
+                    step, 2 * (filled + reach[rb])):
+                rb, filled = rb + 1, filled + reach[rb]
+            tiles.append((ra, rb, n, end, end + (rb - ra) * n))
+            base += range(end, end + (rb - ra) * n, n)
+            end, ra = end + (rb - ra) * n, rb
         slices.append((slice(p0, p0 + step), tiles))
     rows = last[::step] + 1    # per slice, those of its first pair
     cell = np.array(base, np.intp)[(np.cumsum(rows) - rows)[pair // step]
                                    + row]
-    cell += pair % step
-    wsd = np.bincount(cell + end * (kvecs[:, 2] < 0.0), w,
-                      2 * end).reshape(2, -1)    # w+, w-
-    ws = wsd[0] + wsd[1]
-    np.subtract(wsd[0], wsd[1], out=wsd[1])
-    wsd[0] = ws
-    return axes, px, py, wsd, slices
-
-
-def _axes(kvecs):
-    """The table rows of the vectors' components: (axes, rows).
-
-    axes holds, per axis, the distinct |u| of its components u over all
-    the vectors (ascending) and whether the table takes signed rows: the x
-    and y tables have those |u| rows, then, if any u is negative, their
-    negatives; the z tables have the |kz| rows only.  rows holds, per
-    axis, each vector's row in its table.
-    """
-    axes, rows = [], []
-    for u in kvecs.T:
-        au, ia = _distinct(np.abs(u))
-        signed = len(axes) < 2 and bool((u < 0.0).any())
-        if signed:
-            ia += len(au) * (u < 0.0)
-        axes.append((au, signed))
-        rows.append(ia)
-    return axes, rows
-
-
-def _distinct(v):
-    # the sorted distinct values of v and, per element, its index in them
-    # (np.unique's result, at a fraction of its fixed cost on short arrays)
-    sv = np.sort(v)
-    new = np.empty(len(sv), bool)
-    new[:1] = True
-    np.not_equal(sv[1:], sv[:-1], out=new[1:])
-    u = sv[new]
-    return u, np.searchsorted(u, v)
+    return slices, cell + pair % step, end
 
 
 def _axis_tables(pts, axes):
     """cx, sx, cy, sy and zs: libm cos and sin of u x and u y over the rows
-    of the x and y axes (_axes) by the points pts, one column per point
-    (each product rounded once), and zs, (2, rows, points), the cos and sin
-    of u z over the rows of the z axis.  libm runs on the distinct |u| rows
-    only, all axes in one pass of _cos_sin, whose one cexp per element
-    gives both: a row of -|u| takes the cos of its |u| row and the
-    negated sin.  That is exact as (-u) x = -(u x) and libm cos is even
-    and sin odd.  The tables are rows of _cos_sin's contiguous (2, rows,
-    points) result, the negated rows copies.  A column depends on its own
-    point alone."""
+    of the x and y axes (the lattice's axes, kspace_3p) by the points pts,
+    one column per point (each product rounded once), and zs, (2, rows,
+    points), the cos and sin of u z over the rows of the z axis.  libm
+    runs on the distinct |u| rows only, all axes in one pass of _cos_sin,
+    whose one cexp per element gives both: a row of -|u| takes the cos of
+    its |u| row and the negated sin.  That is exact as (-u) x = -(u x) and
+    libm cos is even and sin odd.  The tables are rows of _cos_sin's
+    contiguous (2, rows, points) result, the negated rows copies.  A
+    column depends on its own point alone."""
     sizes = [len(au) for au, _ in axes]
     arg = np.empty((sum(sizes), len(pts)))
     ends = np.cumsum(sizes)

@@ -24,7 +24,6 @@ from ewaldpot.core import (
 from ewaldpot.ewald import (
     _FREE_DECAY,
     EvalTargets,
-    _extended_lattice,
     ewald_potential,
     kspace_sum_1p,
     kspace_sum_2p,
@@ -39,13 +38,13 @@ from ewaldpot.specfun import (
     expint_e1,
     g_screened,
 )
+from lattice_form import form, vectors
 
 
 def _half_lattice(box, kvecs, xi):
-    # ewald's 3p half lattice of the grid kvecs and its Ewald weights, the
-    # (vectors, weights) that kspace_3p sums over
-    return _extended_lattice(Periodicity.P3, np.asarray(box), kvecs,
-                             np.zeros(0), xi)
+    # the 3p half lattice of the grid kvecs and its Ewald weights, the
+    # (vectors, weights) that kspace_3p sums over, as a vector list
+    return vectors(Periodicity.P3, np.asarray(box), kvecs, np.zeros(0), xi)
 
 
 # frozen in test_specfun against the quadrature oracle
@@ -260,7 +259,8 @@ def test_kspace_sum_3p_is_the_kernel_on_the_grid():
         got = kspace_sum_3p(s, par.xi, kgrid, targets)
         want = kernels_numpy.kspace_3p(
             s.positions, s.charges, tpos,
-            *_half_lattice(box, kgrid.vectors, par.xi), at_sources)
+            form(*_half_lattice(box, kgrid.vectors, par.xi), len(s.positions)),
+            at_sources)
         assert got.tobytes() == want.tobytes()
 
 
@@ -383,10 +383,11 @@ def test_kspace_3p_at_sources_matches_general_path(mode):
     free = list(mode.free_axes)
     reach = _FREE_DECAY / math.sqrt((kp * kp).sum(axis=1).min())
     lengths = np.ptp(s.positions[:, free], axis=0) + reach
-    kvecs, w = _extended_lattice(mode, box, kp, lengths, par.xi)
+    kvecs, w = vectors(mode, box, kp, lengths, par.xi)
     pos, q = s.positions, s.charges
-    at = kernels_numpy.kspace_3p(pos, q, pos, kvecs, w, True)
-    general = kernels_numpy.kspace_3p(pos, q, pos.copy(), kvecs, w, False)
+    lattice = form(kvecs, w, len(pos))
+    at = kernels_numpy.kspace_3p(pos, q, pos, lattice, True)
+    general = kernels_numpy.kspace_3p(pos, q, pos.copy(), lattice, False)
     assert at.tobytes() == general.tobytes()
 
 
@@ -507,10 +508,10 @@ def test_kspace_3p_numpy_at_sources_matches_general_path():
     kv, w = _half_lattice(box, build_kgrid(box, Periodicity.P3, 30.0).vectors,
                           2.0)
     re = kernels_numpy.kspace_3p(s.positions, s.charges, s.positions,
-                                 kv, w, True)
+                                 form(kv, w, len(s.positions)), True)
     extra = np.vstack([s.positions, [[0.31, 0.47, 0.62]]])
     re_g = kernels_numpy.kspace_3p(s.positions, s.charges, extra,
-                                   kv, w, False)
+                                   form(kv, w, len(s.positions)), False)
     assert np.array_equal(re, re_g[:-1])
 
 
@@ -530,9 +531,10 @@ def test_kspace_3p_holds_two_target_buffers():
     for targets, at_sources in ((s.positions, True), (grid, False)):
         tracemalloc.start()
         try:
-            kernels_numpy.kspace_3p(s.positions, s.charges, targets,
-                                    *_half_lattice(box, kv, par.xi),
-                                    at_sources)
+            kernels_numpy.kspace_3p(
+                s.positions, s.charges, targets,
+                form(*_half_lattice(box, kv, par.xi), len(s.positions)),
+                at_sources)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -543,8 +545,8 @@ def test_kspace_3p_holds_two_target_buffers():
 def _kspace_3p_peak(s, targets, at_sources, kvecs, w):
     tracemalloc.start()
     try:
-        kernels_numpy.kspace_3p(s.positions, s.charges, targets, kvecs, w,
-                                at_sources)
+        kernels_numpy.kspace_3p(s.positions, s.charges, targets,
+                                form(kvecs, w, len(s.positions)), at_sources)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1010,7 +1012,8 @@ def test_kspace_imaginary_residue_small():
     pts = np.array([[0.3, 0.6, 0.2], [0.85, 0.15, 0.7]])
     kv3 = build_kgrid(box, Periodicity.P3, 30.0).vectors
     vol = float(np.prod(box))
-    re3 = kernels_numpy.kspace_3p(pos, q, pts, *_half_lattice(box, kv3, xi),
+    re3 = kernels_numpy.kspace_3p(pos, q, pts,
+                                  form(*_half_lattice(box, kv3, xi), len(pos)),
                                   False)
     k2 = (kv3 ** 2).sum(axis=1)
     w = 4.0 * math.pi / vol * np.exp(-k2 / (4.0 * xi * xi)) / k2

@@ -26,6 +26,7 @@ from scipy import special
 
 from ewaldpot import (
     EvalTargets,
+    ewald,
     ewald_potential,
     kernels_numpy,
     kspace_sum_1p,
@@ -44,7 +45,6 @@ from ewaldpot.core import (
     build_kgrid,
     default_params,
 )
-from ewaldpot.ewald import _extended_lattice
 from ewaldpot.specfun import (
     EULER_GAMMA,
     SQRT_PI,
@@ -52,6 +52,8 @@ from ewaldpot.specfun import (
     g_screened,
     incomplete_bessel_k0,
 )
+import lattice_form
+from lattice_form import axes, form, half_vectors, vectors
 
 
 def _system():
@@ -190,8 +192,9 @@ def test_kernels_match_reference_loops(mode):
                ref_real_space(pos, q, tpos, at_sources, images, xi,
                               par.r_cut))
         if mode is Periodicity.P3:
-            half, w = _extended_lattice(mode, box, kvecs, np.zeros(0), xi)
-            _close(kernels_numpy.kspace_3p(pos, q, tpos, half, w, at_sources),
+            half, w = vectors(mode, box, kvecs, np.zeros(0), xi)
+            _close(kernels_numpy.kspace_3p(pos, q, tpos, form(half, w, len(pos)),
+                                           at_sources),
                    ref_kspace_3p(pos, q, tpos, xi, kvecs,
                                  float(np.prod(box))))
         elif mode is Periodicity.P2:
@@ -217,7 +220,7 @@ def test_kspace_3p_is_a_weighted_trig_sum_over_the_vectors_given(
     # twice), weights of both signs, and at and off the sources in one
     # slice and in slices of 4 (kx, ky) pairs.  The vectors lie on a
     # lattice, a subset of its half cut by |k| with some rows left out, as
-    # the kernel refuses a set far from one (_entries)
+    # a set far from one is refused (lattice_form.entries)
     s = _system()
     rng = np.random.default_rng(47)
     k = np.array([[0, 0, 1], [0, 0, 2], [1, 0, 0], [1, 0, 1], [1, 0, -1],
@@ -234,8 +237,9 @@ def test_kspace_3p_is_a_weighted_trig_sum_over_the_vectors_given(
         for k_elements in (kernels_numpy._K_ELEMENTS, 4 * len(s)):
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_numpy, "_K_ELEMENTS", k_elements)
-                got = kernels_numpy.kspace_3p(s.positions, s.charges, tpos,
-                                              kvecs, w, at_sources)
+                got = kernels_numpy.kspace_3p(
+                    s.positions, s.charges, tpos,
+                    form(kvecs, w, len(s.positions)), at_sources)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -295,7 +299,7 @@ def _lattice_sizes(monkeypatch, mode, s, xi, kgrid, targets):
     kspace_3p = kernels_numpy.kspace_3p
 
     def counted(*args):
-        sizes.append(len(args[3]))
+        sizes.append(len(half_vectors(args[3])[0]))
         return kspace_3p(*args)
 
     with monkeypatch.context() as mp:
@@ -441,11 +445,105 @@ def test_kspace_3p_irregular_grid_matches_reference_loops():
                                   grid.vectors, volume))
 
 
+@pytest.mark.parametrize("mode, vectors", [
+    (Periodicity.P2, [(3.1, 0.0), (0.0, 4.7), (2.2, -5.0), (5.5, 1.3),
+                      (2.2, -5.0)]),
+    (Periodicity.P1, [3.3, 7.1, 12.0, 3.3]),
+], ids=["2p", "1p"])
+def test_kspace_hand_built_grid_matches_reference_loops(mode, vectors):
+    # a grid closed under negation but from no build_kgrid: off any
+    # lattice, in no order, one +-k pair twice; the builder takes its
+    # rows as they come, each as often as it occurs, at and off the
+    # sources
+    s = _system()
+    rng = np.random.default_rng(59)
+    k = np.array(vectors)
+    vecs = np.concatenate([k, -k])
+    grid = KGrid(mode=mode, vectors=vecs[rng.permutation(len(vecs))])
+    for tpos, at_sources in _targets(s):
+        got = _kspace_sum(mode)(s, 2.0, grid, _eval_targets(tpos, at_sources))
+        _close(got, _ref_kspace(mode, s, tpos, 2.0, grid.vectors))
+
+
+def _same_form(got, want):
+    # two lattice forms equal array for array, the tiles as tuples
+    for (u, signed), (u_want, signed_want) in zip(got[0], want[0], strict=True):
+        assert u.tobytes() == u_want.tobytes() and signed == signed_want
+    for a, b in zip(got[1:4], want[1:4]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert [(part, [tuple(t) for t in tiles]) for part, tiles in got[4]] == [
+        (part, [tuple(t) for t in tiles]) for part, tiles in want[4]]
+
+
+@pytest.mark.parametrize("mode, case", [
+    (Periodicity.P3, "random"), (Periodicity.P2, "random"),
+    (Periodicity.P1, "random"), (Periodicity.P2, "spread slab")],
+    ids=["3p", "2p", "1p", "2p spread slab"])
+def test_extended_lattice_is_the_sorted_form_of_its_vectors(monkeypatch,
+                                                            mode, case):
+    # every lattice the k-space sums build (random boxes and xi, at and off
+    # the sources, per free-axis group) equals, array for array, the form
+    # that the sort-based adapter makes of the same lattice's vector list,
+    # at the slices of the call and at slices of 7 and 64 pairs.  The
+    # spread slab's sources span 30 in z in each of three groups 60 apart,
+    # its targets lie in all three
+    rng = np.random.default_rng(60)
+    build = ewald._extended_lattice
+    for _ in range(3):
+        box = rng.uniform(0.6, 1.6, 3)
+        s = _uniform_system(48, box, int(rng.integers(2 ** 16)))
+        pts = rng.uniform(-0.5, 0.5, (16, 3)) * box
+        if case == "spread slab":
+            pos = np.array(s.positions)
+            pos[:, 2] = np.linspace(-15.0, 15.0, len(pos))
+            pos[:, 2] += 60.0 * (np.arange(len(pos)) % 3)
+            s = ParticleSystem(pos, s.charges, box)
+            pts[:, 2] += 60.0 * (np.arange(len(pts)) % 3)
+        par = default_params(box, mode, xi=rng.uniform(5.0, 9.0) / box.min())
+        kgrid = build_kgrid(box, mode, par.k_max)
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return build(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ewald, "_extended_lattice", recorded)
+            for targets in (EvalTargets.at_sources(),
+                            EvalTargets.at_points(pts)):
+                _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
+        assert len(calls) == (6 if case == "spread slab" else 2)
+        for *args, step in calls:
+            for k in (step, 7, 64):
+                _same_form(build(*args, k),
+                           lattice_form.entries(*vectors(*args), k))
+
+
+@pytest.mark.parametrize("mode, kp, lengths, on_cut", [
+    (Periodicity.P3, [[1.0, 0.0, 3.0], [-1.0, 0.0, -3.0]], [], 1),
+    (Periodicity.P2, [[1.0, 0.0], [-1.0, 0.0]], [2.0 * np.pi], 2),
+    (Periodicity.P1, [[3.0], [-3.0]], [2.0 * np.pi, 2.0 * np.pi], 4),
+], ids=["3p", "2p", "1p"])
+def test_extended_lattice_keeps_the_vectors_on_the_cut(mode, kp, lengths,
+                                                       on_cut):
+    # at xi = 1/4 the cut is k^2 <= 4 xi^2 _FREE_DECAY = 10 exactly, and
+    # with lengths 2 pi the free components are integers: (1, 0, 3) and
+    # its like lie on the cut, k^2 = 10 in every rounding, and the test
+    # free^2 <= room keeps them, as the vector list does
+    box, kp, lengths = np.ones(3), np.array(kp), np.array(lengths)
+    got = ewald._extended_lattice(mode, box, kp, lengths, 0.25, 64)
+    _same_form(got, lattice_form.entries(
+        *vectors(mode, box, kp, lengths, 0.25), 64))
+    kvecs, _ = half_vectors(got)
+    assert ((kvecs * kvecs).sum(axis=1) == 10.0).sum() == on_cut
+
+
 def test_kspace_3p_tables_span_the_pairs_that_occur():
     # on an irregular grid every half-lattice vector has its own kx and ky:
     # one (point, distinct kx, distinct ky) table would take 8 M Ux Uy
     # bytes, 14.7 MB here.  Its 240 pairs' staircase of (pair, |kz|) cells
-    # far exceeds 2K + step, so the kernel refuses the grid (_entries),
+    # far exceeds 2K + step, so the builder refuses the grid
+    # (ewald._extended_lattice),
     # having formed no array beyond O(K) per-vector rows
     rng = np.random.default_rng(44)
     s = _uniform_system(32, [1.0, 1.1, 0.9], 45)
@@ -556,9 +654,9 @@ def test_kspace_3p_matches_a_long_double_sum(monkeypatch, mode):
             mp.setattr(kernels_numpy, "kspace_3p", recorded)
             _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
         assert calls
-        for pos, q, tpos, kvecs, w, at_sources in calls:
-            want = _long_double_kspace(pos, q, tpos, kvecs, w)
-            got = kspace_3p(pos, q, tpos, kvecs, w, at_sources)
+        for pos, q, tpos, lattice, at_sources in calls:
+            want = _long_double_kspace(pos, q, tpos, *half_vectors(lattice))
+            got = kspace_3p(pos, q, tpos, lattice, at_sources)
             scale = float(np.abs(want).max())
             assert float(np.abs(got - want).max()) <= 1e-15 * scale
 
@@ -573,8 +671,8 @@ def test_kspace_3p_unpaired_kz_matches_a_long_double_sum():
     s = _uniform_system(16, [1.0, 1.1, 0.9], 53)
     par = default_params(s.box, Periodicity.P3)
     kgrid = build_kgrid(s.box, Periodicity.P3, par.k_max)
-    half, w = _extended_lattice(Periodicity.P3, s.box, kgrid.vectors,
-                                np.zeros(0), par.xi)
+    half, w = vectors(Periodicity.P3, s.box, kgrid.vectors, np.zeros(0),
+                      par.xi)
     rng = np.random.default_rng(54)
     drop = (half[:, 2] < 0.0) & (rng.uniform(size=len(half)) < 1 / 3)
     kvecs, w = half[~drop], w[~drop]
@@ -582,8 +680,9 @@ def test_kspace_3p_unpaired_kz_matches_a_long_double_sum():
     pts = rng.uniform(-0.5, 0.5, (20, 3)) * s.box
     for tpos, at_sources in ((s.positions, True), (pts, False)):
         want = _long_double_kspace(s.positions, s.charges, tpos, kvecs, w)
-        got = kernels_numpy.kspace_3p(s.positions, s.charges, tpos, kvecs,
-                                      w, at_sources)
+        got = kernels_numpy.kspace_3p(s.positions, s.charges, tpos,
+                                      form(kvecs, w, len(s.positions)),
+                                      at_sources)
         scale = float(np.abs(want).max())
         assert float(np.abs(got - want).max()) <= 1e-15 * scale
 
@@ -592,8 +691,8 @@ def test_kspace_3p_peak_stays_below_a_kz_by_pairs_array():
     # 2,000 vectors on no lattice: every vector has a pair and a |kz| of its
     # own, so one float64 array of (distinct |kz|, pairs) would take 32 MB.
     # The pairs' staircase of (pair, |kz|) cells exceeds 2K + step, and the
-    # kernel refuses the set (_entries) at and off the 8 sources, having
-    # formed no array beyond O(K) per-vector rows
+    # form refuses the set (lattice_form.entries) at and off the 8
+    # sources, having formed no array beyond O(K) per-vector rows
     rng = np.random.default_rng(55)
     s = _uniform_system(8, [1.0, 1.1, 0.9], 56)
     kvecs = rng.normal(scale=8.0, size=(2000, 3))
@@ -605,8 +704,9 @@ def test_kspace_3p_peak_stays_below_a_kz_by_pairs_array():
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="2K \\+ step"):
-                kernels_numpy.kspace_3p(s.positions, s.charges, tpos, kvecs,
-                                        w, at_sources)
+                kernels_numpy.kspace_3p(s.positions, s.charges, tpos,
+                                        form(kvecs, w, len(s.positions)),
+                                        at_sources)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -620,8 +720,8 @@ def _lattices(monkeypatch, mode, system, targets):
     kgrid = build_kgrid(system.box, mode, par.k_max)
     calls = []
 
-    def record(pos, q, tpos, kvecs, w, at_sources):
-        calls.append((kvecs, w, len(pos)))
+    def record(pos, q, tpos, lattice, at_sources):
+        calls.append((*half_vectors(lattice), len(pos)))
         return np.zeros(len(tpos))
 
     with monkeypatch.context() as mp:
@@ -643,10 +743,10 @@ def test_kspace_3p_tiles_hold_at_most_twice_their_entries(monkeypatch, grid):
     box = np.array([1.0, 1.1, 0.9])
     if grid in ("lattice", "unpaired", "irregular"):
         par = default_params(box, Periodicity.P3)
-        kvecs, w = _extended_lattice(Periodicity.P3, box,
-                                     build_kgrid(box, Periodicity.P3,
-                                                 par.k_max).vectors,
-                                     np.zeros(0), par.xi)
+        kvecs, w = vectors(Periodicity.P3, box,
+                           build_kgrid(box, Periodicity.P3,
+                                       par.k_max).vectors,
+                           np.zeros(0), par.xi)
         if grid == "unpaired":
             keep = rng.uniform(size=len(kvecs)) < 0.6
             kvecs, w = kvecs[keep], w[keep]
@@ -655,7 +755,7 @@ def test_kspace_3p_tiles_hold_at_most_twice_their_entries(monkeypatch, grid):
             w = np.ones(len(kvecs))
             for step in (7, 64, 4096):
                 with pytest.raises(ValueError, match="2K \\+ step"):
-                    kernels_numpy._entries(kvecs, w, step)
+                    lattice_form.entries(kvecs, w, step)
             return
         sets = [(kvecs, w, None)]
     else:
@@ -684,7 +784,7 @@ def test_kspace_3p_tiles_hold_at_most_twice_their_entries(monkeypatch, grid):
         steps = (7, 64, 4096) + ((max(1, 2 ** 15 // n_src),) if n_src
                                  else ())
         for step in steps:
-            _, px, _, wsd, slices = kernels_numpy._entries(kvecs, w, step)
+            _, px, _, wsd, slices = lattice_form.entries(kvecs, w, step)
             tiles = [t for _, ts in slices for t in ts]
             assert wsd.shape[1] == sum(c1 - c0 for *_, c0, c1 in tiles)
             assert wsd.shape[1] <= 2 * len(entries)
@@ -712,14 +812,14 @@ def test_axis_tables_equal_direct_libm_tables():
     pts = np.vstack([s.positions, rng.uniform(-40.0, 40.0, (8, 3))])
     par = default_params(s.box, Periodicity.P3)
     kgrid = build_kgrid(s.box, Periodicity.P3, par.k_max)
-    half, w = _extended_lattice(Periodicity.P3, s.box, kgrid.vectors,
-                                np.zeros(0), par.xi)
+    half, w = vectors(Periodicity.P3, s.box, kgrid.vectors, np.zeros(0),
+                      par.xi)
     irregular = rng.normal(scale=30.0, size=(20, 3))
     for kvecs in (half, np.vstack([irregular, -irregular, [[0.0] * 3]])):
-        axes = kernels_numpy._axes(kvecs)[0]
-        cx, sx, cy, sy, zs = kernels_numpy._axis_tables(pts, axes)
+        axs = axes(kvecs)[0]
+        cx, sx, cy, sy, zs = kernels_numpy._axis_tables(pts, axs)
         tables = [(cx, sx), (cy, sy), tuple(zs)]
-        for a, (au, signed) in enumerate(axes):
+        for a, (au, signed) in enumerate(axs):
             cos, sin = tables[a]
             assert len(cos) == len(au) * (1 + signed)
             assert signed == (a < 2 and bool((kvecs[:, a] < 0.0).any()))
