@@ -52,12 +52,18 @@ kernel spans (pairs, points).  The pairs come by their last z row,
 descending, so on a lattice cut by |k| those that reach a z row are a
 prefix of their slice, and a slice's entries form tiles of consecutive z
 rows by such a prefix (_tiles), at most half padding, so the work follows
-the lattice.  Per target a tile's terms, a slice's pairs and the slices
-are added in fixed binary trees (_fold, _pairwise).  It evaluates in a
-fixed, written-down order with elementwise numpy operations and
-reductions only: each product and sum is its own float64 operation, with
-no complex arithmetic, no fused step and no matrix product (so no BLAS
-kernel, whose rounding depends on the CPU it picks at run time).
+the lattice.  Per target a tile's terms are added one at a time, row by
+row, by one np.einsum per tile (_tile_sums), and a slice's pairs and the
+slices in fixed binary trees (_fold, _pairwise).  It evaluates in a
+fixed, written-down order with elementwise numpy operations, reductions
+and that einsum only: each product and sum is its own float64 operation,
+with no complex arithmetic and no matrix product.  The einsum runs with
+optimize=False, numpy's own sum-of-products loop, which calls no BLAS
+routine (optimize routes through tensordot to BLAS, whose rounding
+depends on the CPU it picks at run time).  That loop is unfused on numpy
+builds whose baseline lacks FMA, as x86-64's X86_V2 does; a baseline with
+FMA (aarch64) may fuse its multiply and add, and the order test of the
+suite (test_tile_sums_add_in_the_stated_order) fails there.
 
 Every exp, log, cos and sin of the layers is glibc libm's, through one
 compiled loop each that calls it once per element; numpy's own float64
@@ -82,6 +88,8 @@ blocks, so neither do the bytes.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -431,12 +439,13 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     per slice the pair tables cxy, sxy (_pair_tables) are formed from the
     per-axis tables, built once per point: once for the sources, and off
     the sources once per column block of targets (_blocks), the outer loop
-    there.  A slice's entries are taken in tiles (_tiles), each a block
-    of consecutive |kz| rows by the first pairs of the slice, those that
-    reach its first row, whose cells, entries and padding (weight 0.0),
-    count at most twice its cells of the pairs' staircase and at most
-    _K_ELEMENTS // N; every product of a tile is a contiguous run of pair
-    rows by one z row.  The order of every rounding step is fixed:
+    there, each block of at most _ROW_ELEMENTS // pairs targets, pairs
+    those of the widest slice.  A slice's entries are taken in tiles
+    (_tiles), each a block of consecutive |kz| rows by the first pairs of
+    the slice, those that reach its first row, whose cells, entries and
+    padding (weight 0.0), count at most twice its cells of the pairs'
+    staircase and at most _K_ELEMENTS // N.  The order of every rounding
+    step is fixed:
 
         xy      per pair, cxy = (cx cy) - (sx sy), sxy = (sx cy) + (cx sy)
         S(k)    per cell, cxy and sxy times q cz and q sz (the pair rows
@@ -445,35 +454,41 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
                 numpy's pairwise sum of a contiguous row: X, Z, W, Y
         coeff   per cell, with ws = w+ + w- and wd = w+ - w-,
                 (X ws) - (Y wd) and (W ws) + (Z wd) for U, (Z ws) + (W wd)
-                and (Y ws) - (X wd) for V (_coefficients)
+                and (Y ws) - (X wd) for V (_coefficients, per tile)
         U, V    per tile, pair and target, its 2 x rows terms (coefficient
-                times cz or sz: the coefficient copied along the tile's
-                row, then multiplied in place by the cz or sz row), cz rows
-                then sz rows, folded in the fixed binary tree of _fold; per
-                slice the tiles' sums added from 0.0 in tile order
+                times cz or sz) added one at a time from 0.0, row by row,
+                cz before sz: np.einsum("rjip,rjm->ipm", optimize=False)
+                (_tile_sums); per slice the tiles' sums added in tile
+                order onto the first tile's, which spans the slice's pairs
         slice   per target, U cxy and V sxy over the slice's pairs, the
                 2 x pairs rows (U rows, then V rows) folded (_fold)
         sum     per target, the sums of the slices added in the fixed
                 binary tree of _pairwise
 
-    Each product of a tile is thus an exact broadcast copy of one factor
-    into the tile's work array, then an in-place multiply by the other:
-    the same float64 product of the same two operands, so no byte moves.
-    numpy's multiply runs these products faster in place than into a
-    separate output, and slower still when an operand has stride 0 along
-    the points (the coefficient); the copy costs less than the difference.
+    At the sources each product of a tile is an exact broadcast copy of
+    the pair rows into the tile's work array, then an in-place multiply by
+    the q cz or q sz row: the same float64 product of the same two
+    operands, so no byte moves, and numpy's multiply runs it faster in
+    place than into a separate output.  On the target side a tile's
+    coefficients lie contiguous in (row, z table, U/V, pair) order, as
+    _coefficients writes them in coef, and the z tables row-major, (rows,
+    2, points) (_axis_tables), so the einsum's inner loop runs along the
+    points of one z row with one coefficient, into a preallocated (U, V)
+    array, and no tile work array is formed.  Its order is the sequential
+    loop's on numpy builds without FMA in their baseline, which the order
+    test of the suite checks byte for byte, with SIMD dispatch on and off.
 
     Every column is formed and summed from its own point alone, so the
     bytes depend on neither the column blocks nor the other targets, and
     at the sources they equal those of the general path; the slices and
-    tiles, and so N, move their last bits.  No BLAS routine is called and
-    cos and sin are glibc libm's sincos, through C cexp of 0 + iy
-    (_cos_sin), so the result depends on neither the BLAS kernel nor
-    numpy's SIMD level.  Work and memory follow the lattice: on the
-    lattices of ewald._extended_lattice, cut by |k|, the tiles hold fewer
-    cells than vectors, and the builder refuses a grid whose staircase
-    exceeds 2K + _K_ELEMENTS // N cells before any array beyond O(K) is
-    formed.
+    tiles, and so N, move their last bits.  No BLAS routine is called (the
+    einsum runs without optimize) and cos and sin are glibc libm's sincos,
+    through C cexp of 0 + iy (_cos_sin), so the result depends on neither
+    the BLAS kernel nor numpy's SIMD level.  Work and memory follow the
+    lattice: on the lattices of ewald._extended_lattice, cut by |k|, the
+    tiles hold fewer cells than vectors, and the builder refuses a grid
+    whose staircase exceeds 2K + _K_ELEMENTS // N cells before any array
+    beyond O(K) is formed.
     """
     n_src = len(pos)
     axes, px, py, wsd, slices = lattice
@@ -481,60 +496,56 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     # cells in the largest tile, or pairs in the widest slice
     most = max([width] + [c1 - c0 for _, tiles in slices
                           for *_, c0, c1 in tiles])
-    blocks = [] if at_sources else _blocks(len(targets), most)
-    cols = max([n_src] + [b.stop - b.start for b in blocks])
-    # the pair tables and the (U, V) rows of a slice and the work array of
-    # a tile, reused from slice to slice: fresh arrays of this size per
-    # slice cost page faults, as glibc returns them to the system between
-    # slices
-    buf = np.empty(4 * (width + most) * cols)
-    # [j, i, c]: per cell the source sums of z table j (cz, sz) and pair
-    # table i (cxy, sxy), then its coefficient of z table j in U (i = 0)
-    # or V (i = 1)
-    coef = np.empty((2, 2, wsd.shape[1]))
+    # off the sources each (pairs, targets) table of a block within
+    # _ROW_ELEMENTS
+    blocks = [] if at_sources else _blocks(len(targets), width)
+    cols = max([0] + [b.stop - b.start for b in blocks])
+    # the pair tables and the (U, V) rows of a slice and a work array (the
+    # products of a tile at the sources; the pair tables' gathers, then a
+    # tile's (U, V) sums), reused from slice to slice: fresh arrays of this
+    # size per slice cost page faults, as glibc returns them to the system
+    # between slices
+    buf = np.empty(max(4 * (width + most) * n_src, 8 * width * cols))
+    # per tile, its cells' [r, j, i, p]: per row r and pair p the source
+    # sums of z table j (cz, sz) and pair table i (cxy, sxy), then its
+    # coefficient of z table j in U (i = 0) or V (i = 1)
+    coef = np.empty(4 * wsd.shape[1])
 
-    def views(tables, part, m):    # the slice's (2, pairs, m) xy and UV
-        # arrays and the work array
+    def views(tables, part, m):    # the z tables (rows, 2, m), the
+        # slice's (2, pairs, m) xy and UV arrays and the work array
         size, n = 2 * width * m, len(px[part])
         xy, uv = (buf[i * size:i * size + 2 * n * m].reshape(2, n, m)
                   for i in (0, 1))
         work = buf[2 * size:]
         _pair_tables(tables, px[part], py[part], xy, work)
-        return xy, uv, work
+        return tables[4].swapaxes(0, 1), xy, uv, work
 
-    def products(tiles, work, m):    # per tile, its (2, rows, 2, pairs, m)
-        # array and its cells' coefficients
-        for ra, rb, n, c0, c1 in tiles:
-            c = coef[:, :, c0:c1].reshape(2, 2, rb - ra, n)
-            t = work[:4 * (c1 - c0) * m].reshape(2, rb - ra, 2, n, m)
-            yield ra, rb, n, c.transpose(0, 2, 1, 3), t
-
-    def slice_sums(zs, tiles, xy, uv, work):    # per target, its slice sum
+    def slice_sums(tiles, zs, xy, uv, work):    # per target, its slice sum
         m = zs.shape[-1]
-        uv.fill(0.0)
-        for ra, rb, n, c, t in products(tiles, work, m):
-            # copy, then multiply in place: faster than c times zs into t
-            np.copyto(t, c[..., None])
-            t *= zs[:, ra:rb, None, None]
-            uv[:, :n] += _fold(t.reshape(2 * (rb - ra), -1)).reshape(
-                2, -1, m)
+        for ra, rb, n, c0, c1 in tiles:
+            # the first tile (row 0) spans the slice's pairs
+            t = uv if ra == 0 else work[:2 * n * m].reshape(2, n, m)
+            _tile_sums(coef[4 * c0:4 * c1].reshape(rb - ra, 2, 2, n),
+                       zs[ra:rb], t)
+            if ra:
+                uv[:, :n] += t
         uv *= xy
         return _fold(uv.reshape(-1, m))
 
     def source_slices():    # per slice, after its cells' coefficients
         tables = _axis_tables(pos, axes)
-        qz = tables[4] * q
+        qz = tables[4].swapaxes(0, 1) * q
         for part, tiles in slices:
-            xy, uv, work = views(tables, part, n_src)
-            for ra, rb, n, c, t in products(tiles, work, n_src):
+            zs, xy, uv, work = views(tables, part, n_src)
+            for ra, rb, n, c0, c1 in tiles:
+                c = coef[4 * c0:4 * c1].reshape(rb - ra, 2, 2, n)
+                t = work[:4 * (c1 - c0) * n_src].reshape(c.shape + (-1,))
                 # copy, then multiply in place: faster than into t
                 np.copyto(t, xy[:, :n])
-                t *= qz[:, ra:rb, None, None]
+                t *= qz[ra:rb, :, None, None]
                 t.sum(axis=-1, out=c)
-            if tiles:
-                cells = slice(tiles[0][3], tiles[-1][4])
-                _coefficients(coef[:, :, cells], wsd[:, cells])
-            yield tables[4], tiles, xy, uv, work
+                _coefficients(c, wsd[:, c0:c1])
+            yield tiles, zs, xy, uv, work
 
     out = np.zeros(len(targets))
     if at_sources:
@@ -545,28 +556,38 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     for blk in blocks:
         tables = _axis_tables(targets[blk], axes)
         out[blk] = _pairwise(
-            slice_sums(tables[4], tiles,
-                       *views(tables, part, blk.stop - blk.start))
+            slice_sums(tiles, *views(tables, part, blk.stop - blk.start))
             for part, tiles in slices)
     return out
 
 
 def _coefficients(s, wsd):
-    """In place of the cells' source sums s, s[j, i] of z table j and pair
-    table i (X, Z; W, Y), their coefficients s[j, i] of z table j in U
-    (i = 0) and V (i = 1), with ws = w+ + w- and wd = w+ - w- (wsd):
+    """In place of a tile's source sums s, s[r, j, i] of row r, z table j
+    and pair table i (X, Z; W, Y), their coefficients s[r, j, i] of z
+    table j in U (i = 0) and V (i = 1), with ws = w+ + w- and wd = w+ - w-
+    (wsd, of the tile's cells):
 
         U cz   (X ws) - (Y wd)      V cz   (Z ws) + (W wd)
         U sz   (W ws) + (Z wd)      V sz   (Y ws) - (X wd)
 
     which is (a+ + a-), (b+ + b-), (b+ - b-) and (a- - a+) for
     a+- = w+- (X -+ Y) and b+- = w+- (Z +- W)."""
-    ws, wd = wsd
-    s4 = s.reshape(4, -1)    # X, Z, W, Y
-    t = s4[::-1] * wd    # Y wd, W wd, Z wd, X wd
+    ws, wd = wsd.reshape(2, len(s), 1, -1)
+    s4 = s.reshape(len(s), 4, -1)    # per row X, Z, W, Y
+    t = s4[:, ::-1] * wd    # Y wd, W wd, Z wd, X wd
     s4 *= ws
-    s4[1:3] += t[1:3]
-    s4[::3] -= t[::3]
+    s4[:, 1:3] += t[:, 1:3]
+    s4[:, ::3] -= t[:, ::3]
+
+
+def _tile_sums(c, zs, out):
+    """Into out, (2, pairs, points), the sums over a tile's rows r and z
+    tables j of c[r, j, i, p] zs[r, j], c (rows, 2, 2, pairs) and zs
+    (rows, 2, points): np.einsum without optimize, whose loop adds each
+    product to out[i, p], from 0.0, in (r, j) order, each product and sum
+    rounded on its own where numpy's baseline has no FMA.  Its iteration
+    follows the operands' strides, so zs takes row r outside table j."""
+    return np.einsum("rjip,rjm->ipm", c, zs, out=out, optimize=False)
 
 
 def _fold(rows):
@@ -646,13 +667,19 @@ def _tiles(last, step, pair, row):
         # per row the pairs that reach it
         reach = np.searchsorted(-last[p0:p0 + step], -np.arange(last[p0] + 1),
                                 "right").tolist()
+        # per row r the staircase's cells of the rows before it
+        cum = list(itertools.accumulate(reach, initial=0))
         tiles, ra = [], 0
         while ra < len(reach):
-            rb, n = ra + 1, reach[ra]
-            filled = n
-            while rb < len(reach) and (rb + 1 - ra) * n <= min(
-                    step, 2 * (filled + reach[rb])):
-                rb, filled = rb + 1, filled + reach[rb]
+            n = reach[ra]
+            # the tile ends at the first end e whose (e - ra) n cells exceed
+            # step or twice the staircase's cum[e] - cum[ra]: row e - 1
+            # changes that margin by 2 reach[e - 1] - n, which falls as
+            # reach does, so once the test fails it keeps failing
+            hi = min(len(reach), ra + step // n)
+            rb = hi if hi == ra + 1 else ra + bisect.bisect_left(
+                range(ra + 1, hi + 1), True,
+                key=lambda e: (e - ra) * n > 2 * (cum[e] - cum[ra]))
             tiles.append((ra, rb, n, end, end + (rb - ra) * n))
             base += range(end, end + (rb - ra) * n, n)
             end, ra = end + (rb - ra) * n, rb
@@ -671,9 +698,11 @@ def _axis_tables(pts, axes):
     runs on the distinct |u| rows only, all axes in one pass of _cos_sin,
     whose one cexp per element gives both: a row of -|u| takes the cos of
     its |u| row and the negated sin.  That is exact as (-u) x = -(u x) and
-    libm cos is even and sin odd.  The tables are rows of _cos_sin's
-    contiguous (2, rows, points) result, the negated rows copies.  A
-    column depends on its own point alone."""
+    libm cos is even and sin odd.  The x and y tables are rows of
+    _cos_sin's contiguous (2, rows, points) result, the negated rows
+    copies; zs is a row-major (rows, 2, points) copy, seen as (2, rows,
+    points), so that a tile's rows are one contiguous block (kspace_3p
+    swaps its axes back).  A column depends on its own point alone."""
     sizes = [len(au) for au, _ in axes]
     arg = np.empty((sum(sizes), len(pts)))
     ends = np.cumsum(sizes)
@@ -687,7 +716,8 @@ def _axis_tables(pts, axes):
         if signed:
             c, s = np.concatenate((c, c)), np.concatenate((s, -s))
         tables += [c, s]
-    return tables + [cs[:, ends[1]:]]
+    return tables + [
+        np.ascontiguousarray(cs[:, ends[1]:].swapaxes(0, 1)).swapaxes(0, 1)]
 
 
 def _pair_tables(tables, px, py, out, work):

@@ -11,6 +11,7 @@ potential only; test_ewald bounds the imaginary residue of the same sums
 with a numpy reference.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -587,13 +588,21 @@ def test_evaluation_calls_no_python_libm_float_transcendental_or_blas(
     # beforehand: no per-element math call (libm goes through the
     # compiled routes of kernels_numpy), no numpy float64 exp, log, cos or
     # sin (SIMD loops whose last bit depends on the CPU; numpy's complex
-    # exp, C cexp, is the one allowed) and no BLAS routine.  The bytes hold
+    # exp, C cexp, is the one allowed) and no BLAS routine: einsum only
+    # with optimize=False, whose loop calls none (optimize routes through
+    # tensordot to BLAS).  The bytes hold
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
         return call
 
     np_exp = np.exp
+    np_einsum = np.einsum
+
+    def unoptimized_einsum(*args, **kwargs):
+        if kwargs.get("optimize", False) is not False:
+            raise AssertionError("np.einsum called with optimize")
+        return np_einsum(*args, **kwargs)
 
     def complex_exp(x, *args, **kwargs):
         if not np.iscomplexobj(x):
@@ -609,9 +618,10 @@ def test_evaluation_calls_no_python_libm_float_transcendental_or_blas(
         for name in ("exp", "log", "cos", "sin"):
             mp.setattr(math, name, refuse(f"math.{name}"))
         for name in ("log", "cos", "sin", "expm1", "log1p", "dot",
-                     "matmul", "einsum", "inner", "tensordot"):
+                     "matmul", "inner", "tensordot"):
             mp.setattr(np, name, refuse(f"np.{name}"))
         mp.setattr(np, "exp", complex_exp)
+        mp.setattr(np, "einsum", unoptimized_einsum)
         got = [ewald_potential(s, mode, par, t) for t in runs]
     for g, w in zip(got, want):
         for field in ("total", "real", "kspace", "zero_mode"):
@@ -802,6 +812,51 @@ def test_kspace_3p_tiles_hold_at_most_twice_their_entries(monkeypatch, grid):
             assert len(px) == len(np.unique(kvecs[:, :2], axis=0))
 
 
+def _row_by_row_tiles(reach, step):
+    # a slice's tiles by the rule row by row: a tile starts at row ra with
+    # the n pairs that reach it and takes the next row while its cells
+    # then stay within step and twice its cells of the staircase
+    tiles, ra = [], 0
+    while ra < len(reach):
+        rb, n = ra + 1, reach[ra]
+        while rb < len(reach) and (rb + 1 - ra) * n <= min(
+                step, 2 * sum(reach[ra:rb + 1])):
+            rb += 1
+        tiles.append((ra, rb, n))
+        ra = rb
+    return tiles
+
+
+def test_tiles_follow_the_row_by_row_rule():
+    # _tiles ends each tile by a search over the slice's cumulative reach,
+    # one step per tile; its tiles and cells equal those of the rule taken
+    # row by row on random staircases and slice widths
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        last = np.sort(rng.integers(0, rng.integers(1, 50),
+                                    rng.integers(1, 300)))[::-1].copy()
+        odd = int(rng.integers(1, 600))
+        step = int(rng.choice([1, 2, 3, 7, 28, 64, 512, odd]))
+        pair = np.repeat(np.arange(len(last)), last + 1)
+        row = np.concatenate([np.arange(r + 1) for r in last])
+        slices, cell, end = kernels_numpy._tiles(last, step, pair, row)
+        want, c0 = [], 0
+        for p0 in range(0, len(last), step):
+            reach = [int((last[p0:p0 + step] >= r).sum())
+                     for r in range(last[p0] + 1)]
+            for ra, rb, n in _row_by_row_tiles(reach, step):
+                want.append((ra, rb, n, c0, c0 + (rb - ra) * n))
+                c0 += (rb - ra) * n
+        assert [t for _, ts in slices for t in ts] == want
+        assert end == c0
+        # each (pair, row) in the tile of its row, at its pair's column
+        for (p, r), c in zip(zip(pair, row), cell):
+            p0 = p - p % step
+            tile = next(t for t in slices[p0 // step][1]
+                        if t[0] <= r < t[1])
+            assert c == tile[3] + (r - tile[0]) * tile[2] + p % step
+
+
 def test_axis_tables_equal_direct_libm_tables():
     # the tables take libm on the distinct |u| only and the x and y rows of
     # -|u| from them (_axis_tables); their bytes must equal math.cos and
@@ -924,6 +979,61 @@ def test_libm_routes_with_simd_dispatch_disabled():
     code = (f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
             "import test_kernels; "
             "bad = test_kernels._libm_route_mismatches(); "
+            "print(bad); sys.exit(bool(bad))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, (present, r.stdout, r.stderr)
+
+
+def _sequential_tile_sums(c, zs):
+    # the order the kernel states for a tile: per (U/V, pair, target) its
+    # products added one at a time from 0.0, row by row, cz then sz
+    out = np.zeros(c.shape[2:] + zs.shape[-1:])
+    for r in range(len(c)):
+        for j in range(2):
+            out += c[r, j][..., None] * zs[r, j]
+    return out
+
+
+def _tile_sum_mismatches():
+    """The tile shapes (rows, pairs, targets, z strides) on which
+    kernels_numpy._tile_sums differs from the sequential loop in any
+    byte; empty when every byte holds.  The z tables come contiguous, as
+    the kernel holds them, and as a window of wider rows."""
+    rng = np.random.default_rng(58)
+    bad = []
+    for rows, pairs, m in itertools.product((1, 2, 3, 11, 18, 36),
+                                            (1, 2, 28, 252),
+                                            (1, 2, 7, 64, 1000)):
+        c = rng.normal(size=(rows, 2, 2, pairs))
+        wide = rng.normal(size=(rows, 2, m + 3))
+        for zs in (np.ascontiguousarray(wide[..., :m]), wide[..., 3:]):
+            got = kernels_numpy._tile_sums(c, zs, np.empty((2, pairs, m)))
+            if got.tobytes() != _sequential_tile_sums(c, zs).tobytes():
+                bad.append((rows, pairs, m, zs.strides))
+    return bad
+
+
+def test_tile_sums_add_in_the_stated_order():
+    # the target side's one einsum per tile is the sequential loop, byte
+    # for byte, on one row, one pair, one target and up to 36 rows by 252
+    # pairs by 1,000 targets.  A numpy build whose einsum loop fuses the
+    # multiply and add (a baseline with FMA) fails here
+    assert _tile_sum_mismatches() == []
+
+
+def test_tile_sums_with_simd_dispatch_disabled():
+    # the same with every dispatch target above numpy's baseline disabled,
+    # as test_libm_routes_with_simd_dispatch_disabled does
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+    present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(present))
+    code = (f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
+            "import test_kernels; "
+            "bad = test_kernels._tile_sum_mismatches(); "
             "print(bad); sys.exit(bool(bad))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env)
