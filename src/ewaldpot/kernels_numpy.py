@@ -52,18 +52,22 @@ kernel spans (pairs, points).  The pairs come by their last z row,
 descending, so on a lattice cut by |k| those that reach a z row are a
 prefix of their slice, and a slice's entries form tiles of consecutive z
 rows by such a prefix (_tiles), at most half padding, so the work follows
-the lattice.  Per target a tile's terms are added one at a time, row by
-row, by one np.einsum per tile (_tile_sums), and a slice's pairs and the
-slices in fixed binary trees (_fold, _pairwise).  It evaluates in a
-fixed, written-down order with elementwise numpy operations, reductions
-and that einsum only: each product and sum is its own float64 operation,
-with no complex arithmetic and no matrix product.  The einsum runs with
+the lattice.  The source sums S(k) of a tile are einsums over blocks of
+_SOURCE_BLOCK sources (_source_sums), the blocks added in a fixed binary
+tree; per target a tile's terms are added one at a time, row by row, by
+one np.einsum per tile (_tile_sums), and a slice's pairs and the slices
+in fixed binary trees (_fold, _pairwise).  It evaluates in a fixed,
+written-down order with elementwise numpy operations, reductions and
+those einsums only: each product and sum is its own float64 operation,
+with no complex arithmetic and no matrix product.  The einsums run with
 optimize=False, numpy's own sum-of-products loop, which calls no BLAS
 routine (optimize routes through tensordot to BLAS, whose rounding
-depends on the CPU it picks at run time).  That loop is unfused on numpy
-builds whose baseline lacks FMA, as x86-64's X86_V2 does; a baseline with
-FMA (aarch64) may fuse its multiply and add, and the order test of the
-suite (test_tile_sums_add_in_the_stated_order) fails there.
+depends on the CPU it picks at run time).  That loop follows numpy's
+baseline, not the dispatched SIMD level, and on x86-64's X86_V2 it keeps
+two float64 lanes and does not fuse; a baseline with FMA or wider
+vectors (X86_V3, aarch64) changes its order, and the order tests of the
+suite (test_source_sums_add_in_the_stated_order,
+test_tile_sums_add_in_the_stated_order) fail there.
 
 Every exp, log, cos and sin of the layers is glibc libm's, through one
 compiled loop each that calls it once per element; numpy's own float64
@@ -119,6 +123,14 @@ _ROW_ELEMENTS = 2 ** 15
 #: With whole-row gathers no floor on the slice pays: slices of 8 vectors
 #: at 3p N=4096 ran 0.81 times as long as slices of 64
 _K_ELEMENTS = 2 ** 15
+
+#: kspace_3p sums the sources in blocks of this many consecutive ones
+#: (_source_sums) and adds the blocks' sums in a binary tree: each block
+#: is one einsum loop of two running sums, so on the 512 sources of the
+#: bulk3p benchmark the source sums err as numpy's pairwise row sum did
+#: (rms 1.86e-16 against 1.85e-16 of their rms, from math.fsum), where
+#: one loop over all sources erred 5.46e-16
+_SOURCE_BLOCK = 32
 
 #: zero_mode_1p at the sources takes the sources in tiles of this many
 #: and each pair of tiles once (_zero_mode_1p_at_sources); the tiles set
@@ -368,7 +380,15 @@ def _square_distances(tr, xs, ps, d, work):
     """d^2 of the targets tr by the candidates (source coordinates xs and
     image shifts ps per axis) into d, (targets, candidates), in the fixed
     order ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2, each
-    component (t - x_n) + p; work is an array of d's shape."""
+    component (t - x_n) + p; work is an array of d's shape.  Taking
+    t - (x_n - p) from the image points ycols would save the add, but
+    x_n - p is rounded before the difference is formed, which moves every
+    image point of p != 0 by up to half an ulp of its coordinate: on the
+    bulk3p benchmark (3p, N = 512) it ran the call at 0.945 times the time,
+    and against the reference of this order, at seeds 0-5, err_digits fell
+    from 15.377 to 15.238 in the mean and by 0.53 at seed 3.  A reference
+    taken in that other order shares the shift, so its own err_digits
+    hides it (15.370)."""
     np.subtract.outer(tr[:, 0], xs[0], out=d)
     d += ps[0]
     d *= d
@@ -448,10 +468,12 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     step is fixed:
 
         xy      per pair, cxy = (cx cy) - (sx sy), sxy = (sx cy) + (cx sy)
-        S(k)    per cell, cxy and sxy times q cz and q sz (the pair rows
-                copied into the tile, then multiplied in place by the
-                q cz or q sz row), each summed along the points by
-                numpy's pairwise sum of a contiguous row: X, Z, W, Y
+        S(k)    per cell, cxy and sxy times q cz and q sz, X, Z, W and Y,
+                summed over blocks of _SOURCE_BLOCK consecutive sources
+                (_source_sums): per block two running sums from 0.0,
+                lane l adding per group of 8 sources the products at
+                offsets 6 + l, 4 + l, 2 + l, l, the rest in pairs, then
+                lane 0 + lane 1; the blocks' sums in _fold's tree
         coeff   per cell, with ws = w+ + w- and wd = w+ - w-,
                 (X ws) - (Y wd) and (W ws) + (Z wd) for U, (Z ws) + (W wd)
                 and (Y ws) - (X wd) for V (_coefficients, per tile)
@@ -465,18 +487,24 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
         sum     per target, the sums of the slices added in the fixed
                 binary tree of _pairwise
 
-    At the sources each product of a tile is an exact broadcast copy of
-    the pair rows into the tile's work array, then an in-place multiply by
-    the q cz or q sz row: the same float64 product of the same two
-    operands, so no byte moves, and numpy's multiply runs it faster in
-    place than into a separate output.  On the target side a tile's
+    At the sources each tile's sums are one np.einsum("ipbn,rjbn->brjip",
+    optimize=False) over its full blocks, on views of the pair tables and
+    q cz, q sz rows (contiguous along the sources, so no copy), and one
+    np.einsum("ipn,rjn->rjip") over the last, shorter block; a single
+    block is written straight into the tile's cells.  Each sum runs in
+    numpy's baseline sum-of-products loop for two contiguous operands and
+    a fixed output, which on the two float64 lanes of X86_V2 adds in the
+    order above, and no work array of products is formed.  On the target
+    side a tile's
     coefficients lie contiguous in (row, z table, U/V, pair) order, as
     _coefficients writes them in coef, and the z tables row-major, (rows,
     2, points) (_axis_tables), so the einsum's inner loop runs along the
     points of one z row with one coefficient, into a preallocated (U, V)
-    array, and no tile work array is formed.  Its order is the sequential
-    loop's on numpy builds without FMA in their baseline, which the order
-    test of the suite checks byte for byte, with SIMD dispatch on and off.
+    array, and no tile work array is formed.  Both orders hold on numpy
+    builds whose baseline is X86_V2: two float64 lanes and no FMA.  A
+    baseline with FMA or wider vectors (X86_V3, aarch64) moves the last
+    bits, and the order tests of the suite, which check both einsums byte
+    for byte with SIMD dispatch on and off, fail there.
 
     Every column is formed and summed from its own point alone, so the
     bytes depend on neither the column blocks nor the other targets, and
@@ -500,12 +528,17 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     # _ROW_ELEMENTS
     blocks = [] if at_sources else _blocks(len(targets), width)
     cols = max([0] + [b.stop - b.start for b in blocks])
-    # the pair tables and the (U, V) rows of a slice and a work array (the
-    # products of a tile at the sources; the pair tables' gathers, then a
-    # tile's (U, V) sums), reused from slice to slice: fresh arrays of this
-    # size per slice cost page faults, as glibc returns them to the system
-    # between slices
-    buf = np.empty(max(4 * (width + most) * n_src, 8 * width * cols))
+    # the pair tables and the (U, V) rows of a slice, 2 * width * m
+    # elements each for m points, and a work array behind them, reused
+    # from slice to slice: fresh arrays of this size per slice cost page
+    # faults, as glibc returns them to the system between slices.  The
+    # work array holds the gathers of the pair tables, which start in the
+    # (U, V) rows and take width * m of it, then a tile's per-block source
+    # sums at the sources or its (U, V) sums where the slices are summed
+    n_blocks = -(-n_src // _SOURCE_BLOCK)
+    buf = np.empty(4 * width * max(n_src, cols) + max(
+        width * n_src, 4 * most * n_blocks,
+        2 * width * (n_src if at_sources else cols)))
     # per tile, its cells' [r, j, i, p]: per row r and pair p the source
     # sums of z table j (cz, sz) and pair table i (cxy, sxy), then its
     # coefficient of z table j in U (i = 0) or V (i = 1)
@@ -517,7 +550,7 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
         xy, uv = (buf[i * size:i * size + 2 * n * m].reshape(2, n, m)
                   for i in (0, 1))
         work = buf[2 * size:]
-        _pair_tables(tables, px[part], py[part], xy, work)
+        _pair_tables(tables, px[part], py[part], xy, buf[size:])
         return tables[4].swapaxes(0, 1), xy, uv, work
 
     def slice_sums(tiles, zs, xy, uv, work):    # per target, its slice sum
@@ -539,11 +572,7 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
             zs, xy, uv, work = views(tables, part, n_src)
             for ra, rb, n, c0, c1 in tiles:
                 c = coef[4 * c0:4 * c1].reshape(rb - ra, 2, 2, n)
-                t = work[:4 * (c1 - c0) * n_src].reshape(c.shape + (-1,))
-                # copy, then multiply in place: faster than into t
-                np.copyto(t, xy[:, :n])
-                t *= qz[ra:rb, :, None, None]
-                t.sum(axis=-1, out=c)
+                _source_sums(xy[:, :n], qz[ra:rb], c, work)
                 _coefficients(c, wsd[:, c0:c1])
             yield tiles, zs, xy, uv, work
 
@@ -578,6 +607,37 @@ def _coefficients(s, wsd):
     s4 *= ws
     s4[:, 1:3] += t[:, 1:3]
     s4[:, ::3] -= t[:, ::3]
+
+
+def _source_sums(xy, qz, out, work):
+    """Into out, (rows, 2, 2, pairs), the sums over the sources n of
+    xy[i, p, n] qz[r, j, n], xy the pair tables (2, pairs, sources) and qz
+    the q cz and q sz rows (rows, 2, sources), both contiguous along the
+    sources.  The sources are taken in blocks of _SOURCE_BLOCK consecutive
+    ones, the last block the rest: per block np.einsum without optimize
+    (the full blocks in one call, on views of the operands), whose loop on
+    numpy's X86_V2 baseline keeps two running sums from 0.0, lane l adding
+    per group of 8 sources the products at offsets 6 + l, 4 + l, 2 + l and
+    l, the rest in pairs (lane 0 the first of a pair), and returns lane 0
+    + lane 1.  The blocks' sums are added in the binary tree of _fold, in
+    work (blocks x out.size elements); a single block is written straight
+    into out."""
+    full, tail = divmod(xy.shape[-1], _SOURCE_BLOCK)
+    blocks = full + (tail > 0)
+    if blocks == 1:
+        return np.einsum("ipn,rjn->rjip", xy, qz, out=out, optimize=False)
+    sums = work[:blocks * out.size].reshape((blocks,) + out.shape)
+    end = full * _SOURCE_BLOCK
+    if full:
+        np.einsum("ipbn,rjbn->brjip",
+                  xy[..., :end].reshape(xy.shape[:2] + (full, -1)),
+                  qz[..., :end].reshape(qz.shape[:2] + (full, -1)),
+                  out=sums[:full], optimize=False)
+    if tail:
+        np.einsum("ipn,rjn->rjip", xy[..., end:], qz[..., end:],
+                  out=sums[full], optimize=False)
+    out[...] = _fold(sums.reshape(blocks, -1)).reshape(out.shape)
+    return out
 
 
 def _tile_sums(c, zs, out):
@@ -660,10 +720,12 @@ def _tiles(last, step, pair, row):
     pairs are the first of its slice.  cell holds the cell of each
     (pair, row) given, each row at most the last of its pair.
     """
-    # per slice and row the cell of its first pair (base), the rows of
-    # each slice in turn
+    # per slice and row the cell of its first pair less its first pair's
+    # index p0 (base), so that the cell of (pair, row) is the base of its
+    # slice and row plus pair; rows beyond a slice's last hold 0
     slices, base, end = [], [], 0
     for p0 in range(0, len(last), step):
+        base.append([0] * (last[0] + 1))
         # per row the pairs that reach it
         reach = np.searchsorted(-last[p0:p0 + step], -np.arange(last[p0] + 1),
                                 "right").tolist()
@@ -681,13 +743,12 @@ def _tiles(last, step, pair, row):
                 range(ra + 1, hi + 1), True,
                 key=lambda e: (e - ra) * n > 2 * (cum[e] - cum[ra]))
             tiles.append((ra, rb, n, end, end + (rb - ra) * n))
-            base += range(end, end + (rb - ra) * n, n)
+            base[-1][ra:rb] = range(end - p0, end - p0 + (rb - ra) * n, n)
             end, ra = end + (rb - ra) * n, rb
         slices.append((slice(p0, p0 + step), tiles))
-    rows = last[::step] + 1    # per slice, those of its first pair
-    cell = np.array(base, np.intp)[(np.cumsum(rows) - rows)[pair // step]
-                                   + row]
-    return slices, cell + pair % step, end
+    cell = np.array(base, np.intp, ndmin=2)[pair // step, row]
+    cell += pair
+    return slices, cell, end
 
 
 def _axis_tables(pts, axes):
@@ -729,20 +790,23 @@ def _pair_tables(tables, px, py, out, work):
     each product, difference and sum one np.multiply, np.subtract or
     np.add of float64 arrays, rounded on its own (no complex arithmetic
     and no fused step); np.take along axis 0 gathers whole rows into work,
-    which holds twice out's elements.  A column depends on its own point
+    which holds 1.5 times out's elements: sx takes the rows of cx once
+    cx cy and cx sy are formed.  A column depends on its own point
     alone."""
     cx, sx, cy, sy = tables[:4]
     n = out[0].size
-    # mode "clip" (the indices are in range) as "raise" buffers out
-    gcx, gsx, gcy, gsy = (
-        np.take(t, i, axis=0, mode="clip",
-                out=work[k * n:(k + 1) * n].reshape(out[0].shape))
-        for k, (t, i) in enumerate(((cx, px), (sx, px), (cy, py),
-                                    (sy, py))))
-    np.multiply(gcx, gcy, out=out[0])
-    gcy *= gsx
-    np.multiply(gcx, gsy, out=out[1])
-    gsy *= gsx
+
+    def take(t, i, k):    # rows i of t into the k-th third of work
+        # mode "clip" (the indices are in range) as "raise" buffers out
+        return np.take(t, i, axis=0, mode="clip",
+                       out=work[k * n:(k + 1) * n].reshape(out[0].shape))
+
+    gx, gcy, gsy = take(cx, px, 0), take(cy, py, 1), take(sy, py, 2)
+    np.multiply(gx, gcy, out=out[0])
+    np.multiply(gx, gsy, out=out[1])
+    gx = take(sx, px, 0)
+    gcy *= gx
+    gsy *= gx
     out[0] -= gsy
     out[1] += gcy
 

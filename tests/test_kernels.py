@@ -645,10 +645,24 @@ def _long_double_kspace(pos, q, tpos, kvecs, w):
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_kspace_3p_matches_a_long_double_sum(monkeypatch, mode):
     # the kernel's every call (the 3p grid, or a 2p or 1p extended lattice)
-    # at and off the 16 sources, against the same sum in long double: the
-    # slices, the row folds and the pairwise slice sums keep the error
-    # near one rounding of the largest value (about 3e-16 of it here)
-    s = _uniform_system(16, [1.0, 1.1, 0.9], 48)
+    # at and off the 16 sources, one block of _source_sums, against the
+    # same sum in long double: the slices, the row folds and the pairwise
+    # slice sums keep the error near one rounding of the largest value
+    # (about 3e-16 of it here)
+    _check_kspace_against_long_double(monkeypatch, mode, 16)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+def test_kspace_3p_matches_a_long_double_sum_over_source_blocks(
+        monkeypatch):
+    # the same at 3p N = 512: the source sums run over 16 blocks of
+    # _source_sums, added in _fold's tree, and keep the same bound
+    _check_kspace_against_long_double(monkeypatch, Periodicity.P3, 512)
+
+
+def _check_kspace_against_long_double(monkeypatch, mode, n):
+    s = _uniform_system(n, [1.0, 1.1, 0.9], 48)
     par = default_params(s.box, mode)
     kgrid = build_kgrid(s.box, mode, par.k_max)
     pts = np.random.default_rng(49).uniform(-0.5, 0.5, (20, 3)) * s.box
@@ -965,11 +979,11 @@ def test_libm_routes_equal_math_byte_for_byte():
     assert _libm_route_mismatches() == {}
 
 
-def test_libm_routes_with_simd_dispatch_disabled():
-    # the routes keep math's bytes with every dispatch target above numpy's
-    # baseline disabled, as the goldens do; a numpy build that vectorises
-    # complex exp, or scipy's exp or log, fails here on arguments the
-    # goldens never reach.  With no target present, this is the plain run
+def _in_a_child_with_simd_dispatch_disabled(helper):
+    """Run test_kernels.<helper>() in a child process with every dispatch
+    target above numpy's baseline that numpy reports present disabled;
+    assert that it returns nothing to report.  With no target present,
+    this is the plain run."""
     from numpy._core._multiarray_umath import (
         __cpu_dispatch__,
         __cpu_features__,
@@ -978,11 +992,19 @@ def test_libm_routes_with_simd_dispatch_disabled():
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(present))
     code = (f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
             "import test_kernels; "
-            "bad = test_kernels._libm_route_mismatches(); "
+            f"bad = test_kernels.{helper}(); "
             "print(bad); sys.exit(bool(bad))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env)
     assert r.returncode == 0, (present, r.stdout, r.stderr)
+
+
+def test_libm_routes_with_simd_dispatch_disabled():
+    # the routes keep math's bytes with every dispatch target above numpy's
+    # baseline disabled, as the goldens do; a numpy build that vectorises
+    # complex exp, or scipy's exp or log, fails here on arguments the
+    # goldens never reach
+    _in_a_child_with_simd_dispatch_disabled("_libm_route_mismatches")
 
 
 def _sequential_tile_sums(c, zs):
@@ -1025,19 +1047,105 @@ def test_tile_sums_add_in_the_stated_order():
 def test_tile_sums_with_simd_dispatch_disabled():
     # the same with every dispatch target above numpy's baseline disabled,
     # as test_libm_routes_with_simd_dispatch_disabled does
-    from numpy._core._multiarray_umath import (
-        __cpu_dispatch__,
-        __cpu_features__,
-    )
-    present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(present))
-    code = (f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
-            "import test_kernels; "
-            "bad = test_kernels._tile_sum_mismatches(); "
-            "print(bad); sys.exit(bool(bad))")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env=env)
-    assert r.returncode == 0, (present, r.stdout, r.stderr)
+    _in_a_child_with_simd_dispatch_disabled("_tile_sum_mismatches")
+
+
+def _lane_sum(a, b):
+    # the stated order of one block's sum of a[n] b[n], lists of floats:
+    # two running sums from 0.0; per group of 8, lane l adds the products
+    # at offsets 6 + l, 4 + l, 2 + l and l; the rest in pairs, lane 0 the
+    # first of a pair; then lane 0 + lane 1
+    acc = [0.0, 0.0]
+    i = 0
+    while len(a) - i >= 8:
+        for lane in range(2):
+            for off in (6, 4, 2, 0):
+                acc[lane] += a[i + off + lane] * b[i + off + lane]
+        i += 8
+    for k in range(i, len(a)):
+        acc[(k - i) % 2] += a[k] * b[k]
+    return acc[0] + acc[1]
+
+
+def _fold_list(sums):
+    # _fold's tree: while n > 1 are left, the last n // 2 onto the first
+    sums, n = list(sums), len(sums)
+    while n > 1:
+        h = n // 2
+        sums[:h] = [x + y for x, y in zip(sums[:h], sums[n - h:n])]
+        n -= h
+    return sums[0]
+
+
+def _stated_source_sums(xy, qz):
+    # per (row, z table, pair table, pair) the blocks of _SOURCE_BLOCK
+    # consecutive sources, each by _lane_sum, added in _fold's tree
+    step = kernels_numpy._SOURCE_BLOCK
+    out = np.empty(qz.shape[:2] + xy.shape[:2])
+    for (r, j, i, p), _ in np.ndenumerate(out):
+        a, b = xy[i, p].tolist(), qz[r, j].tolist()
+        out[r, j, i, p] = _fold_list(
+            [_lane_sum(a[k:k + step], b[k:k + step])
+             for k in range(0, len(a), step)])
+    return out
+
+
+def _source_sum_mismatches():
+    """The (rows, pairs, sources) on which kernels_numpy._source_sums
+    differs from the stated order in any byte; empty when every byte
+    holds.  The operands are views as the kernel takes them, the first
+    pairs of wider pair tables and a window of the z rows, and the tiles
+    of the kernel's own call at 3p N = 40 (two blocks)."""
+    rng = np.random.default_rng(60)
+    bad = []
+    shapes = [(rows, pairs, n) for n in [*range(1, 41), 64, 512, 777]
+              for rows, pairs in ((1, 1), (3, 5))] + [(18, 28, 64),
+                                                      (2, 60, 96)]
+    for rows, pairs, n in shapes:
+        xy = rng.normal(size=(2, pairs + 3, n))[:, :pairs]
+        qz = rng.normal(size=(rows + 2, 2, n))[1:rows + 1]
+        blocks = -(-n // kernels_numpy._SOURCE_BLOCK)
+        work = np.empty(4 * rows * pairs * blocks)
+        got = kernels_numpy._source_sums(xy, qz, np.empty((rows, 2, 2,
+                                                           pairs)), work)
+        if got.tobytes() != _stated_source_sums(xy, qz).tobytes():
+            bad.append((rows, pairs, n))
+    source_sums = kernels_numpy._source_sums
+    seen = []
+
+    def recorded(xy, qz, out, work):
+        source_sums(xy, qz, out, work)
+        # the operands as they were: the kernel reuses their memory
+        seen.append((xy.copy(), qz.copy(), out.copy()))
+        return out
+
+    kernels_numpy._source_sums = recorded
+    try:
+        s = _uniform_system(40, [1.0, 1.1, 0.9], 61)
+        ewald_potential(s, Periodicity.P3, default_params(s.box,
+                                                          Periodicity.P3),
+                        EvalTargets.at_sources())
+    finally:
+        kernels_numpy._source_sums = source_sums
+    assert len(seen) > 1
+    for xy, qz, got in seen:
+        if got.tobytes() != _stated_source_sums(xy, qz).tobytes():
+            bad.append((len(qz), xy.shape[1], xy.shape[2]))
+    return bad
+
+
+def test_source_sums_add_in_the_stated_order():
+    # the source side's einsums per tile, blocks of _SOURCE_BLOCK sources
+    # added in _fold's tree, equal the stated order byte for byte from 1
+    # to 777 sources.  A numpy build whose einsum loop fuses the multiply
+    # and add or keeps more than two lanes (a baseline with FMA or wider
+    # vectors) fails here, as does numpy's pairwise row sum
+    assert _source_sum_mismatches() == []
+
+
+def test_source_sums_with_simd_dispatch_disabled():
+    # the same with every dispatch target above numpy's baseline disabled
+    _in_a_child_with_simd_dispatch_disabled("_source_sum_mismatches")
 
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
