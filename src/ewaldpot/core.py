@@ -187,6 +187,10 @@ def require_layers(name: str, value):
         raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
+#: the tol of default_params
+_DEFAULT_TOL = 1e-14
+
+
 def _gauss_cut(tol: float) -> float:
     """a = sqrt(ln(1/tol)), the argument at which a Gaussian tail e^-a^2 is tol."""
     return math.sqrt(-math.log(tol))
@@ -194,7 +198,7 @@ def _gauss_cut(tol: float) -> float:
 
 #: (c, n_fit, e) per mode: default xi = c (n_eff / n_fit)^e / min periodic L
 _XI_LAW = {Periodicity.P1: (0.7, 44, 1.0 / 4.0),
-           Periodicity.P2: (2.25, 64, 1.0 / 6.0),
+           Periodicity.P2: (2.7, 64, 1.0 / 5.0),
            Periodicity.P3: (6.0, 512, 1.0 / 6.0)}
 
 
@@ -208,27 +212,32 @@ def default_xi(box, mode: Periodicity, n: int | None = None,
     xi = c / min periodic L.
 
     The exponent e balances real space against k space.  Real space costs
-    about M N r_cut^3 / V in 3p and 2p, or M N / xi^3 at the Gaussian cut
-    of default_params.  In 1p the sources lie within one cross section of
-    the wire, so when r_cut exceeds it a target meets about N r_cut / L3
-    image points, and real space costs about M N / xi.  k space costs
-    about N K at the sources or (M + N) K off them, with K, the vectors of
-    the lattice it sums (in 2p and 1p the grid extended along the free
-    axes), in proportion to xi^3.  The two balance at xi^6 ~ n_eff in 3p
-    and 2p, e = 1/6, and at xi^4 ~ n_eff in 1p, e = 1/4.  The 1p zero
-    mode, N^2 / 2 pairs at the sources, costs about the same at any xi,
-    since its bracket sums the series of -Ein(x) for x = rho^2 xi^2 up to
-    4, and so sets no balance of its own.
+    about M N r_cut^3 / V in 3p, or M N / xi^3 at the Gaussian cut of
+    default_params.  In 2p the sources lie within one slab, so when r_cut
+    exceeds its thickness a target meets about N pi r_cut^2 / (L1 L2)
+    image points, and real space costs about M N / xi^2; in 1p, within one
+    cross section of the wire, about N r_cut / L3 image points, and real
+    space costs about M N / xi.  k space costs about N K at the sources
+    or (M + N) K off them, with K, the vectors of the lattice it sums (in
+    2p and 1p the grid extended along the free axes, whose length L_eff is
+    mostly the fixed margin C/k_min), in proportion to xi^3.  The two
+    balance at xi^6 ~ n_eff in 3p, e = 1/6, at xi^5 ~ n_eff in 2p, e = 1/5,
+    and at xi^4 ~ n_eff in 1p, e = 1/4.  The zero modes of 2p and 1p, N^2
+    / 2 pairs at the sources, cost about the same at any xi (the 1p
+    bracket sums the series of -Ein(x) for x = rho^2 xi^2 up to 4), and so
+    set no balance of their own.
 
     The constants come from scans at the benchmark's sizes (README, the
-    table after default_params): c = 6 at n_fit = 512 in 3p, c = 2.25 at
-    n_fit = 64 in 2p.  In 1p the law is c = 0.6 at n = 24 on the ladder of
-    N, and n_fit = 44 puts c = 0.7 without n: below about 0.68 the calls
-    of N = 256 and 1024 that pass no n ran slower than at the former
-    c = 1.  The 1p k grid is empty where c < pi / sqrt(ln(1/tol)), 0.553
-    at tol = 1e-14, so c = 0.7 keeps it non-empty without n, while the
-    law empties it for a few sources (c = 0.38 at n = 4); the k-space sum
-    is then 0 and each of its terms lies below tol.
+    table after default_params): c = 6 at n_fit = 512 in 3p, c = 2.7 at
+    n_fit = 64 in 2p, where the fastest c of whole calls at N = 64, 256,
+    1024 and 4096 grew as N^0.22.  In 1p the law is c = 0.6 at n = 24 on
+    the ladder of N, and n_fit = 44 puts c = 0.7 without n: below about
+    0.68 the calls of N = 256 and 1024 that pass no n ran slower than at
+    the former c = 1.  The 1p k grid is empty where
+    c < pi / sqrt(ln(1/tol)), 0.553 at tol = 1e-14, so c = 0.7 keeps it
+    non-empty without n, while the law empties it for a few sources
+    (c = 0.38 at n = 4); the k-space sum is then 0 and each of its terms
+    lies below tol.
     """
     if (n is not None and n < 1) or (m is not None and m < 1):
         raise ValueError(f"n and m must be at least 1, got n={n}, m={m}")
@@ -241,7 +250,7 @@ def default_xi(box, mode: Periodicity, n: int | None = None,
 
 
 def default_params(box, mode: Periodicity, xi: float | None = None,
-                   tol: float = 1e-14, n: int | None = None,
+                   tol: float = _DEFAULT_TOL, n: int | None = None,
                    m: int | None = None) -> EwaldParams:
     """Truncation at one Gaussian cut, with both tails equal to tol.
 

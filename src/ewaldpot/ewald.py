@@ -52,7 +52,12 @@ sorts nothing.  kspace_3p sums sum_k w_k sum_n q_n cos(k.(t - x_n)) over
 that lattice.  The rule sums, besides the wanted pair term, its aliases
 L_eff apart along the free axes, where the kernel has decayed like
 e^{-k_min d}; k_min is the shortest grid vector, 2 pi/max(L1, L2) in 2p
-and 2 pi/L3 in 1p for a build_kgrid grid.  With C = _FREE_DECAY = 40:
+and 2 pi/L3 in 1p for a build_kgrid grid.  One constant C sets these
+truncations (_free_decay): C = a^2 + m, with a = min(k_max/2 xi, xi r_cut)
+the argument of the looser of the two Gaussian tails the params ask for
+(both sqrt(ln(1/tol)) under default_params, so C = 36.24 at tol 1e-14)
+and a fixed margin m = _FREE_MARGIN = 4.  The kspace_sum_* functions take
+no k_max or r_cut and use the C of default_params' tol, 1e-14.  With it:
 
     split    the sources and targets are split at every gap wider than
              C/k_min along a free axis (in 1p along x and along y, and
@@ -62,11 +67,15 @@ and 2 pi/L3 in 1p for a build_kgrid grid.  With C = _FREE_DECAY = 40:
     L_eff    per free axis, the extent of the group's sources and targets
              plus C/k_min, so that every alias lies C/k_min away or more
     cut      every mode's lattice stops where k^2/4xi^2 > C (a 3p grid
-             of default_params reaches that only for tol < e^-C)
+             of default_params has k^2/4xi^2 <= a^2 < C, so it loses no
+             vector at any tol)
 
-Both truncations cost about e^-C.  The lattice depends on the extent of
-the whole group, so in 2p and 1p a target's last bits may depend on the
-free-axis coordinates of the other targets in the same call.
+Both truncations cost about e^-C, e^-m = 0.018 times the tails of the
+params.  As C takes the smaller argument, a k_max beyond 2 xi sqrt(C)
+adds no vector and does not lengthen L_eff.  The lattice depends on the
+extent of the whole group, so in 2p and 1p a target's last bits may
+depend on the free-axis coordinates of the other targets in the same
+call.
 
 Only the real-space layer rejects a target that coincides with a source,
 as erfc(xi r)/r is the only term of the split that diverges there.  Its
@@ -90,12 +99,14 @@ import numpy as np
 
 from . import kernels_numpy
 from .core import (
+    _DEFAULT_TOL,
     COINCIDE_RTOL,
     EwaldParams,
     KGrid,
     ParticleSystem,
     Periodicity,
     PotentialResult,
+    _gauss_cut,
     build_image_vectors,
     build_kgrid,
     require_neutral,
@@ -116,10 +127,24 @@ __all__ = [
     "ewald_potential",
 ]
 
-#: C of the k-space sums (see the module docstring): the 2p and 1p
-#: free-axis aliases lie C/k_min away or more, the lattice of every mode
-#: stops where k^2/4 xi^2 > C, and both truncations cost about e^-C
-_FREE_DECAY = 40.0
+#: m of the free-axis constant C = a^2 + m (see the module docstring)
+_FREE_MARGIN = 4.0
+
+
+def _free_decay(params: EwaldParams | None = None) -> float:
+    """C of the k-space sums (module docstring), a^2 + _FREE_MARGIN.
+
+    a = min(k_max/2 xi, xi r_cut) of params, the argument of the looser of
+    its two Gaussian tails; without params a = sqrt(ln(1/tol)) at the tol
+    of default_params, for the kspace_sum_* functions, which take no k_max
+    or r_cut.
+    """
+    if params is None:
+        a = _gauss_cut(_DEFAULT_TOL)
+    else:
+        a = min(0.5 * params.k_max / params.xi, params.xi * params.r_cut)
+    return a * a + _FREE_MARGIN
+
 
 @dataclass(frozen=True)
 class EvalTargets:
@@ -228,17 +253,17 @@ def _free_groups(coords, gap):
     return groups
 
 
-def _extended_lattice(mode, box, kp, lengths, xi, step):
+def _extended_lattice(mode, box, kp, lengths, xi, decay, step):
     """The grid as a 3p half lattice, in kspace_3p's form for slices of
     step pairs: (axes, px, py, wsd, slices) (see kspace_3p).
 
     kp holds the grid vectors, one row each, closed under negation.  Each
     is joined with the free components 2 pi j / lengths (j integer per
-    free axis) that pass free^2 <= room = 4 xi^2 _FREE_DECAY - kp^2, so
-    k^2 <= 4 xi^2 _FREE_DECAY (in 3p, which has no free axis, the grid
-    cut at that k^2).  Of each +-k pair the vector whose first nonzero
-    component is positive is kept, so kx >= 0 and only the y table may
-    take signed rows.  V is the product of the periodic box lengths and
+    free axis) that pass free^2 <= room = 4 xi^2 C - kp^2, C = decay (the
+    free-axis constant, module docstring), so k^2 <= 4 xi^2 C (in 3p,
+    which has no free axis, the grid cut at that k^2).  Of each +-k pair
+    the vector whose first nonzero component is positive is kept, so
+    kx >= 0 and only the y table may take signed rows.  V is the product of the periodic box lengths and
     lengths (L1 L2 L3 in 3p).
 
     The lattice is built in that form, not recovered from a vector list.
@@ -262,7 +287,7 @@ def _extended_lattice(mode, box, kp, lengths, xi, step):
     like vectors (grid rows that occur twice, or the grid's -|k3| rows,
     as many as its +|k3| ones by the closure), 0.0 for none.
     """
-    top = 4.0 * xi * xi * _FREE_DECAY
+    top = 4.0 * xi * xi * decay
     room = top - sum(u * u for u in kp.T)    # (kp * kp).sum(axis=1)
     base = 2.0 * np.pi / lengths
     span = np.floor(math.sqrt(max(0.0, room.max())) / base).astype(np.int64)
@@ -332,7 +357,7 @@ def _extended_lattice(mode, box, kp, lengths, xi, step):
     return [(ux, False), (uy, ny > len(uy)), (uz, False)], px, py, wsd, slices
 
 
-def _kspace(mode, system, tpos, at_sources, xi, kgrid):
+def _kspace(mode, system, tpos, at_sources, xi, kgrid, decay):
     pos, q, box, xi = system.positions, system.charges, system.box, float(xi)
     out = np.zeros(len(tpos))
     # one row per vector (in P1 one k3 per row)
@@ -340,7 +365,7 @@ def _kspace(mode, system, tpos, at_sources, xi, kgrid):
     if not len(kp):
         return out
     # C/k_min: the split distance and the margin of L_eff
-    reach = _FREE_DECAY / math.sqrt(sum(u * u for u in kp.T).min())
+    reach = decay / math.sqrt(sum(u * u for u in kp.T).min())
     free = list(mode.free_axes)
     coords = pos[:, free] if at_sources else np.vstack([pos, tpos])[:, free]
     n = len(pos)
@@ -350,7 +375,7 @@ def _kspace(mode, system, tpos, at_sources, xi, kgrid):
         if not (len(src) and len(tgt)):
             continue    # no source within reach: the term is below e^-C
         lengths = np.ptp(coords[group], axis=0) + reach
-        lattice = _extended_lattice(mode, box, kp, lengths, xi, max(
+        lattice = _extended_lattice(mode, box, kp, lengths, xi, decay, max(
             1, kernels_numpy._K_ELEMENTS // len(src)))
         out[tgt] = kernels_numpy.kspace_3p(pos[src], q[src], tpos[tgt],
                                            lattice, at_sources)
@@ -400,11 +425,14 @@ def kspace_sum_3p(system: ParticleSystem, xi: float, kgrid: KGrid,
 
     A grid not closed under negation or holding k = 0 is rejected.  The
     kernel is even, so the sum is real: its imaginary part is never formed,
-    and each +-k pair is summed once, doubled (module docstring).
+    and each +-k pair is summed once, doubled (module docstring).  Without
+    k_max or r_cut the sum takes C of default_params' tol, 1e-14
+    (_free_decay()): vectors with k^2/4xi^2 > C = 36.24 are dropped.
     """
     _check_grid(kgrid, Periodicity.P3)
     tpos, at_sources = _resolve(system, xi, targets)
-    return _kspace(Periodicity.P3, system, tpos, at_sources, xi, kgrid)
+    return _kspace(Periodicity.P3, system, tpos, at_sources, xi, kgrid,
+                   _free_decay())
 
 
 def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
@@ -413,10 +441,13 @@ def kspace_sum_2p(system: ParticleSystem, xi: float, kgrid: KGrid,
 
     Taken as the 3p sum over the grid extended along z (module docstring);
     a grid not closed under negation or holding k = 0 is rejected.
+    Without k_max or r_cut the alias margin and the cut take C of
+    default_params' tol, 1e-14 (_free_decay(), C = 36.24).
     """
     _check_grid(kgrid, Periodicity.P2)
     tpos, at_sources = _resolve(system, xi, targets)
-    return _kspace(Periodicity.P2, system, tpos, at_sources, xi, kgrid)
+    return _kspace(Periodicity.P2, system, tpos, at_sources, xi, kgrid,
+                   _free_decay())
 
 
 def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
@@ -427,11 +458,14 @@ def kspace_sum_1p(system: ParticleSystem, xi: float, kgrid: KGrid,
     sum is finite at a target on the axis of a source (rho_n = 0), as is
     the 1p zero mode there.  Taken as the 3p sum over the grid extended
     along x and y (module docstring); a grid not closed under negation or
-    holding k = 0 is rejected.
+    holding k = 0 is rejected.  Without k_max or r_cut the alias margin
+    and the cut take C of default_params' tol, 1e-14 (_free_decay(),
+    C = 36.24).
     """
     _check_grid(kgrid, Periodicity.P1)
     tpos, at_sources = _resolve(system, xi, targets)
-    return _kspace(Periodicity.P1, system, tpos, at_sources, xi, kgrid)
+    return _kspace(Periodicity.P1, system, tpos, at_sources, xi, kgrid,
+                   _free_decay())
 
 
 def zero_mode_2p(system: ParticleSystem, xi: float, targets: EvalTargets):
@@ -483,7 +517,8 @@ def ewald_potential(system: ParticleSystem, mode: Periodicity,
     images = build_image_vectors(wrapped.box, mode, params.real_layers)
     real = _real(wrapped, tpos, at_sources, images, params.xi, params.r_cut)
     kgrid = build_kgrid(wrapped.box, mode, params.k_max)
-    kspace = _kspace(mode, wrapped, tpos, at_sources, params.xi, kgrid)
+    kspace = _kspace(mode, wrapped, tpos, at_sources, params.xi, kgrid,
+                     _free_decay(params))
     zero = _zero(mode, wrapped, tpos, at_sources, params.xi)
     if at_sources:
         self_vec = self_term(wrapped.charges, params.xi)

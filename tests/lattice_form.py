@@ -17,15 +17,16 @@ import numpy as np
 
 from ewaldpot import kernels_numpy
 from ewaldpot.core import _index_mesh
-from ewaldpot.ewald import _FREE_DECAY
+from ewaldpot.ewald import _free_decay
 
 
-def vectors(mode, box, kp, lengths, xi):
+def vectors(mode, box, kp, lengths, xi, decay=None):
     """The grid as a 3p half lattice: (vectors, weights), one row each.
 
     kp holds the grid vectors, one row each.  Each is joined with the free
     components 2 pi j / lengths (j integer per free axis) that keep
-    k^2 = kp^2 + free^2 <= 4 xi^2 _FREE_DECAY, in grid order and per grid
+    k^2 = kp^2 + free^2 <= 4 xi^2 C, C = decay (without it the C of the
+    kspace_sum_* functions, ewald._free_decay()), in grid order and per grid
     vector in lexicographic order of j (in 3p, which has no free axis, the
     grid cut at that k^2).  Of each +-k pair the vector whose first nonzero
     component is positive is kept, in that order, with the weight
@@ -34,7 +35,9 @@ def vectors(mode, box, kp, lengths, xi):
     V is the product of the periodic box lengths and lengths.
     """
     periodic, free = list(mode.periodic_axes), list(mode.free_axes)
-    room = 4.0 * xi * xi * _FREE_DECAY - (kp * kp).sum(axis=1)
+    if decay is None:
+        decay = _free_decay()
+    room = 4.0 * xi * xi * decay - (kp * kp).sum(axis=1)
     base = 2.0 * np.pi / lengths
     span = math.sqrt(max(0.0, room.max()))
     fk = _index_mesh(np.floor(span / base).astype(np.int64)).T * base

@@ -152,8 +152,9 @@ def test_byte_identical_json_reruns(tmp_path):
 # free axes; then larger charge sets whose k-space sums take several
 # slices of (kx, ky) pairs, so their goldens pin the order of the slices
 # and of the tiles within them (3p at xi = 10: 3 slices of 256 pairs;
-# 2p at xi = 6: 2 slices of 128 pairs in tiles of up to 6 |kz| rows;
-# 1p at xi = 1.5: 3 slices in 5 tiles, off the sources 5 in 8)
+# 2p at xi = 6: 2 slices of 128 pairs in tiles of up to 5 |kz| rows, off
+# the sources 7; 1p at xi = 1.5: 2 slices in 3 tiles, off the sources 4
+# in 6)
 POINTS = ["--targets", str(DATA / "demo_points.txt")]
 GOLDEN_CASES = [
     (f"{stem}_{mode}{suffix}", DATA / f"{stem}.txt",
@@ -216,15 +217,21 @@ def test_sweep_xi_totals_agree(tmp_path):
 
 
 def test_kmax_ladder_monotone(tmp_path):
-    out = str(tmp_path / "conv.csv")
-    assert cli.main(["random:8", "--seed", "7", "--mode", "3p",
-                     "--sweep", "kmax", "--kmax", "10,20,40,80",
-                     "--out", out]) == 0
-    rows = read_table(out)
-    err = rows[:, 1]
-    assert err[-1] == 0.0                       # reference row
-    assert np.all(np.diff(err) <= 1e-14)        # non-increasing within noise
-    assert err[0] > err[-2] or err[0] <= 1e-14
+    # the free-axis constant C takes the smaller of k_max/2 xi and
+    # xi r_cut, so past k_max = 2 xi sqrt(C) a larger k_max neither adds a
+    # vector (the cut) nor lengthens L_eff: k_max 40 and 80 give the same
+    # bytes.  1p runs at xi = 3, where the cut leaves vectors at k_max 10;
+    # at the default xi of 8 charges it leaves none.
+    for mode, extra in (("3p", []), ("2p", []), ("1p", ["--xi", "3"])):
+        out = str(tmp_path / f"conv_{mode}.csv")
+        assert cli.main(["random:8", "--seed", "7", "--mode", mode, *extra,
+                         "--sweep", "kmax", "--kmax", "10,20,40,80",
+                         "--out", out]) == 0
+        rows = read_table(out)
+        err = rows[:, 1]
+        assert err[-1] == 0.0 and err[-2] == 0.0    # reference row, cut
+        assert np.all(np.diff(err) <= 1e-14)        # non-increasing within noise
+        assert err[0] > 1e-8
 
 
 def test_rcut_ladder_decays(tmp_path):

@@ -22,8 +22,8 @@ from ewaldpot.core import (
     default_xi,
 )
 from ewaldpot.ewald import (
-    _FREE_DECAY,
     EvalTargets,
+    _free_decay,
     ewald_potential,
     kspace_sum_1p,
     kspace_sum_2p,
@@ -381,9 +381,10 @@ def test_kspace_3p_at_sources_matches_general_path(mode):
     kp = np.asarray(build_kgrid(box, mode, par.k_max).vectors, dtype=float)
     kp = kp[:, None] if kp.ndim == 1 else kp
     free = list(mode.free_axes)
-    reach = _FREE_DECAY / math.sqrt((kp * kp).sum(axis=1).min())
+    decay = _free_decay(par)
+    reach = decay / math.sqrt((kp * kp).sum(axis=1).min())
     lengths = np.ptp(s.positions[:, free], axis=0) + reach
-    kvecs, w = vectors(mode, box, kp, lengths, par.xi)
+    kvecs, w = vectors(mode, box, kp, lengths, par.xi, decay)
     pos, q = s.positions, s.charges
     lattice = form(kvecs, w, len(pos))
     at = kernels_numpy.kspace_3p(pos, q, pos, lattice, True)

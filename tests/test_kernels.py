@@ -39,6 +39,7 @@ from ewaldpot import (
 )
 from ewaldpot.core import (
     COINCIDE_RTOL,
+    EwaldParams,
     KGrid,
     ParticleSystem,
     Periodicity,
@@ -521,22 +522,79 @@ def test_extended_lattice_is_the_sorted_form_of_its_vectors(monkeypatch,
 
 
 @pytest.mark.parametrize("mode, kp, lengths, on_cut", [
-    (Periodicity.P3, [[1.0, 0.0, 3.0], [-1.0, 0.0, -3.0]], [], 1),
+    (Periodicity.P3, [[1.0, 0.0, 2.0], [-1.0, 0.0, -2.0]], [], 1),
     (Periodicity.P2, [[1.0, 0.0], [-1.0, 0.0]], [2.0 * np.pi], 2),
-    (Periodicity.P1, [[3.0], [-3.0]], [2.0 * np.pi, 2.0 * np.pi], 4),
+    (Periodicity.P1, [[2.0], [-2.0]], [2.0 * np.pi, 2.0 * np.pi], 4),
 ], ids=["3p", "2p", "1p"])
 def test_extended_lattice_keeps_the_vectors_on_the_cut(mode, kp, lengths,
                                                        on_cut):
-    # at xi = 1/4 the cut is k^2 <= 4 xi^2 _FREE_DECAY = 10 exactly, and
-    # with lengths 2 pi the free components are integers: (1, 0, 3) and
-    # its like lie on the cut, k^2 = 10 in every rounding, and the test
+    # xi = 1/4 with both Gaussian arguments 4 (k_max = 2, r_cut = 16) gives
+    # C = 16 + _FREE_MARGIN = 20, so the cut is k^2 <= 4 xi^2 C = 5 exactly,
+    # and with lengths 2 pi the free components are integers: (1, 0, 2)
+    # and its like lie on the cut, k^2 = 5 in every rounding, and the test
     # free^2 <= room keeps them, as the vector list does
+    decay = ewald._free_decay(EwaldParams(0.25, 16.0, 2.0, 0))
+    assert decay == 20.0
     box, kp, lengths = np.ones(3), np.array(kp), np.array(lengths)
-    got = ewald._extended_lattice(mode, box, kp, lengths, 0.25, 64)
+    got = ewald._extended_lattice(mode, box, kp, lengths, 0.25, decay, 64)
     _same_form(got, lattice_form.entries(
-        *vectors(mode, box, kp, lengths, 0.25), 64))
+        *vectors(mode, box, kp, lengths, 0.25, decay), 64))
     kvecs, _ = half_vectors(got)
-    assert ((kvecs * kvecs).sum(axis=1) == 10.0).sum() == on_cut
+    assert ((kvecs * kvecs).sum(axis=1) == 5.0).sum() == on_cut
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-14, 1e-16])
+@pytest.mark.parametrize("box", [[1.0, 1.1, 0.9], [1.0, 3.0, 0.9],
+                                 [3.0, 2.0, 0.5]])
+def test_default_3p_lattice_keeps_every_grid_vector(box, tol):
+    # C = a^2 + _FREE_MARGIN exceeds k_max^2/4 xi^2 = a^2, so the cut
+    # k^2/4 xi^2 <= C drops no vector of a default 3p grid: the lattice
+    # holds every +-k pair once and equals the one built with no cut at
+    # all, so the 3p bytes do not depend on C
+    box = np.array(box)
+    for n, m in ((None, None), (64, None), (512, None), (4096, None),
+                 (64, 1000)):
+        par = default_params(box, Periodicity.P3, tol=tol, n=n, m=m)
+        kp = build_kgrid(box, Periodicity.P3, par.k_max).vectors
+        args = (Periodicity.P3, box, kp, np.zeros(0), par.xi)
+        got = ewald._extended_lattice(*args, ewald._free_decay(par), 64)
+        _same_form(got, ewald._extended_lattice(*args, 1e6, 64))
+        assert len(half_vectors(got)[0]) == len(kp) // 2
+
+
+@pytest.mark.parametrize("mode", [Periodicity.P2, Periodicity.P1],
+                         ids=lambda m: m.value)
+def test_tighter_tol_lattice_holds_the_looser_one(monkeypatch, mode):
+    # at one xi, tol 1e-16 raises C = ln(1/tol) + _FREE_MARGIN, so L_eff
+    # = extent + C/k_min is longer and the cut k^2/4 xi^2 <= C wider: in
+    # index space, (periodic components, free index j of 2 pi j/L_eff),
+    # the tol 1e-16 lattice holds every vector of the tol 1e-14 one
+    s = _system()
+    periodic, free = list(mode.periodic_axes), list(mode.free_axes)
+    xi = default_params(s.box, mode).xi
+    build, calls = ewald._extended_lattice, []
+
+    def recorded(*args):
+        calls.append((args, build(*args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ewald, "_extended_lattice", recorded)
+        for tol in (1e-14, 1e-16):
+            ewald_potential(s, mode, default_params(s.box, mode, xi=xi,
+                                                    tol=tol),
+                            EvalTargets.at_sources())
+    assert len(calls) == 2
+    held = []
+    for (*_, lengths, _, decay, _), lattice in calls:
+        kvecs, _ = half_vectors(lattice)
+        j = np.rint(kvecs[:, free] * lengths / (2.0 * np.pi))
+        held.append((decay, lengths, {tuple(v) for v in
+                                      np.column_stack([kvecs[:, periodic],
+                                                       j])}))
+    (c14, len14, set14), (c16, len16, set16) = held
+    assert c16 > c14 and (len16 > len14).all()
+    assert set14 < set16
 
 
 def test_kspace_3p_tables_span_the_pairs_that_occur():
