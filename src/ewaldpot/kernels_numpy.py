@@ -19,10 +19,12 @@ math and the scalar routines of specfun.
 
 real_space takes erfc only of the pairs within r_cut: it finds them block
 by block of nearby targets, among the image points near each block, and
-never forms an array over all (target, source, image) triples.  At the
-sources it forms each pair of targets once, the pair of target m, source
-n, image p with that of n, m, -p, and adds it to both; the blocks own the
-pairs, so there they set the order of the sum.
+never forms an array over all (target, source, image) triples.  Off the
+sources a block forms each axis's component of d^2 once per distinct
+target coordinate where it repeats them, and gathers it to its targets.
+At the sources it forms each pair of targets once, the pair of target m,
+source n, image p with that of n, m, -p, and adds it to both; the blocks
+own the pairs, so there they set the order of the sum.
 
 kspace_3p is the k-space sum of every mode, a plain weighted trig sum
 over a lattice handed over in the kernel's own form (axes, px, py, wsd,
@@ -44,7 +46,11 @@ per point, built once per point and combined over the pairs of a slice;
 those of b from the |kz| rows of the z tables.  libm runs on the distinct
 |k| of an axis only, and the x and y rows of -|k| take the same cos and
 the negated sin; that and the +-|kz| identity are exact on the
-assumption, checked by the tests, that libm cos is even and sin odd.  Its
+assumption, checked by the tests, that libm cos is even and sin odd.
+Off the sources it also runs on the distinct target coordinates only: a
+block of targets that repeats them takes its x, y and pair tables over
+its distinct (x, y) and its z tables and their row sums over its
+distinct z, and gathers both to its targets (_block_distinct).  Its
 arrays hold pairs by points, one contiguous row per pair, and an entry's
 terms are products of a pair's row and a z row.  One slice rule holds at
 the sources and off them: _K_ELEMENTS // N pairs, so no array of the
@@ -87,7 +93,10 @@ Every kernel takes its points in blocks under _ROW_ELEMENTS (_blocks),
 real space the targets of each spatial block in runs under it and
 kspace_3p its targets off the sources (as columns), so no kernel forms
 an (M, N) array; a point's terms and their order do not depend on these
-blocks, so neither do the bytes.
+blocks, so neither do the bytes.  Nor do they depend on the gathers of
+the tables shared by repeated coordinates: a column or row of a table
+is formed from its own coordinates alone, and coordinates are equal
+when their bits are.
 """
 
 from __future__ import annotations
@@ -197,7 +206,11 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     sources the order of every rounding step is fixed:
 
         d^2     ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2,
-                each component (t - x_n) + p, for every candidate pair
+                each component (t - x_n) + p, for every candidate pair;
+                where a block has few distinct t_a (no more than half its
+                targets, nor than its first run has), each distinct t_a's
+                squared components by the candidates once, a table whose
+                rows are gathered to the run's targets (_component_table)
         d       sqrt(d^2), only for the pairs with d^2 <= T, T the largest
                 double with sqrt(T) <= r_cut (_square_cut): exactly the
                 pairs with d <= r_cut
@@ -208,8 +221,10 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
                 pairwise sum of the others; 0.0 without a kept term
 
     The terms and their order per target do not depend on the partition
-    into blocks and runs, so neither do the bytes of the result.  At the
-    sources each pair is formed once (_real_at_sources).
+    into blocks and runs, nor on the tables, whose rows are formed from
+    their own coordinate alone, so neither do the bytes of the result.  A
+    table holds no more elements than a run's d^2.  At the sources each
+    pair is formed once (_real_at_sources).
     """
     n = pos.shape[0]
     # (P N,) per axis: image point j of source j % N and image j // N
@@ -222,17 +237,26 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
                                 r_cut)
     out = np.zeros(targets.shape[0])
     d2_cut = _square_cut(r_cut)
-    for blk in blocks:
+    # the distinct coordinates of each block's targets per axis, for its
+    # component tables, where the axis repeats a coordinate
+    found = [_block_distinct(targets[:, a:a + 1], blocks) if repeats else None
+             for a, repeats in enumerate(_repeats(targets))]
+    for b, blk in enumerate(blocks):
         cand = _in_box(ycols, targets[blk], reach)
         img, src = np.divmod(cand, n)
         # per axis, the (candidates,) source and image coordinates
         xs = [pos[src, a] for a in range(3)]
         ps = [images[img, a] for a in range(3)]
         qs = q[src]
-        for part in _blocks(len(blk), len(cand)):
+        runs = _blocks(len(blk), len(cand))
+        tables = [f and _component_table(targets[:, a], b, blk, f, xs[a],
+                                         ps[a], runs[0])
+                  for a, f in enumerate(found)]
+        for part in runs:
             run = blk[part]
             d = np.empty((len(run), len(cand)))
-            _square_distances(targets[run], xs, ps, d, np.empty_like(d))
+            _square_distances(targets[run], xs, ps, d, np.empty_like(d),
+                              tables, part)
             # the kept pairs by index, in (target, candidate) order
             keep = np.flatnonzero(d <= d2_cut)
             dk = np.sqrt(d.ravel().take(keep))
@@ -253,6 +277,24 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
             has = bounds[1:] > first
             out[run[has]] = np.add.reduceat(terms, first[has])
     return out
+
+
+def _component_table(t, b, blk, found, x, p, run):
+    """For the coordinates t of the targets blk of block b along one axis
+    and the block's candidates (source coordinates x and image shifts p
+    along it): where blk holds no more distinct t than its first run (a
+    slice of blk) has targets, nor than half its targets (_block_rows),
+    (table, ids), the table ((t - x_n) + p_n)^2 of each distinct t by the
+    candidates and per target its row; None elsewhere.  So a table holds
+    no more elements than the run's d^2, and each of its rows serves two
+    targets or more."""
+    rows, ids = _block_rows(found, b, blk,
+                            min(run.stop - run.start, len(blk) // 2))
+    if ids is None:
+        return None
+    table = np.empty((len(rows), len(x)))
+    _component(t[rows], x, p, table)
+    return table, ids
 
 
 def _real_at_sources(pos, q, images, ycols, blocks, reach, xi, r_cut):
@@ -376,27 +418,38 @@ def _image_halves(images):
     return 1 - np.sign(lead).astype(np.intp)
 
 
-def _square_distances(tr, xs, ps, d, work):
+def _square_distances(tr, xs, ps, d, work, tables=(None,) * 3, part=None):
     """d^2 of the targets tr by the candidates (source coordinates xs and
     image shifts ps per axis) into d, (targets, candidates), in the fixed
     order ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2, each
-    component (t - x_n) + p; work is an array of d's shape.  Taking
-    t - (x_n - p) from the image points ycols would save the add, but
-    x_n - p is rounded before the difference is formed, which moves every
-    image point of p != 0 by up to half an ulp of its coordinate: on the
-    bulk3p benchmark (3p, N = 512) it ran the call at 0.945 times the time,
-    and against the reference of this order, at seeds 0-5, err_digits fell
-    from 15.377 to 15.238 in the mean and by 0.53 at seed 3.  A reference
-    taken in that other order shares the shift, so its own err_digits
-    hides it (15.370)."""
-    np.subtract.outer(tr[:, 0], xs[0], out=d)
-    d += ps[0]
-    d *= d
-    for a in (1, 2):
-        np.subtract.outer(tr[:, a], xs[a], out=work)
-        work += ps[a]
-        work *= work
-        d += work
+    component (t - x_n) + p (_component); work is an array of d's shape.
+    Where tables[a] is given, (table, ids), the components of axis a are
+    the rows ids[part] of table, the same components formed once per
+    distinct t_a (_component_table), so the bytes are those formed here.
+    Taking t - (x_n - p) from the image points ycols would save the add,
+    but x_n - p is rounded before the difference is formed, which moves
+    every image point of p != 0 by up to half an ulp of its coordinate: on
+    the bulk3p benchmark (3p, N = 512) it ran the call at 0.945 times the
+    time, and against the reference of this order, at seeds 0-5,
+    err_digits fell from 15.377 to 15.238 in the mean and by 0.53 at seed
+    3.  A reference taken in that other order shares the shift, so its
+    own err_digits hides it (15.370)."""
+    for a, (table, into) in enumerate(zip(tables, (d, work, work))):
+        if table is None:
+            _component(tr[:, a], xs[a], ps[a], into)
+        else:
+            np.take(table[0], table[1][part], axis=0, out=into,
+                    mode="clip")
+        if a:
+            d += work
+
+
+def _component(t, x, p, out):
+    """((t - x) + p)^2 of the coordinates t by the candidates' source
+    coordinates x and image shifts p into out, (len(t), candidates)."""
+    np.subtract.outer(t, x, out=out)
+    out += p
+    out *= out
 
 
 def _square_cut(r_cut):
@@ -460,14 +513,21 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     per-axis tables, built once per point: once for the sources, and off
     the sources once per column block of targets (_blocks), the outer loop
     there, each block of at most _ROW_ELEMENTS // pairs targets, pairs
-    those of the widest slice.  A slice's entries are taken in tiles
+    those of the widest slice.  Where a block's distinct (x, y) or
+    distinct z number at most half its targets (_block_rows), its x, y
+    and pair tables are taken over its distinct (x, y), or its z tables
+    and the tiles' U, V sums over its distinct z, and gathered to its
+    targets: the pair tables after they are formed, the U, V sums after
+    the slice's tiles are added.  A slice's entries are taken in tiles
     (_tiles), each a block of consecutive |kz| rows by the first pairs of
     the slice, those that reach its first row, whose cells, entries and
     padding (weight 0.0), count at most twice its cells of the pairs'
     staircase and at most _K_ELEMENTS // N.  The order of every rounding
     step is fixed:
 
-        xy      per pair, cxy = (cx cy) - (sx sy), sxy = (sx cy) + (cx sy)
+        xy      per pair, cxy = (cx cy) - (sx sy), sxy = (sx cy) + (cx sy);
+                off the sources once per distinct (x, y) of a block that
+                repeats them, then gathered
         S(k)    per cell, cxy and sxy times q cz and q sz, X, Z, W and Y,
                 summed over blocks of _SOURCE_BLOCK consecutive sources
                 (_source_sums): per block two running sums from 0.0,
@@ -481,7 +541,9 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
                 times cz or sz) added one at a time from 0.0, row by row,
                 cz before sz: np.einsum("rjip,rjm->ipm", optimize=False)
                 (_tile_sums); per slice the tiles' sums added in tile
-                order onto the first tile's, which spans the slice's pairs
+                order onto the first tile's, which spans the slice's pairs;
+                off the sources once per distinct z of a block that
+                repeats them, then gathered
         slice   per target, U cxy and V sxy over the slice's pairs, the
                 2 x pairs rows (U rows, then V rows) folded (_fold)
         sum     per target, the sums of the slices added in the fixed
@@ -506,9 +568,11 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     bits, and the order tests of the suite, which check both einsums byte
     for byte with SIMD dispatch on and off, fail there.
 
-    Every column is formed and summed from its own point alone, so the
-    bytes depend on neither the column blocks nor the other targets, and
-    at the sources they equal those of the general path; the slices and
+    Every column is formed and summed from its own point alone, and
+    gathered columns are those of equal coordinates (by their bits), so
+    the bytes depend on neither the column blocks nor the other targets
+    nor the gathers, and at the sources they equal those of the general
+    path; the slices and
     tiles, and so N, move their last bits.  No BLAS routine is called (the
     einsum runs without optimize) and cos and sin are glibc libm's sincos,
     through C cexp of 0 + iy (_cos_sin), so the result depends on neither
@@ -534,7 +598,10 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     # faults, as glibc returns them to the system between slices.  The
     # work array holds the gathers of the pair tables, which start in the
     # (U, V) rows and take width * m of it, then a tile's per-block source
-    # sums at the sources or its (U, V) sums where the slices are summed
+    # sums at the sources or its (U, V) sums where the slices are summed.
+    # A block's tables over at most m / 2 distinct values fit in the same:
+    # the pair tables and their work, 5 width m / 2 elements, from the
+    # (U, V) rows on, and the (U, V) sums, width m, in the work array
     n_blocks = -(-n_src // _SOURCE_BLOCK)
     buf = np.empty(4 * width * max(n_src, cols) + max(
         width * n_src, 4 * most * n_blocks,
@@ -544,29 +611,46 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     # coefficient of z table j in U (i = 0) or V (i = 1)
     coef = np.empty(4 * wsd.shape[1])
 
-    def views(tables, part, m):    # the z tables (rows, 2, m), the
-        # slice's (2, pairs, m) xy and UV arrays and the work array
+    def views(tables, part, m, ids=None):    # the z tables (rows, 2, .),
+        # the slice's (2, pairs, m) xy and UV arrays and the work array.
+        # With ids, the xy tables' columns are distinct (x, y) and ids
+        # gives each point's: the pair tables go to the (U, V) rows, their
+        # work behind them, and are gathered to the points' columns
         size, n = 2 * width * m, len(px[part])
         xy, uv = (buf[i * size:i * size + 2 * n * m].reshape(2, n, m)
                   for i in (0, 1))
         work = buf[2 * size:]
-        _pair_tables(tables, px[part], py[part], xy, buf[size:])
+        if ids is None:
+            _pair_tables(tables, px[part], py[part], xy, buf[size:])
+        else:
+            end = size + 2 * n * len(tables[0][0])
+            pairs = buf[size:end].reshape(2, n, -1)
+            _pair_tables(tables, px[part], py[part], pairs, buf[end:])
+            np.take(pairs, ids, axis=2, out=xy, mode="clip")
         return tables[4].swapaxes(0, 1), xy, uv, work
 
-    def slice_sums(tiles, zs, xy, uv, work):    # per target, its slice sum
-        m = zs.shape[-1]
-        for ra, rb, n, c0, c1 in tiles:
+    def slice_sums(tiles, zs, xy, uv, work, ids=None):    # per target,
+        # its slice sum.  The tiles sum per z table column into the (U, V)
+        # rows, the tiles past the first into work; with ids, where the
+        # columns are distinct z and ids gives each point's, into work and
+        # the (U, V) rows instead, and the sums are gathered to the rows
+        n, m = uv.shape[1], zs.shape[-1]
+        acc, spare = (uv, work) if ids is None else (
+            work[:2 * n * m].reshape(2, n, m), uv.ravel())
+        for ra, rb, k, c0, c1 in tiles:
             # the first tile (row 0) spans the slice's pairs
-            t = uv if ra == 0 else work[:2 * n * m].reshape(2, n, m)
-            _tile_sums(coef[4 * c0:4 * c1].reshape(rb - ra, 2, 2, n),
+            t = acc if ra == 0 else spare[:2 * k * m].reshape(2, k, m)
+            _tile_sums(coef[4 * c0:4 * c1].reshape(rb - ra, 2, 2, k),
                        zs[ra:rb], t)
             if ra:
-                uv[:, :n] += t
+                acc[:, :k] += t
+        if ids is not None:
+            np.take(acc, ids, axis=2, out=uv, mode="clip")
         uv *= xy
-        return _fold(uv.reshape(-1, m))
+        return _fold(uv.reshape(2 * n, -1))
 
     def source_slices():    # per slice, after its cells' coefficients
-        tables = _axis_tables(pos, axes)
+        tables = _axis_tables(pos, pos[:, 2], axes)
         qz = tables[4].swapaxes(0, 1) * q
         for part, tiles in slices:
             zs, xy, uv, work = views(tables, part, n_src)
@@ -582,12 +666,67 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
         return out
     for _ in source_slices():    # every cell's coefficients first
         pass
-    for blk in blocks:
-        tables = _axis_tables(targets[blk], axes)
+    # the distinct (x, y) and z of each block, for its tables, where they
+    # repeat
+    repeats = _repeats(targets)
+    found = [_block_distinct(targets[:, :2], blocks) if repeats[:2].all()
+             else None,
+             _block_distinct(targets[:, 2:], blocks) if repeats[2] else None]
+    for b, blk in enumerate(blocks):
+        m = blk.stop - blk.start
+        (rxy, ixy), (rz, iz) = (_block_rows(f, b, blk, m // 2) for f in found)
+        tables = _axis_tables(targets[rxy], targets[rz, 2], axes)
         out[blk] = _pairwise(
-            slice_sums(tiles, *views(tables, part, blk.stop - blk.start))
+            slice_sums(tiles, *views(tables, part, m, ixy), iz)
             for part, tiles in slices)
     return out
+
+
+def _repeats(pts):
+    """Per column of pts, whether it repeats a value (bit for bit): one
+    sort of their bit patterns."""
+    ordered = np.sort(np.ascontiguousarray(pts.T).view(np.int64))
+    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+
+
+def _block_distinct(coords, blocks):
+    """The distinct rows of coords, (points, axes), within each block of
+    blocks (slices or index arrays that partition the points): (local,
+    reps, starts), local per point the index of its row among its block's
+    distinct rows, reps per block one point of each of these, those of
+    block b at reps[starts[b]:starts[b + 1]].  The rows compare by their
+    bit patterns, which keep 0.0 and -0.0 apart, whose sines differ.  One
+    sort of the points by block and row."""
+    labels = np.empty(len(coords), np.intp)
+    for b, blk in enumerate(blocks):
+        labels[blk] = b
+    keys = [*np.ascontiguousarray(coords.T).view(np.int64)[::-1], labels]
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    labels = labels[order]
+    starts = np.searchsorted(labels[new], np.arange(len(blocks) + 1))
+    local = np.empty(len(order), np.intp)
+    local[order] = np.cumsum(new) - 1 - starts[labels]
+    return local, order[new], starts
+
+
+def _block_rows(found, b, blk, most):
+    """(rows, ids) of block b, its points blk, from _block_distinct's
+    found: rows the points whose coordinates a block's table takes as its
+    columns, and ids per point of blk its column.  Where blk holds at most
+    most distinct rows, rows holds one point of each and ids the index of
+    each point's; where it holds more, rows is blk and ids None, the
+    identity."""
+    if found is None:
+        return blk, None
+    local, reps, starts = found
+    if starts[b + 1] - starts[b] > most:
+        return blk, None
+    return reps[starts[b]:starts[b + 1]], local[blk]
 
 
 def _coefficients(s, wsd):
@@ -751,34 +890,38 @@ def _tiles(last, step, pair, row):
     return slices, cell, end
 
 
-def _axis_tables(pts, axes):
+def _axis_tables(xy, z, axes):
     """cx, sx, cy, sy and zs: libm cos and sin of u x and u y over the rows
-    of the x and y axes (the lattice's axes, kspace_3p) by the points pts,
-    one column per point (each product rounded once), and zs, (2, rows,
-    points), the cos and sin of u z over the rows of the z axis.  libm
-    runs on the distinct |u| rows only, all axes in one pass of _cos_sin,
-    whose one cexp per element gives both: a row of -|u| takes the cos of
-    its |u| row and the negated sin.  That is exact as (-u) x = -(u x) and
+    of the x and y axes (the lattice's axes, kspace_3p) by the points xy
+    (their first two columns), one column per point (each product rounded
+    once), and zs, (2, rows, len(z)), the cos and sin of u z over the rows
+    of the z axis by the z coordinates z, one column each.  libm runs on
+    the distinct |u| rows only, all axes in one pass of _cos_sin, whose
+    one cexp per element gives both: a row of -|u| takes the cos of its
+    |u| row and the negated sin.  That is exact as (-u) x = -(u x) and
     libm cos is even and sin odd.  The x and y tables are rows of
-    _cos_sin's contiguous (2, rows, points) result, the negated rows
-    copies; zs is a row-major (rows, 2, points) copy, seen as (2, rows,
-    points), so that a tile's rows are one contiguous block (kspace_3p
-    swaps its axes back).  A column depends on its own point alone."""
-    sizes = [len(au) for au, _ in axes]
-    arg = np.empty((sum(sizes), len(pts)))
-    ends = np.cumsum(sizes)
-    for (au, _), coord, end in zip(axes, pts.T, ends):
-        np.multiply.outer(au, coord, out=arg[end - len(au):end])
+    _cos_sin's contiguous result, the negated rows copies; zs is a
+    row-major (rows, 2, len(z)) copy, seen as (2, rows, len(z)), so that a
+    tile's rows are one contiguous block (kspace_3p swaps its axes back).
+    A column depends on its own coordinates alone."""
+    coords = (xy[:, 0], xy[:, 1], z)
+    sizes = [len(au) * len(c) for (au, _), c in zip(axes, coords)]
+    ends = list(itertools.accumulate(sizes))
+    arg = np.empty(ends[-1])
+    for (au, _), c, end, size in zip(axes, coords, ends, sizes):
+        np.multiply.outer(au, c,
+                          out=arg[end - size:end].reshape(len(au), len(c)))
     cs = _cos_sin(arg)
     del arg
     tables = []
-    for (au, signed), end in zip(axes[:2], ends):
-        c, s = cs[:, end - len(au):end]
+    for (au, signed), c, end, size in zip(axes[:2], coords, ends, sizes):
+        c, s = cs[:, end - size:end].reshape(2, len(au), len(c))
         if signed:
             c, s = np.concatenate((c, c)), np.concatenate((s, -s))
         tables += [c, s]
+    zs = cs[:, ends[1]:].reshape(2, len(axes[2][0]), len(z))
     return tables + [
-        np.ascontiguousarray(cs[:, ends[1]:].swapaxes(0, 1)).swapaxes(0, 1)]
+        np.ascontiguousarray(zs.swapaxes(0, 1)).swapaxes(0, 1)]
 
 
 def _pair_tables(tables, px, py, out, work):

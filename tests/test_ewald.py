@@ -1095,19 +1095,24 @@ def test_kspace_and_planar_zero_mode_are_finite_at_a_source():
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_real_space_sum_off_the_sources_holds_no_pair_table(mode):
     # the coincidence check runs on the real-space runs of at most
-    # _ROW_ELEMENTS pairs; no (M, N) target-source array is formed
+    # _ROW_ELEMENTS pairs; no (M, N) target-source array is formed, on
+    # random points nor on a 16^3 grid, whose blocks form tables of the
+    # d^2 components of their distinct coordinates
     box = np.array([1.0, 1.1, 0.9])
     s = random_neutral(np.random.default_rng(34), 256, box)
-    pts = np.random.default_rng(35).uniform(0.0, 1.0, (4096, 3)) * box
-    targets = EvalTargets.at_points(pts)
+    c = (np.arange(16) + 0.5) / 16
+    grid = np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1)
     par = default_params(box, mode)
-    tracemalloc.start()
-    try:
-        real_space_sum(s, mode, par.xi, par.r_cut, par.real_layers, targets)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < len(pts) * len(s) * 8, peak / 2 ** 20
+    for pts in (np.random.default_rng(35).uniform(0.0, 1.0, (4096, 3)) * box,
+                grid.reshape(-1, 3) * box):
+        tracemalloc.start()
+        try:
+            real_space_sum(s, mode, par.xi, par.r_cut, par.real_layers,
+                           EvalTargets.at_points(pts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(pts) * len(s) * 8, peak / 2 ** 20
 
 
 def test_eval_targets_validation():

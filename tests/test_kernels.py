@@ -944,7 +944,7 @@ def test_axis_tables_equal_direct_libm_tables():
     irregular = rng.normal(scale=30.0, size=(20, 3))
     for kvecs in (half, np.vstack([irregular, -irregular, [[0.0] * 3]])):
         axs = axes(kvecs)[0]
-        cx, sx, cy, sy, zs = kernels_numpy._axis_tables(pts, axs)
+        cx, sx, cy, sy, zs = kernels_numpy._axis_tables(pts, pts[:, 2], axs)
         tables = [(cx, sx), (cy, sy), tuple(zs)]
         for a, (au, signed) in enumerate(axs):
             cos, sin = tables[a]
@@ -1209,18 +1209,150 @@ def test_source_sums_with_simd_dispatch_disabled():
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_kspace_bytes_do_not_depend_on_row_blocks(monkeypatch, mode):
     # blocks of one point (a budget of a few elements) against one block of
-    # every point, at the sources and off them
+    # every point, at the sources and off them, on random points and on a
+    # grid, whose blocks share the tables of their repeated coordinates
     s = _uniform_system(40, [1.0, 1.1, 0.9], 46)
     par = default_params(s.box, mode)
     kgrid = build_kgrid(s.box, mode, par.k_max)
     pts = np.random.default_rng(47).uniform(-0.5, 0.5, (30, 3)) * s.box
-    for targets in (EvalTargets.at_sources(), EvalTargets.at_points(pts)):
+    for targets in (EvalTargets.at_sources(), EvalTargets.at_points(pts),
+                    EvalTargets.at_points(_grid(4, s.box))):
         got = {}
         for budget in (4, 2 ** 40):
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_numpy, "_ROW_ELEMENTS", budget)
                 got[budget] = _KSPACE_SUMS[mode](s, par.xi, kgrid, targets)
         assert got[4].tobytes() == got[2 ** 40].tobytes()
+
+
+def _grid(k, box):
+    # a cell-centred k^3 grid of points over the box
+    c = (np.arange(k) + 0.5) / k - 0.5
+    return np.stack(np.meshgrid(c, c, c, indexing="ij"),
+                    axis=-1).reshape(-1, 3) * box
+
+
+def _repeating_target_sets(box):
+    """Target sets whose coordinates repeat: a 4^3 grid, and per axis a
+    line along it and a plane normal to it."""
+    box = np.asarray(box)
+    sets = {"grid": _grid(4, box)}
+    c = np.linspace(-0.45, 0.45, 12)
+    plane = np.stack(np.meshgrid(c, c, indexing="ij"), -1).reshape(-1, 2)
+    for a in range(3):
+        other = [b for b in range(3) if b != a]
+        line = np.tile([0.17, -0.23, 0.11], (len(c), 1))
+        line[:, a] = c
+        sets[f"line {a}"] = line * box
+        normal = np.tile([0.17, -0.23, 0.11], (len(plane), 1))
+        normal[:, other] = plane
+        sets[f"plane {a}"] = normal * box
+    return sets
+
+
+def _off_source_kernels(mode, s, pts):
+    """kspace_3p and real_space off the sources at the points pts, at the
+    default parameters of the mode; kspace_3p on a fixed lattice, whose
+    free lengths (3 times the box's) do not depend on the points, as
+    those of kspace_sum_2p and kspace_sum_1p do."""
+    par = default_params(s.box, mode)
+    kp = np.atleast_2d(build_kgrid(s.box, mode, par.k_max).vectors.T).T
+    lengths = 3.0 * s.box[list(mode.free_axes)]
+    lattice = form(*vectors(mode, s.box, kp, lengths, par.xi), len(s))
+    images = build_image_vectors(s.box, mode, par.real_layers)
+    return {
+        "kspace": lambda: kernels_numpy.kspace_3p(s.positions, s.charges,
+                                                  pts, lattice, False),
+        "real": lambda: kernels_numpy.real_space(
+            s.positions, s.charges, pts, False, images, par.xi, par.r_cut,
+            COINCIDE_RTOL)}
+
+
+def _shared_and_alone(mode, s, pts):
+    """Per layer (kspace, real) off the sources at pts: whether its bytes
+    equal those of the same kernel with _ROW_ELEMENTS = 4, where each
+    block or run holds one target and so takes no table over repeated
+    coordinates, and whether the first run formed such a table."""
+    kernels = _off_source_kernels(mode, s, pts)
+    block_rows, budget = kernels_numpy._block_rows, kernels_numpy._ROW_ELEMENTS
+    shared = []
+
+    def counted(*args):
+        rows, ids = block_rows(*args)
+        shared.append(ids is not None)
+        return rows, ids
+
+    out = {}
+    for layer, call in kernels.items():
+        shared.clear()
+        kernels_numpy._block_rows = counted
+        try:
+            got = call()
+        finally:
+            kernels_numpy._block_rows = block_rows
+        kernels_numpy._ROW_ELEMENTS = 4
+        try:
+            alone = call()
+        finally:
+            kernels_numpy._ROW_ELEMENTS = budget
+        out[layer] = (got.tobytes() == alone.tobytes(), any(shared))
+    return out
+
+
+def _repeated_coordinate_mismatches(names=None):
+    """The (mode, target set, layer) of _repeating_target_sets (those
+    named, or all) on which the off-source kernels differ in any byte from
+    their one-target blocks, or take no table over repeated coordinates
+    at all; empty when every byte holds."""
+    s = _uniform_system(40, [1.0, 1.1, 0.9], 46)
+    bad = []
+    for name, pts in _repeating_target_sets(s.box).items():
+        if names is not None and name not in names:
+            continue
+        for mode in Periodicity:
+            for layer, (same, shared) in _shared_and_alone(mode, s,
+                                                           pts).items():
+                if not (same and shared):
+                    bad.append((mode.value, name, layer, same, shared))
+    return bad
+
+
+def test_repeated_coordinates_keep_every_byte():
+    # off the sources a block forms the per-axis tables (k space) and the
+    # d^2 components (real space) once per distinct coordinate and gathers
+    # them to its targets; on a grid, lines and planes every byte equals
+    # that of blocks of one target, in every mode, and every case shares
+    # a table
+    assert _repeated_coordinate_mismatches() == []
+
+
+def test_repeated_coordinates_with_simd_dispatch_disabled():
+    # the grid's gathers with every dispatch target above numpy's
+    # baseline disabled, as test_libm_routes_with_simd_dispatch_disabled
+    # checks the libm routes
+    _in_a_child_with_simd_dispatch_disabled(
+        "_repeated_coordinate_mismatches_on_the_grid")
+
+
+def _repeated_coordinate_mismatches_on_the_grid():
+    return _repeated_coordinate_mismatches({"grid"})
+
+
+#: per axis a few coordinates, as fractions of the box, 0.0 and -0.0 among
+#: them: their sines differ in sign, so a table shared between them would
+#: move bits
+_FEW_COORDINATES = (-0.41, -0.0, 0.0, 0.23)
+
+
+@settings(max_examples=25)
+@given(mode=st.sampled_from(list(Periodicity)),
+       picks=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1,
+                      max_size=48))
+def test_targets_on_few_coordinates_keep_every_byte(mode, picks):
+    s = _uniform_system(12, [1.0, 1.1, 0.9], 49)
+    pts = np.array(_FEW_COORDINATES)[np.array(picks)] * s.box
+    for layer, (same, _) in _shared_and_alone(mode, s, pts).items():
+        assert same, layer
 
 
 # ------------------------------------------------------ blocked zero modes
