@@ -24,7 +24,12 @@ sources a block forms each axis's component of d^2 once per distinct
 target coordinate where it repeats them, and gathers it to its targets.
 At the sources it forms each pair of targets once, the pair of target m,
 source n, image p with that of n, m, -p, and adds it to both; the blocks
-own the pairs, so there they set the order of the sum.
+own the pairs, so there they set the order of the sum.  One int32 rank
+table per image point, built once per call, lets a block's scan take only
+the points it owns, and where a call has more than one block, a block
+takes only those within reach of its targets' bounding box.  The first
+level of the mirror's tree, per pair of targets, is one np.einsum per run
+(_pair_rows), in the order its docstring states on X86_V2, as below.
 
 kspace_3p is the k-space sum of every mode, a plain weighted trig sum
 over a lattice handed over in the kernel's own form (axes, px, py, wsd,
@@ -73,7 +78,8 @@ baseline, not the dispatched SIMD level, and on x86-64's X86_V2 it keeps
 two float64 lanes and does not fuse; a baseline with FMA or wider
 vectors (X86_V3, aarch64) changes its order, and the order tests of the
 suite (test_source_sums_add_in_the_stated_order,
-test_tile_sums_add_in_the_stated_order) fail there.
+test_tile_sums_add_in_the_stated_order and, for real space,
+test_real_space_mirror_pairs_add_in_the_stated_order) fail there.
 
 Every exp, log, cos and sin of the layers is glibc libm's, through one
 compiled loop each that calls it once per element; numpy's own float64
@@ -196,14 +202,16 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
 
     Image point j = p N + n, source n shifted by image p, sits at
     x_n - images[p]; the points are held in that (image, source) order.
-    The targets are split into spatial blocks (_target_blocks).  A block
-    takes as candidates the image points inside its bounding box widened
-    by r_cut (and a rounding margin), so every pair within r_cut is a
-    candidate.  Its targets are taken in runs of consecutive targets
-    (_blocks over its candidates), each run with at most _ROW_ELEMENTS
-    (target, candidate) pairs (one target at least); per run only (run
-    targets, candidates) arrays are held, never (M, N) ones.  Off the
-    sources the order of every rounding step is fixed:
+    The targets are split into spatial blocks (_target_blocks).  Off the
+    sources a block takes as candidates the image points inside its
+    bounding box widened by reach, r_cut and a rounding margin, so every
+    pair within r_cut is a candidate; at the sources it takes those it
+    owns, and in a call of more than one block only those within reach
+    of the box (_real_at_sources).  Its targets are taken in runs of
+    consecutive targets (_blocks over its candidates), each run with at
+    most _ROW_ELEMENTS (target, candidate) pairs (one target at least);
+    per run only (run targets, candidates) arrays are held, never (M, N)
+    ones.  Off the sources the order of every rounding step is fixed:
 
         d^2     ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2,
                 each component (t - x_n) + p, for every candidate pair;
@@ -226,15 +234,17 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     table holds no more elements than a run's d^2.  At the sources each
     pair is formed once (_real_at_sources).
     """
-    n = pos.shape[0]
-    # (P N,) per axis: image point j of source j % N and image j // N
-    ycols = [(pos[None, :, a] - images[:, None, a]).ravel() for a in range(3)]
+    # per axis the source coordinates and image shifts, and (P N,) the
+    # image points, j of source j % N and image j // N
+    axes = np.ascontiguousarray(pos.T), np.ascontiguousarray(images.T)
+    ycols = [(axes[0][a][None, :] - axes[1][a][:, None]).ravel()
+             for a in range(3)]
     extent = max(np.abs(targets).max(), max(np.abs(y).max() for y in ycols))
     reach = r_cut + 1e-12 * (r_cut + extent)
     blocks = _target_blocks(targets, r_cut)
     if at_sources:
-        return _real_at_sources(pos, q, images, ycols, blocks, reach, xi,
-                                r_cut)
+        return _real_at_sources(pos, q, images, axes, ycols, blocks, reach,
+                                xi, r_cut)
     out = np.zeros(targets.shape[0])
     d2_cut = _square_cut(r_cut)
     # the distinct coordinates of each block's targets per axis, for its
@@ -243,10 +253,7 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
              for a, repeats in enumerate(_repeats(targets))]
     for b, blk in enumerate(blocks):
         cand = _in_box(ycols, targets[blk], reach)
-        img, src = np.divmod(cand, n)
-        # per axis, the (candidates,) source and image coordinates
-        xs = [pos[src, a] for a in range(3)]
-        ps = [images[img, a] for a in range(3)]
+        src, xs, ps = _candidates(axes, cand)
         qs = q[src]
         runs = _blocks(len(blk), len(cand))
         tables = [f and _component_table(targets[:, a], b, blk, f, xs[a],
@@ -297,7 +304,7 @@ def _component_table(t, b, blk, found, x, p, run):
     return table, ids
 
 
-def _real_at_sources(pos, q, images, ycols, blocks, reach, xi, r_cut):
+def _real_at_sources(pos, q, images, axes, ycols, blocks, reach, xi, r_cut):
     """real_space at the sources: each pair formed once, by its owner.
 
     The term of (target m, source n, image p) and that of (n, m, -p) have
@@ -308,12 +315,21 @@ def _real_at_sources(pos, q, images, ycols, blocks, reach, xi, r_cut):
     the target of the earlier block (_target_blocks); within one block,
     the target whose image p lies in the upper half, the one whose first
     nonzero coordinate is positive; for p = 0 within one block, the lower
-    index.  So a block keeps as candidates the image points of the sources
-    of later blocks and, of its own sources, those of the upper half and
-    of p = 0, the latter for the sources n > m of a target m only (which
-    leaves out its own point).  It takes its targets in runs as
-    real_space does, and forms d^2 and d as there; the order of the other
-    rounding steps is fixed:
+    index.  One int32 table, built once per call, holds per image point
+    j = p N + n its rank 3 (block of source n) + (half of image p), 0 to
+    2 for the upper half, p = 0 and the lower half (_image_halves).  So
+    block b keeps as candidates the image points of rank 3 b + 1 (p = 0
+    in its own block, for the sources n > m of a target m only, which
+    leaves out its own point) and 3 b or from 3 b + 3 on, and, where the
+    call has more than one block, only those whose distance to its
+    targets' bounding box is at most reach (_near_box): every pair within
+    r_cut is one.  A single block (N <= _FEW_TARGETS) keeps every owned
+    point of its box widened by reach, and so the own sums it had before
+    the pruning.  The block takes its targets in runs of an even
+    number of them from an even offset, each run with at most
+    _ROW_ELEMENTS (target, candidate) pairs (two targets at least), and
+    forms d^2 and d as real_space does; the order of the other rounding
+    steps is fixed:
 
         t       erfc(xi d) / d, for the owned pairs with d <= r_cut
         own     per target, q_n t over the block's candidates in ascending
@@ -321,59 +337,71 @@ def _real_at_sources(pos, q, images, ycols, blocks, reach, xi, r_cut):
                 row
         mirror  per candidate j, q_m t over the block's targets m in
                 ascending order, in the binary tree of _pairwise_rows,
-                which does not depend on the runs; per source, the sums
-                of its image points in the block (0.0 for those not
-                candidates) in the binary tree of _fold over the images;
-                the blocks' sums in the binary tree of _pairwise
+                which does not depend on the runs: its first level, per
+                pair of targets a, b from an even offset, q_a t_a + q_b t_b
+                by one np.einsum("gm,gmj->gj", optimize=False) per run
+                (_pair_rows), the rest over these pair rows; per source,
+                the sums of its image points in the block (0.0 for those
+                not candidates) in the binary tree of _fold over the
+                images; the blocks' sums in the binary tree of _pairwise
         sum     own + mirror
 
-    The bytes thus depend on the blocks, which own the pairs, but not on
-    the runs.  Besides a run's arrays, a block holds (P N,) ones and
-    log2 of its target count of (candidates,) partial sums, and _pairwise
-    log2 of the block count of (N,) ones.
+    The einsum adds each product to 0.0 in m order, each product and sum
+    rounded on its own, on numpy builds whose baseline is X86_V2 (no FMA):
+    q_a t_a + q_b t_b, the tree's own first sum (0.0 + x is x, or +0.0 for
+    -0.0, which the bincount of the mirror erases); a block of an odd
+    number of targets ends in a pair with a zero row, whose sum is q_a t_a.
+    The bytes thus depend on the blocks, which own the pairs and set the
+    candidates of the own sums, but not on the runs.  Besides a run's
+    arrays, a block holds (P N,) ones and log2 of its target count of
+    (candidates,) partial sums, and _pairwise log2 of the block count of
+    (N,) ones.
     """
     n = pos.shape[0]
     d2_cut = _square_cut(r_cut)
-    owner = np.empty(n, np.intp)    # the block of each source
+    # per image point j = p N + n its rank, 3 (block of source n) + (half
+    # of image p): block b owns ranks 3 b, 3 b + 1 (for n > m) and from
+    # 3 b + 3 on
+    owner = np.empty(n, np.int32)    # the block of each source
     for b, blk in enumerate(blocks):
         owner[blk] = b
-    half = _image_halves(images)
+    rank = (3 * owner + _image_halves(images)[:, None]).ravel()
     out = np.zeros(n)
-    # d^2 (then q_m t), a work array and the kept pairs' d of a run, reused
-    # from run to run: fresh arrays per run cost page faults, as glibc
-    # returns them to the system between runs
+    # d^2 (then t, its pad row 0.0), a work array (q_n t, then the pair
+    # rows) and the kept pairs' d of a run, reused from run to run: fresh
+    # arrays per run cost page faults, as glibc returns them to the system
+    # between runs
     buf = np.empty((3, _ROW_ELEMENTS))
 
     def block_sums():    # per block, what it adds to each image point
+        nonlocal buf
         for b, blk in enumerate(blocks):
-            cand = _in_box(ycols, pos[blk], reach)
-            img, src = np.divmod(cand, n)
-            # 3 (block - b) + half: the block keeps 0, 1 (for n > m) and
-            # from 3 on
-            r = 3 * (owner[src] - b) + half[img]
-            own = (r >= 0) & (r != 2)
-            cand, img, src = cand[own], img[own], src[own]
-            tri = r[own] == 1    # p = 0 in the own block: n > m only
+            cand = _in_box(ycols, pos[blk], reach,
+                           (rank >= 3 * b) & (rank != 3 * b + 2))
+            if len(blocks) > 1:
+                cand = _near_box(ycols, cand, pos[blk], reach)
+            src, xs, ps = _candidates(axes, cand)
+            # p = 0 in the own block: n > m only
+            tri = rank.take(cand) == 3 * b + 1
             span = np.flatnonzero(tri)
             span = slice(span[0], span[-1] + 1) if span.size else None
-            xs = [pos[src, a] for a in range(3)]
-            ps = [images[img, a] for a in range(3)]
             qs = q[src]
+            if 2 * len(cand) > buf.shape[1]:    # a run of two targets
+                buf = np.empty((3, 2 * len(cand)))
 
-            def mirrored_rows():    # per target, q_m t of its kept pairs
-                nonlocal buf
-                if len(cand) > buf.shape[1]:    # a run of one target
-                    buf = np.empty((3, len(cand)))
-                for part in _blocks(len(blk), len(cand)):
-                    run = blk[part]
-                    d, w = (a[:len(run) * len(cand)].reshape(len(run), -1)
+            def pair_rows():    # per pair of targets, q_a t_a + q_b t_b
+                # runs of pairs of targets, each within _ROW_ELEMENTS
+                for part in _blocks(-(-len(blk) // 2), 2 * len(cand)):
+                    run = blk[2 * part.start:2 * part.stop]
+                    m, g = len(run), part.stop - part.start
+                    d, w = (a[:2 * g * len(cand)].reshape(2 * g, -1)
                             for a in buf[:2])
-                    _square_distances(pos[run], xs, ps, d, w)
+                    _square_distances(pos[run], xs, ps, d[:m], w[:m])
                     if span is not None:
                         # NaN fails the test of d^2 below
                         drop = tri[span] & (src[span] <= run[:, None])
-                        d[:, span][drop] = np.nan
-                    keep = np.flatnonzero(d <= d2_cut)
+                        d[:m, span][drop] = np.nan
+                    keep = np.flatnonzero(d[:m] <= d2_cut)
                     dk = d.ravel().take(keep, out=buf[2, :len(keep)],
                                         mode="clip")
                     np.sqrt(dk, out=dk)
@@ -383,14 +411,14 @@ def _real_at_sources(pos, q, images, ycols, blocks, reach, xi, r_cut):
                     t = np.multiply(dk, xi, out=w.ravel()[:len(keep)])
                     sp.erfc(t, out=t)
                     t /= dk
-                    # t per (target, candidate), 0.0 where not kept
+                    # t per (target, candidate), 0.0 where not kept and in
+                    # the pad row
                     d.fill(0.0)
                     d.ravel().put(keep, t)
-                    out[run] = np.multiply(d, qs, out=w).sum(axis=1)
-                    d *= q[run, None]
-                    yield d
+                    out[run] = np.multiply(d[:m], qs, out=w[:m]).sum(axis=1)
+                    yield _pair_rows(q[run], d, w[:g])
 
-            grid = np.bincount(cand, _pairwise_rows(mirrored_rows()),
+            grid = np.bincount(cand, _pairwise_rows(pair_rows()),
                                len(ycols[0]))
             yield _fold(grid.reshape(-1, n))
 
@@ -399,15 +427,59 @@ def _real_at_sources(pos, q, images, ycols, blocks, reach, xi, r_cut):
     return out
 
 
-def _in_box(ycols, tb, reach):
+def _pair_rows(qr, t, out):
+    """Into out, (pairs, candidates), per pair of rows a, b of t from an
+    even offset qr[a] t[a] + qr[b] t[b]: one np.einsum("gm,gmj->gj",
+    optimize=False), whose loop adds each product to 0.0 in m order, each
+    rounded on its own on numpy's X86_V2 baseline.  t holds two rows per
+    pair and qr one weight per row, but for the last row where qr's
+    length is odd: that row of t holds 0.0 and takes the weight 0.0."""
+    w = np.zeros(len(t))
+    w[:len(qr)] = qr
+    return np.einsum("gm,gmj->gj", w.reshape(-1, 2),
+                     t.reshape(len(out), 2, -1), out=out, optimize=False)
+
+
+def _candidates(axes, cand):
+    """Of the image points cand, j = p N + n: per point its source n, and
+    per axis the (candidates,) source coordinates x_n and image shifts p,
+    gathered from axes, the per-axis rows of the N sources and the P
+    images."""
+    img, src = np.divmod(cand, axes[0].shape[1])
+    return (src, [x.take(src) for x in axes[0]],
+            [p.take(img) for p in axes[1]])
+
+
+def _in_box(ycols, tb, reach, owned=None):
     # the image points inside the bounding box of the points tb widened
-    # by reach, as indices j
+    # by reach, as indices j; with owned, a mask per image point, of those
+    # it holds only
     lo = tb.min(axis=0) - reach
     hi = tb.max(axis=0) + reach
     inbox = (ycols[0] >= lo[0]) & (ycols[0] <= hi[0])
     for a in (1, 2):
         inbox &= (ycols[a] >= lo[a]) & (ycols[a] <= hi[a])
+    if owned is not None:
+        inbox &= owned
     return np.flatnonzero(inbox)
+
+
+def _near_box(ycols, cand, tb, reach):
+    """Of the image points cand, those whose distance to the bounding box
+    of the points tb (each axis's gap to its coordinate range, squared and
+    summed) is at most reach."""
+    lo = tb.min(axis=0)
+    hi = tb.max(axis=0)
+    for a in range(3):
+        y = ycols[a].take(cand)
+        gap = np.maximum(lo[a] - y, y - hi[a])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        if a:
+            gap2 += gap
+        else:
+            gap2 = gap
+    return cand[gap2 <= reach * reach]
 
 
 def _image_halves(images):
@@ -415,7 +487,7 @@ def _image_halves(images):
     upper half), 1 for p = 0, 2 if it is negative (the lower half)."""
     first = np.argmax(images != 0.0, axis=1)
     lead = images[np.arange(len(images)), first]
-    return 1 - np.sign(lead).astype(np.intp)
+    return 1 - np.sign(lead).astype(np.int32)
 
 
 def _square_distances(tr, xs, ps, d, work, tables=(None,) * 3, part=None):

@@ -1859,6 +1859,208 @@ def test_real_space_at_sources_raises_on_a_zero_distance(mode):
                                      r_cut, COINCIDE_RTOL)
 
 
+def _stated_real_at_sources(pos, q, images, xi, r_cut):
+    """real_space at the sources of one block in the order its docstring
+    states, one term at a time.  The candidates are the image points
+    j = p N + n in the sources' bounding box widened by r_cut, of the
+    upper half of the images and of p = 0; target m keeps those within
+    r_cut, of p = 0 only n > m.  Per target the own sum is numpy's
+    pairwise sum of its row of q_n t over the candidates (0.0 where not
+    kept); per candidate the mirror sum adds the rows q_m t over the
+    targets in _row_by_row's tree, each source folds its image points'
+    sums in _fold's tree, and the sum is own + mirror."""
+    n = len(pos)
+    ys = pos[None, :, :] - images[:, None, :]
+    lo, hi = pos.min(axis=0) - r_cut, pos.max(axis=0) + r_cut
+    halves = kernels_numpy._image_halves(images)
+    cand = [(p, k) for p, k in itertools.product(range(len(images)),
+                                                 range(n))
+            if halves[p] < 2 and np.all((ys[p, k] >= lo) & (ys[p, k] <= hi))]
+    d2_cut = kernels_numpy._square_cut(r_cut)
+    rows = np.zeros((n, len(cand)))
+    for m, (j, (p, k)) in itertools.product(range(n), enumerate(cand)):
+        if halves[p] == 1 and k <= m:
+            continue
+        c = [(pos[m, a] - pos[k, a]) + images[p, a] for a in range(3)]
+        d2 = (c[0] * c[0] + c[1] * c[1]) + c[2] * c[2]
+        if d2 <= d2_cut:
+            d = math.sqrt(d2)
+            rows[m, j] = special.erfc(d * xi) / d
+    qc = np.array([q[k] for _, k in cand])
+    own = np.array([np.sum(row * qc) for row in rows])
+    grid = np.zeros((len(images), n))
+    for j, (p, k) in enumerate(cand):
+        grid[p, k] = 0.0 + _row_by_row([float(q[m] * rows[m, j])
+                                        for m in range(n)])
+    mirror = [_fold_list(grid[:, k].tolist()) for k in range(n)]
+    return own + np.array(mirror)
+
+
+def _mirror_pair_mismatches():
+    """The (mode, N, runs) on which real_space at the sources of one block
+    differs in any byte from _stated_real_at_sources; empty when every byte
+    holds.  Odd source counts, so a block ends in a pair with a zero row,
+    and runs of the default _ROW_ELEMENTS, of two and of four targets."""
+    box = [1.0, 1.1, 0.9]
+    budget = kernels_numpy._ROW_ELEMENTS
+    bad = []
+    for mode, n in ((Periodicity.P3, 41), (Periodicity.P2, 33),
+                    (Periodicity.P1, 23)):
+        s = _uniform_system(n, box, 62)
+        par = default_params(box, mode)
+        images = build_image_vectors(box, mode, par.real_layers)
+        assert len(kernels_numpy._target_blocks(s.positions, par.r_cut)) == 1
+        want = _stated_real_at_sources(s.positions, s.charges, images,
+                                       par.xi, par.r_cut)
+        seen = []
+        distances = kernels_numpy._square_distances
+
+        def counted(tr, xs, ps, d, *rest):
+            seen.append(d.shape)
+            return distances(tr, xs, ps, d, *rest)
+
+        kernels_numpy._square_distances = counted
+        try:
+            kernels_numpy.real_space(s.positions, s.charges, s.positions,
+                                     True, images, par.xi, par.r_cut,
+                                     COINCIDE_RTOL)
+        finally:
+            kernels_numpy._square_distances = distances
+        width = seen[0][1]    # the candidates of the one block
+        assert [shape[0] for shape in seen] == [n]
+        for runs, elements in ((n, budget), (2, 1), (4, 4 * width)):
+            kernels_numpy._ROW_ELEMENTS = elements
+            try:
+                got = kernels_numpy.real_space(
+                    s.positions, s.charges, s.positions, True, images,
+                    par.xi, par.r_cut, COINCIDE_RTOL)
+            finally:
+                kernels_numpy._ROW_ELEMENTS = budget
+            if got.tobytes() != want.tobytes():
+                bad.append((mode.value, n, runs))
+    return bad
+
+
+def test_real_space_mirror_pairs_add_in_the_stated_order():
+    # at the sources the mirror's first level, q_a t_a + q_b t_b per pair
+    # of targets, is one einsum per run; with the own sums and the rest of
+    # the tree it equals the stated order byte for byte in 3p, 2p and 1p,
+    # with a zero pad row and runs of 2, 4 and all targets.  A numpy build
+    # whose einsum loop fuses the multiply and add fails here
+    assert _mirror_pair_mismatches() == []
+
+
+def test_real_space_mirror_pairs_with_simd_dispatch_disabled():
+    # the same with every dispatch target above numpy's baseline disabled
+    _in_a_child_with_simd_dispatch_disabled("_mirror_pair_mismatches")
+
+
+def _pair_d2(t, x, p):
+    # d^2 of target t, source x and image shift p in the kernel's order
+    c = [(t[a] - x[a]) + p[a] for a in range(3)]
+    return (c[0] * c[0] + c[1] * c[1]) + c[2] * c[2]
+
+
+def _diagonal_source(corner, p, d_want):
+    """A source x whose image point x - p lies on the diagonal below
+    corner along the axes where p is nonzero, the pair's d (sqrt of
+    _pair_d2) equal to d_want: x starts at corner + p less d_want /
+    sqrt(axes) along those axes, and its last such axis steps one ulp at
+    a time.  None if no step hits d_want."""
+    axes = [a for a in range(3) if p[a]]
+    x = [corner[a] + p[a] - (d_want / math.sqrt(len(axes)) if p[a] else 0.0)
+         for a in range(3)]
+    for direction in (math.inf, -math.inf):
+        y = list(x)
+        for _ in range(256):
+            if math.sqrt(_pair_d2(corner, y, p)) == d_want:
+                return y
+            y[axes[-1]] = math.nextafter(y[axes[-1]], direction)
+    return None
+
+
+def test_real_space_pruning_keeps_the_pairs_at_r_cut_to_the_last_ulp(
+        monkeypatch):
+    # a multi-block call at the sources: block 0's bounding box has its
+    # lower corner at a source, and three sources lie, through the images
+    # (L, L, L), (L, L, 0) and (L, 0, L), on diagonals below that corner at
+    # d = r_cut less one ulp, r_cut and r_cut plus one ulp, so their
+    # distance to the box is the pair's.  The pruning to each block's reach
+    # keeps them, and the cut keeps or drops each as _square_cut says; an
+    # image point on the corner itself still raises.  With L = 0.5 each
+    # step of a coordinate moves d by less than an ulp
+    length = 0.5
+    box = np.full(3, length)
+    corner = [-0.21875] * 3
+    r_cut = 0.26
+    xi = 2.0 / r_cut
+    rng = np.random.default_rng(63)
+    n = kernels_numpy._FEW_TARGETS + 40
+    pos = rng.uniform(-0.2, 0.2, (n, 3))
+    pos[0] = corner
+    ds = [math.nextafter(r_cut, 0.0), r_cut, math.nextafter(r_cut, 1.0)]
+    shifts = ([length] * 3, [length, length, 0.0], [length, 0.0, length])
+    d2s = []
+    for i, (d, p) in enumerate(zip(ds, shifts)):
+        x = _diagonal_source(corner, p, d)
+        assert x is not None, (d, p)
+        pos[1 + i] = x
+        d2s.append(_pair_d2(corner, x, p))
+    t2 = kernels_numpy._square_cut(r_cut)
+    assert [d2 <= t2 for d2 in d2s] == [True, True, False]
+    q = rng.normal(size=n)
+    images = build_image_vectors(box, Periodicity.P3, 1)
+    blocks = kernels_numpy._target_blocks(pos, r_cut)
+    assert len(blocks) > 1 and 0 in blocks[0]
+    assert not np.isin([1, 2, 3], blocks[0]).any()
+    args = []
+    erfc = kernels_numpy.sp.erfc
+
+    def counted(x, *rest, **kw):
+        args.append(np.array(x, copy=True))
+        return erfc(x, *rest, **kw)
+
+    monkeypatch.setattr(kernels_numpy.sp, "erfc", counted)
+    got = kernels_numpy.real_space(pos, q, pos, True, images, xi, r_cut,
+                                   COINCIDE_RTOL)
+    seen = set(np.concatenate(args).tolist())
+    assert [d * xi in seen for d in ds] == [d2 <= t2 for d2 in d2s]
+    want = dense_real_space(pos, q, pos, True, images, xi, r_cut)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # a source whose image (L, L, L) sits on the corner: a zero distance
+    pos[4] = [c + length for c in corner]
+    assert _pair_d2(corner, pos[4], shifts[0]) == 0.0
+    with pytest.raises(ValueError, match="zero distance"):
+        kernels_numpy.real_space(pos, q, pos, True, images, xi, r_cut,
+                                 COINCIDE_RTOL)
+
+
+def test_real_space_at_sources_forms_fewer_candidates_than_the_box():
+    # work, not time: at the sources of a 3p N = 512 system at
+    # default_params (the bulk3p inputs of perfbench, seed 0), the
+    # (target, candidate) elements whose d^2 is formed, 1,172,431 when each
+    # block took every owned image point of its widened bounding box;
+    # pruning to the block's reach leaves about 0.80 M
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(512, box, 0)
+    par = default_params(box, Periodicity.P3)
+    images = build_image_vectors(box, Periodicity.P3, par.real_layers)
+    elements = []
+    distances = kernels_numpy._square_distances
+
+    def counted(tr, xs, ps, d, *rest):
+        elements.append(d.size)
+        return distances(tr, xs, ps, d, *rest)
+
+    kernels_numpy._square_distances = counted
+    try:
+        kernels_numpy.real_space(s.positions, s.charges, s.positions, True,
+                                 images, par.xi, par.r_cut, COINCIDE_RTOL)
+    finally:
+        kernels_numpy._square_distances = distances
+    assert 0 < sum(elements) < 0.75 * 1_172_431, sum(elements)
+
+
 @pytest.mark.parametrize("module", ["scipy.spatial", "scipy.integrate"])
 def test_import_does_not_load_scipy_spatial(module):
     # importing scipy.spatial (cKDTree) adds about 11 MB of RSS and 0.15 s
