@@ -322,17 +322,19 @@ def build_kgrid(box, mode: Periodicity, k_max: float) -> KGrid:
     box = np.asarray(box, dtype=np.float64)
     axes = list(mode.periodic_axes)
     base = 2.0 * np.pi / box[axes]
-    idx = _index_mesh(np.floor(k_max / base).astype(np.int64))
-    # per axis, the components n_a (2 pi / L_a) of every index point;
-    # k^2 = (kx^2 + ky^2) + kz^2 and the nonzero test column by column
-    comps = idx * base[:, None]
+    nmax = np.floor(k_max / base).astype(np.int64)
+    # per axis the components n (2 pi / L_a), n = -n_a .. n_a; k^2 =
+    # (kx^2 + ky^2) + kz^2 over their product by broadcasting, its points
+    # in lexicographic order, the zero vector at the centre
+    comps = [np.arange(-n, n + 1) * b for n, b in zip(nmax, base)]
     k2 = comps[0] * comps[0]
-    keep = idx[0] != 0
-    for c, i in zip(comps[1:], idx[1:]):
-        k2 += c * c
-        keep |= i != 0
-    keep &= np.sqrt(k2) <= k_max
-    vecs = comps[0, keep] if mode is Periodicity.P1 else comps[:, keep].T
+    for c in comps[1:]:
+        k2 = k2[..., None] + c * c
+    keep = np.sqrt(k2) <= k_max
+    keep[tuple(nmax)] = False
+    idx = np.nonzero(keep)
+    vecs = comps[0][idx[0]] if mode is Periodicity.P1 else np.column_stack(
+        [c[i] for c, i in zip(comps, idx)])
     vecs = np.ascontiguousarray(vecs)
     vecs.setflags(write=False)
     return KGrid(mode=mode, vectors=vecs)

@@ -19,17 +19,18 @@ math and the scalar routines of specfun.
 
 real_space takes erfc only of the pairs within r_cut: it finds them block
 by block of nearby targets, among the image points near each block, and
-never forms an array over all (target, source, image) triples.  Off the
-sources a block forms each axis's component of d^2 once per distinct
-target coordinate where it repeats them, and gathers it to its targets.
-At the sources it forms each pair of targets once, the pair of target m,
-source n, image p with that of n, m, -p, and adds it to both; the blocks
-own the pairs, so there they set the order of the sum.  One int32 rank
-table per image point, built once per call, lets a block's scan take only
-the points it owns, and where a call has more than one block, a block
-takes only those within reach of its targets' bounding box.  The first
-level of the mirror's tree, per pair of targets, is one np.einsum per run
-(_pair_rows), in the order its docstring states on X86_V2, as below.
+never forms an array over all (target, source, image) triples; where a
+call has more than one block, a block takes only the image points within
+reach of its targets' bounding box.  Off the sources a block forms each
+axis's component of d^2 once per distinct target coordinate where it
+repeats them, and gathers it to its targets.  At the sources it forms
+each pair of targets once, the pair of target m, source n, image p with
+that of n, m, -p, and adds it to both; the blocks own the pairs, so there
+they set the order of the sum.  One int32 rank table per image point,
+built once per call, lets a block's scan take only the points it owns.
+The first level of the mirror's tree, per pair of targets, is one
+np.einsum per run (_pair_rows), in the order its docstring states on
+X86_V2, as below.
 
 kspace_3p is the k-space sum of every mode, a plain weighted trig sum
 over a lattice handed over in the kernel's own form (axes, px, py, wsd,
@@ -53,11 +54,12 @@ those of b from the |kz| rows of the z tables.  libm runs on the distinct
 the negated sin; that and the +-|kz| identity are exact on the
 assumption, checked by the tests, that libm cos is even and sin odd.
 Off the sources it also runs on the distinct target coordinates only: a
-block of targets that repeats them takes its x, y and pair tables over
-its distinct (x, y) and its z tables and their row sums over its
-distinct z, and gathers both to its targets (_block_distinct).  Its
-arrays hold pairs by points, one contiguous row per pair, and an entry's
-terms are products of a pair's row and a z row.  One slice rule holds at
+call whose targets repeat them takes its x, y and pair tables over its
+distinct (x, y) and its z tables and their row sums over its distinct z,
+once per call, in chunks of bounded size, and each column block gathers
+both to its targets (_shared_columns).  Its arrays hold pairs by points,
+one contiguous row per pair, and an entry's terms are products of a
+pair's row and a z row.  One slice rule holds at
 the sources and off them: _K_ELEMENTS // N pairs, so no array of the
 kernel spans (pairs, points).  The pairs come by their last z row,
 descending, so on a lattice cut by |k| those that reach a z row are a
@@ -100,9 +102,10 @@ real space the targets of each spatial block in runs under it and
 kspace_3p its targets off the sources (as columns), so no kernel forms
 an (M, N) array; a point's terms and their order do not depend on these
 blocks, so neither do the bytes.  Nor do they depend on the gathers of
-the tables shared by repeated coordinates: a column or row of a table
-is formed from its own coordinates alone, and coordinates are equal
-when their bits are.
+the tables shared by repeated coordinates, nor on the groups kspace_3p
+takes the targets in for them: a column or row of a table is formed from
+its own coordinates alone, and coordinates are equal when their bits
+are.
 """
 
 from __future__ import annotations
@@ -204,14 +207,14 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     x_n - images[p]; the points are held in that (image, source) order.
     The targets are split into spatial blocks (_target_blocks).  Off the
     sources a block takes as candidates the image points inside its
-    bounding box widened by reach, r_cut and a rounding margin, so every
-    pair within r_cut is a candidate; at the sources it takes those it
-    owns, and in a call of more than one block only those within reach
-    of the box (_real_at_sources).  Its targets are taken in runs of
-    consecutive targets (_blocks over its candidates), each run with at
-    most _ROW_ELEMENTS (target, candidate) pairs (one target at least);
-    per run only (run targets, candidates) arrays are held, never (M, N)
-    ones.  Off the sources the order of every rounding step is fixed:
+    bounding box widened by reach, r_cut and a rounding margin, and in a
+    call of more than one block only those within reach of the box
+    (_near_box), so every pair within r_cut is a candidate; at the
+    sources it takes those it owns, pruned the same way
+    (_real_at_sources).  Its targets are taken in runs of consecutive
+    targets (_blocks over its candidates), each run with at most
+    _ROW_ELEMENTS (target, candidate) pairs (one target at least); per run
+    only (run targets, candidates) arrays are held, never (M, N) ones.  Off the sources the order of every rounding step is fixed:
 
         d^2     ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2,
                 each component (t - x_n) + p, for every candidate pair;
@@ -222,16 +225,19 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
         d       sqrt(d^2), only for the pairs with d^2 <= T, T the largest
                 double with sqrt(T) <= r_cut (_square_cut): exactly the
                 pairs with d <= r_cut
-        term    erfc(xi d) q_n / d, for those pairs
+        term    erfc(xi d) q_n / d, for those pairs, q_n gathered from a
+                (run targets, candidates) array of the candidates'
+                charges, filled once per block
         sum     per target, its kept terms in ascending j (image by image
                 in the order of images, source by source within an image)
                 through np.add.reduceat: the first term plus numpy's
                 pairwise sum of the others; 0.0 without a kept term
 
     The terms and their order per target do not depend on the partition
-    into blocks and runs, nor on the tables, whose rows are formed from
-    their own coordinate alone, so neither do the bytes of the result.  A
-    table holds no more elements than a run's d^2.  At the sources each
+    into blocks and runs, nor on the candidates beyond its kept pairs, nor
+    on the tables, whose rows are formed from their own coordinate alone,
+    so neither do the bytes of the result.  A table holds no more elements
+    than a run's d^2.  At the sources each
     pair is formed once (_real_at_sources).
     """
     # per axis the source coordinates and image shifts, and (P N,) the
@@ -251,11 +257,21 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
     # component tables, where the axis repeats a coordinate
     found = [_block_distinct(targets[:, a:a + 1], blocks) if repeats else None
              for a, repeats in enumerate(_repeats(targets))]
+    # per block the charge of each (target, candidate) pair of a run, so a
+    # run gathers its kept pairs' charges with no division by the
+    # candidates; reused from block to block
+    qbuf = np.empty(_ROW_ELEMENTS)
     for b, blk in enumerate(blocks):
         cand = _in_box(ycols, targets[blk], reach)
+        if len(blocks) > 1:
+            cand = _near_box(ycols, cand, targets[blk], reach)
         src, xs, ps = _candidates(axes, cand)
-        qs = q[src]
         runs = _blocks(len(blk), len(cand))
+        rows = runs[0].stop - runs[0].start
+        if rows * len(cand) > len(qbuf):    # a run of one target
+            qbuf = np.empty(rows * len(cand))
+        qs = qbuf[:rows * len(cand)].reshape(rows, len(cand))
+        np.copyto(qs, q.take(src))
         tables = [f and _component_table(targets[:, a], b, blk, f, xs[a],
                                          ps[a], runs[0])
                   for a, f in enumerate(found)]
@@ -276,7 +292,7 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
                     f"{src[col]}; evaluate at sources instead")
             terms = np.multiply(dk, xi)
             sp.erfc(terms, out=terms)
-            terms *= qs.take(keep % len(cand))
+            terms *= qs.ravel().take(keep)
             terms /= dk
             bounds = np.searchsorted(keep, np.arange(len(run) + 1)
                                      * len(cand))
@@ -585,20 +601,28 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     per-axis tables, built once per point: once for the sources, and off
     the sources once per column block of targets (_blocks), the outer loop
     there, each block of at most _ROW_ELEMENTS // pairs targets, pairs
-    those of the widest slice.  Where a block's distinct (x, y) or
-    distinct z number at most half its targets (_block_rows), its x, y
-    and pair tables are taken over its distinct (x, y), or its z tables
-    and the tiles' U, V sums over its distinct z, and gathered to its
-    targets: the pair tables after they are formed, the U, V sums after
-    the slice's tiles are added.  A slice's entries are taken in tiles
-    (_tiles), each a block of consecutive |kz| rows by the first pairs of
-    the slice, those that reach its first row, whose cells, entries and
-    padding (weight 0.0), count at most twice its cells of the pairs'
-    staircase and at most _K_ELEMENTS // N.  The order of every rounding
+    those of the widest slice.  Where the call's distinct (x, y) or
+    distinct z number at most half its targets (_shared_columns), its x,
+    y and pair tables are taken over its distinct (x, y), or its z tables
+    and each slice's tiled U, V sums over its distinct z, once per call,
+    and each block gathers them to its targets: the pair tables as they
+    are formed, the U, V sums after the slice's tiles are added.  A side
+    takes at most cap distinct values at a time, cap such that over cap
+    values its axis tables and its pair tables or U, V sums, 2 (rows +
+    pairs) cap elements, and the other side's together hold no more than
+    the kernel's buffer; a side with more is taken in chunks of cap, and
+    the targets in groups of one chunk per side, by (x, y) chunk, z chunk
+    and index, each group building the tables of its new chunks.  Where
+    no side has two chunks, one group holds every target in order.  A
+    slice's entries are taken in tiles (_tiles), each a block of
+    consecutive |kz| rows by the first pairs of the slice, those that
+    reach its first row, whose cells, entries and padding (weight 0.0),
+    count at most twice its cells of the pairs' staircase and at most
+    _K_ELEMENTS // N.  The order of every rounding
     step is fixed:
 
         xy      per pair, cxy = (cx cy) - (sx sy), sxy = (sx cy) + (cx sy);
-                off the sources once per distinct (x, y) of a block that
+                off the sources once per distinct (x, y) of a call that
                 repeats them, then gathered
         S(k)    per cell, cxy and sxy times q cz and q sz, X, Z, W and Y,
                 summed over blocks of _SOURCE_BLOCK consecutive sources
@@ -614,7 +638,7 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
                 cz before sz: np.einsum("rjip,rjm->ipm", optimize=False)
                 (_tile_sums); per slice the tiles' sums added in tile
                 order onto the first tile's, which spans the slice's pairs;
-                off the sources once per distinct z of a block that
+                off the sources once per distinct z of a call that
                 repeats them, then gathered
         slice   per target, U cxy and V sxy over the slice's pairs, the
                 2 x pairs rows (U rows, then V rows) folded (_fold)
@@ -642,13 +666,13 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
 
     Every column is formed and summed from its own point alone, and
     gathered columns are those of equal coordinates (by their bits), so
-    the bytes depend on neither the column blocks nor the other targets
-    nor the gathers, and at the sources they equal those of the general
-    path; the slices and
-    tiles, and so N, move their last bits.  No BLAS routine is called (the
-    einsum runs without optimize) and cos and sin are glibc libm's sincos,
-    through C cexp of 0 + iy (_cos_sin), so the result depends on neither
-    the BLAS kernel nor numpy's SIMD level.  Work and memory follow the
+    the bytes depend on neither the column blocks, nor their groups, nor
+    the other targets, nor the gathers, and at the sources they equal
+    those of the general path; the slices and tiles, and so N, move their
+    last bits.  No BLAS routine is called (the einsum runs without
+    optimize) and cos and sin are glibc libm's sincos, through C cexp of
+    0 + iy (_cos_sin), so the result depends on neither the BLAS kernel
+    nor numpy's SIMD level.  Work and memory follow the
     lattice: on the lattices of ewald._extended_lattice, cut by |k|, the
     tiles hold fewer cells than vectors, and the builder refuses a grid
     whose staircase exceeds 2K + _K_ELEMENTS // N cells before any array
@@ -664,51 +688,38 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
     # _ROW_ELEMENTS
     blocks = [] if at_sources else _blocks(len(targets), width)
     cols = max([0] + [b.stop - b.start for b in blocks])
+    # off the sources, per side, (x, y) and z, the call's distinct
+    # coordinates where they repeat (_shared_columns)
+    sides = [None, None] if at_sources else _shared_columns(targets)
     # the pair tables and the (U, V) rows of a slice, 2 * width * m
     # elements each for m points, and a work array behind them, reused
     # from slice to slice: fresh arrays of this size per slice cost page
     # faults, as glibc returns them to the system between slices.  The
     # work array holds the gathers of the pair tables, which start in the
     # (U, V) rows and take width * m of it, then a tile's per-block source
-    # sums at the sources or its (U, V) sums where the slices are summed.
-    # A block's tables over at most m / 2 distinct values fit in the same:
-    # the pair tables and their work, 5 width m / 2 elements, from the
-    # (U, V) rows on, and the (U, V) sums, width m, in the work array
+    # sums, and a tile's (U, V) sums where the slices are summed over the
+    # points' own z: at the sources, and off them where the z side is not
+    # shared.  Where both sides are, a column block only gathers
     n_blocks = -(-n_src // _SOURCE_BLOCK)
+    own = 2 if sides[1] is None else 1 if sides[0] is None else 0
     buf = np.empty(4 * width * max(n_src, cols) + max(
         width * n_src, 4 * most * n_blocks,
-        2 * width * (n_src if at_sources else cols)))
+        own * width * (n_src if at_sources else cols)))
     # per tile, its cells' [r, j, i, p]: per row r and pair p the source
     # sums of z table j (cz, sz) and pair table i (cxy, sxy), then its
     # coefficient of z table j in U (i = 0) or V (i = 1)
     coef = np.empty(4 * wsd.shape[1])
 
-    def views(tables, part, m, ids=None):    # the z tables (rows, 2, .),
-        # the slice's (2, pairs, m) xy and UV arrays and the work array.
-        # With ids, the xy tables' columns are distinct (x, y) and ids
-        # gives each point's: the pair tables go to the (U, V) rows, their
-        # work behind them, and are gathered to the points' columns
-        size, n = 2 * width * m, len(px[part])
-        xy, uv = (buf[i * size:i * size + 2 * n * m].reshape(2, n, m)
-                  for i in (0, 1))
-        work = buf[2 * size:]
-        if ids is None:
-            _pair_tables(tables, px[part], py[part], xy, buf[size:])
-        else:
-            end = size + 2 * n * len(tables[0][0])
-            pairs = buf[size:end].reshape(2, n, -1)
-            _pair_tables(tables, px[part], py[part], pairs, buf[end:])
-            np.take(pairs, ids, axis=2, out=xy, mode="clip")
-        return tables[4].swapaxes(0, 1), xy, uv, work
+    def views(n, m):    # a slice's (2, n, m) xy and (U, V) arrays for n
+        # pairs by m points, at the head of the first two thirds of buf
+        size = 2 * width * m
+        return (buf[:2 * n * m].reshape(2, n, m),
+                buf[size:size + 2 * n * m].reshape(2, n, m))
 
-    def slice_sums(tiles, zs, xy, uv, work, ids=None):    # per target,
-        # its slice sum.  The tiles sum per z table column into the (U, V)
-        # rows, the tiles past the first into work; with ids, where the
-        # columns are distinct z and ids gives each point's, into work and
-        # the (U, V) rows instead, and the sums are gathered to the rows
-        n, m = uv.shape[1], zs.shape[-1]
-        acc, spare = (uv, work) if ids is None else (
-            work[:2 * n * m].reshape(2, n, m), uv.ravel())
+    def tile_sums(tiles, zs, acc, spare):    # a slice's (U, V) sums per
+        # column of the z tables zs into acc, the tiles past the first
+        # into spare and then onto acc
+        m = zs.shape[-1]
         for ra, rb, k, c0, c1 in tiles:
             # the first tile (row 0) spans the slice's pairs
             t = acc if ra == 0 else spare[:2 * k * m].reshape(2, k, m)
@@ -716,42 +727,126 @@ def kspace_3p(pos, q, targets, lattice, at_sources):
                        zs[ra:rb], t)
             if ra:
                 acc[:, :k] += t
-        if ids is not None:
-            np.take(acc, ids, axis=2, out=uv, mode="clip")
+        return acc
+
+    def slice_sum(xy, uv):    # per point, U cxy + V sxy over the slice
         uv *= xy
-        return _fold(uv.reshape(2 * n, -1))
+        return _fold(uv.reshape(2 * uv.shape[1], -1))
 
     def source_slices():    # per slice, after its cells' coefficients
         tables = _axis_tables(pos, pos[:, 2], axes)
-        qz = tables[4].swapaxes(0, 1) * q
+        zs = tables[4].swapaxes(0, 1)
+        qz = zs * q
+        size = 2 * width * n_src
         for part, tiles in slices:
-            zs, xy, uv, work = views(tables, part, n_src)
+            xy, uv = views(len(px[part]), n_src)
+            _pair_tables(tables, px[part], py[part], xy, buf[size:])
             for ra, rb, n, c0, c1 in tiles:
                 c = coef[4 * c0:4 * c1].reshape(rb - ra, 2, 2, n)
-                _source_sums(xy[:, :n], qz[ra:rb], c, work)
+                _source_sums(xy[:, :n], qz[ra:rb], c, buf[2 * size:])
                 _coefficients(c, wsd[:, c0:c1])
-            yield tiles, zs, xy, uv, work
+            yield tiles, zs, xy, uv
 
     out = np.zeros(len(targets))
     if at_sources:
-        out[:] = _pairwise(slice_sums(*args) for args in source_slices())
+        out[:] = _pairwise(
+            slice_sum(xy, tile_sums(tiles, zs, uv, buf[4 * width * n_src:]))
+            for tiles, zs, xy, uv in source_slices())
         return out
     for _ in source_slices():    # every cell's coefficients first
         pass
-    # the distinct (x, y) and z of each block, for its tables, where they
-    # repeat
-    repeats = _repeats(targets)
-    found = [_block_distinct(targets[:, :2], blocks) if repeats[:2].all()
-             else None,
-             _block_distinct(targets[:, 2:], blocks) if repeats[2] else None]
-    for b, blk in enumerate(blocks):
-        m = blk.stop - blk.start
-        (rxy, ixy), (rz, iz) = (_block_rows(f, b, blk, m // 2) for f in found)
-        tables = _axis_tables(targets[rxy], targets[rz, 2], axes)
-        out[blk] = _pairwise(
-            slice_sums(tiles, *views(tables, part, m, ixy), iz)
-            for part, tiles in slices)
+    # each side's shared tables are taken cap columns at a time: over c
+    # columns its axis tables and its pair tables or (U, V) sums hold
+    # 2 (rows + pairs) c elements, so both sides together hold no more
+    # than buf, and a build's work, at most 3 pairs c elements, fits in it
+    rows = sum(len(au) * (1 + bool(signed)) for au, signed in axes)
+    cap = max(1, len(buf) // (4 * (len(px) + rows)))
+    # per side and target its column in the side's tables and, where the
+    # side has more than cap distinct values, the chunk of cap that holds
+    # it; the targets in groups of one chunk per side: all in order where
+    # no side has two chunks, else by (x, y) chunk, z chunk and index
+    column, keys, groups = [s and s[0] for s in sides], [None, None], [None]
+    for i, s in enumerate(sides):
+        if s and len(s[1]) > cap:
+            keys[i], column[i] = np.divmod(s[0], cap)
+    if any(k is not None for k in keys):
+        keys = [np.zeros(len(targets), np.intp) if k is None else k
+                for k in keys]
+        order = np.lexsort(keys[::-1])
+        cut = (keys[0][order[1:]] != keys[0][order[:-1]]) | (
+            keys[1][order[1:]] != keys[1][order[:-1]])
+        groups = np.split(order, np.flatnonzero(cut) + 1)
+    stores = [s and np.empty(2 * len(px) * min(cap, len(s[1])))
+              for s in sides]
+    shared = [None, None]    # per side and slice, its (2, pairs, c) table
+    held = [None, None]    # per side the chunk its tables hold
+    for group in groups:
+        key = [0 if k is None else k[group[0]] for k in keys]
+        new = [s is not None and held[i] != key[i]
+               for i, s in enumerate(sides)]
+        held = key
+        for part in _blocks(len(targets if group is None else group), width):
+            blk = part if group is None else group[part]
+            if None in sides or any(new):
+                # the axis tables' columns per side: the block's targets
+                # where it is not shared, the chunk's distinct values
+                # where its shared tables are to be built, else none
+                pts = [blk if s is None else s[1][k * cap:(k + 1) * cap]
+                       if b else [] for s, k, b in zip(sides, key, new)]
+                tables = _axis_tables(targets[pts[0]], targets[pts[1], 2],
+                                      axes)
+                zs = tables[4].swapaxes(0, 1)
+                for i in (0, 1):
+                    if not new[i]:
+                        continue
+                    c = len(pts[i])
+                    shared[i] = [stores[i][2 * p.start * c:2 * (
+                        p.start + len(px[p])) * c].reshape(2, -1, c)
+                        for p, _ in slices]
+                    for (p, tiles), t in zip(slices, shared[i]):
+                        if i:
+                            tile_sums(tiles, zs, t, buf)
+                        else:
+                            _pair_tables(tables, px[p], py[p], t, buf)
+                new = [False, False]
+            ids = [c if c is None else c[blk] for c in column]
+            m = part.stop - part.start
+
+            def block_slices():
+                size = 2 * width * m
+                for i, (p, tiles) in enumerate(slices):
+                    xy, uv = views(len(px[p]), m)
+                    if ids[0] is None:
+                        _pair_tables(tables, px[p], py[p], xy, buf[size:])
+                    else:
+                        np.take(shared[0][i], ids[0], axis=2, out=xy,
+                                mode="clip")
+                    if ids[1] is None:
+                        tile_sums(tiles, zs, uv, buf[2 * size:])
+                    else:
+                        np.take(shared[1][i], ids[1], axis=2, out=uv,
+                                mode="clip")
+                    yield slice_sum(xy, uv)
+
+            out[blk] = _pairwise(block_slices())
     return out
+
+
+def _shared_columns(targets):
+    """Per side of kspace_3p, (x, y) and z: where the targets' coordinates
+    on it repeat (_repeats) and their distinct values number at most half
+    the targets, (ids, reps), per target the index of its distinct value
+    and per distinct value one target (_block_distinct over one block);
+    None elsewhere."""
+    repeats = _repeats(targets)
+    sides = []
+    for cols, rep in ((slice(0, 2), repeats[:2].all()),
+                      (slice(2, 3), repeats[2])):
+        found = rep and _block_distinct(targets[:, cols],
+                                        [slice(0, len(targets))])
+        sides.append(found[:2] if found and 2 * found[2][1] <= len(targets)
+                     else None)
+    return sides
 
 
 def _repeats(pts):

@@ -1115,6 +1115,28 @@ def test_real_space_sum_off_the_sources_holds_no_pair_table(mode):
         assert peak < len(pts) * len(s) * 8, peak / 2 ** 20
 
 
+def test_kspace_3p_shared_tables_stay_within_the_buffer():
+    # off the sources the pair tables per distinct (x, y) and the (U, V)
+    # sums per distinct z of a call are taken a chunk at a time, with their
+    # axis tables no larger than the kernel's buffer, here 6 _ROW_ELEMENTS
+    # doubles (64 sources, below a block's 130 targets): the peak holds two
+    # such buffers and ten doubles per target (the result, the indices of
+    # the distinct values and the groups).  The 32^3 grid has 1,024
+    # distinct (x, y): one table over all of them, by the 252 pairs, would
+    # take 4 MiB more
+    rng = np.random.default_rng(41)
+    box = np.array([1.0, 1.1, 0.9])
+    s = random_neutral(rng, 64, box)
+    par = default_params(box, Periodicity.P3)
+    kv = build_kgrid(box, Periodicity.P3, par.k_max).vectors
+    axis = (np.arange(32) + 0.5) / 32
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3) * box
+    peak = _kspace_3p_peak(s, grid, False, *_half_lattice(box, kv, par.xi))
+    bound = 2 * 6 * 8 * kernels_numpy._ROW_ELEMENTS + 10 * 8 * len(grid)
+    assert peak <= bound, (peak / 2 ** 20, bound / 2 ** 20)
+
+
 def test_eval_targets_validation():
     with pytest.raises(ValueError):
         EvalTargets.at_points(np.zeros((2, 2)))

@@ -1233,10 +1233,11 @@ def _grid(k, box):
 
 
 def _repeating_target_sets(box):
-    """Target sets whose coordinates repeat: a 4^3 grid, and per axis a
-    line along it and a plane normal to it."""
+    """Target sets whose coordinates repeat: a 4^3 grid, a 6^3 grid (in 3p
+    two column blocks, each with every z of the grid), and per axis a line
+    along it and a plane normal to it."""
     box = np.asarray(box)
-    sets = {"grid": _grid(4, box)}
+    sets = {"grid": _grid(4, box), "grid 6": _grid(6, box)}
     c = np.linspace(-0.45, 0.45, 12)
     plane = np.stack(np.meshgrid(c, c, indexing="ij"), -1).reshape(-1, 2)
     for a in range(3):
@@ -1250,51 +1251,60 @@ def _repeating_target_sets(box):
     return sets
 
 
-def _off_source_kernels(mode, s, pts):
-    """kspace_3p and real_space off the sources at the points pts, at the
-    default parameters of the mode; kspace_3p on a fixed lattice, whose
-    free lengths (3 times the box's) do not depend on the points, as
-    those of kspace_sum_2p and kspace_sum_1p do."""
+def _fixed_lattice(mode, s):
+    """The kernel's form of the mode's default grid on free lengths of 3
+    times the box's, which do not depend on the points, as those of
+    kspace_sum_2p and kspace_sum_1p do."""
     par = default_params(s.box, mode)
     kp = np.atleast_2d(build_kgrid(s.box, mode, par.k_max).vectors.T).T
     lengths = 3.0 * s.box[list(mode.free_axes)]
-    lattice = form(*vectors(mode, s.box, kp, lengths, par.xi), len(s))
+    return form(*vectors(mode, s.box, kp, lengths, par.xi), len(s))
+
+
+def _off_source_kernels(mode, s):
+    """kspace_3p (on _fixed_lattice) and real_space off the sources, as
+    functions of the points, at the default parameters of the mode."""
+    par = default_params(s.box, mode)
+    lattice = _fixed_lattice(mode, s)
     images = build_image_vectors(s.box, mode, par.real_layers)
     return {
-        "kspace": lambda: kernels_numpy.kspace_3p(s.positions, s.charges,
-                                                  pts, lattice, False),
-        "real": lambda: kernels_numpy.real_space(
+        "kspace": lambda pts: kernels_numpy.kspace_3p(
+            s.positions, s.charges, pts, lattice, False),
+        "real": lambda pts: kernels_numpy.real_space(
             s.positions, s.charges, pts, False, images, par.xi, par.r_cut,
             COINCIDE_RTOL)}
 
 
+#: per layer the site that decides whether a table is shared over repeated
+#: coordinates, and whether what it returns shares one: kspace_3p per call
+#: and side (_shared_columns), real_space per spatial block and axis
+#: (_block_rows)
+_SHARING_SITES = {
+    "kspace": ("_shared_columns", lambda sides: sides != [None, None]),
+    "real": ("_block_rows", lambda found: found[1] is not None)}
+
+
 def _shared_and_alone(mode, s, pts):
     """Per layer (kspace, real) off the sources at pts: whether its bytes
-    equal those of the same kernel with _ROW_ELEMENTS = 4, where each
-    block or run holds one target and so takes no table over repeated
-    coordinates, and whether the first run formed such a table."""
-    kernels = _off_source_kernels(mode, s, pts)
-    block_rows, budget = kernels_numpy._block_rows, kernels_numpy._ROW_ELEMENTS
-    shared = []
-
-    def counted(*args):
-        rows, ids = block_rows(*args)
-        shared.append(ids is not None)
-        return rows, ids
-
+    equal those of one call per target, which has no coordinate to share,
+    and whether the call at all of pts shared a table."""
     out = {}
-    for layer, call in kernels.items():
-        shared.clear()
-        kernels_numpy._block_rows = counted
+    for layer, call in _off_source_kernels(mode, s).items():
+        name, shares = _SHARING_SITES[layer]
+        site = getattr(kernels_numpy, name)
+        shared = []
+
+        def counted(*args):
+            found = site(*args)
+            shared.append(shares(found))
+            return found
+
+        setattr(kernels_numpy, name, counted)
         try:
-            got = call()
+            got = call(pts)
         finally:
-            kernels_numpy._block_rows = block_rows
-        kernels_numpy._ROW_ELEMENTS = 4
-        try:
-            alone = call()
-        finally:
-            kernels_numpy._ROW_ELEMENTS = budget
+            setattr(kernels_numpy, name, site)
+        alone = np.concatenate([call(pts[i:i + 1]) for i in range(len(pts))])
         out[layer] = (got.tobytes() == alone.tobytes(), any(shared))
     return out
 
@@ -1302,8 +1312,8 @@ def _shared_and_alone(mode, s, pts):
 def _repeated_coordinate_mismatches(names=None):
     """The (mode, target set, layer) of _repeating_target_sets (those
     named, or all) on which the off-source kernels differ in any byte from
-    their one-target blocks, or take no table over repeated coordinates
-    at all; empty when every byte holds."""
+    one call per target, or take no table over repeated coordinates at
+    all; empty when every byte holds."""
     s = _uniform_system(40, [1.0, 1.1, 0.9], 46)
     bad = []
     for name, pts in _repeating_target_sets(s.box).items():
@@ -1318,16 +1328,21 @@ def _repeated_coordinate_mismatches(names=None):
 
 
 def test_repeated_coordinates_keep_every_byte():
-    # off the sources a block forms the per-axis tables (k space) and the
-    # d^2 components (real space) once per distinct coordinate and gathers
-    # them to its targets; on a grid, lines and planes every byte equals
-    # that of blocks of one target, in every mode, and every case shares
-    # a table
+    # off the sources kspace_3p forms its per-axis tables once per distinct
+    # coordinate of the call, real_space its d^2 components once per
+    # distinct coordinate of a block, and both gather them to the targets;
+    # on grids, lines and planes every byte equals that of one call per
+    # target, in every mode, and every case shares a table.  The 6^3 grid
+    # spans two column blocks of the 3p lattice, which share one z table
+    s = _uniform_system(40, [1.0, 1.1, 0.9], 46)
+    _, px, _, _, slices = _fixed_lattice(Periodicity.P3, s)
+    width = max(len(px[part]) for part, _ in slices)
+    assert len(kernels_numpy._blocks(6 ** 3, width)) >= 2
     assert _repeated_coordinate_mismatches() == []
 
 
 def test_repeated_coordinates_with_simd_dispatch_disabled():
-    # the grid's gathers with every dispatch target above numpy's
+    # the grids' gathers with every dispatch target above numpy's
     # baseline disabled, as test_libm_routes_with_simd_dispatch_disabled
     # checks the libm routes
     _in_a_child_with_simd_dispatch_disabled(
@@ -1335,7 +1350,38 @@ def test_repeated_coordinates_with_simd_dispatch_disabled():
 
 
 def _repeated_coordinate_mismatches_on_the_grid():
-    return _repeated_coordinate_mismatches({"grid"})
+    return _repeated_coordinate_mismatches({"grid", "grid 6"})
+
+
+def test_shared_tables_in_chunks_keep_every_byte():
+    # a call's shared tables hold a bounded number of distinct values at a
+    # time: 340 targets on 170 distinct (x, y) and 170 distinct z, more
+    # than one chunk of either, are taken in groups of one chunk per side,
+    # each building its tables anew, and every byte equals that of one
+    # call per target
+    s = _uniform_system(40, [1.0, 1.1, 0.9], 46)
+    rng = np.random.default_rng(51)
+    xy = rng.uniform(-0.5, 0.5, (170, 2)) * s.box[:2]
+    z = rng.uniform(-0.5, 0.5, 170) * s.box[2]
+    i = np.arange(340)
+    pts = np.column_stack([xy[i % 170], z[7 * i % 170]])
+    call = _off_source_kernels(Periodicity.P3, s)["kspace"]
+    tables, built = kernels_numpy._axis_tables, []
+
+    def counted(xy, z, axes):
+        built.append((len(xy), len(z)))
+        return tables(xy, z, axes)
+
+    kernels_numpy._axis_tables = counted
+    try:
+        got = call(pts)
+    finally:
+        kernels_numpy._axis_tables = tables
+    # the sources' tables, then at least two builds of each side's
+    assert sum(n > 0 for n, _ in built[1:]) >= 2, built
+    assert sum(n > 0 for _, n in built[1:]) >= 2, built
+    alone = np.concatenate([call(pts[j:j + 1]) for j in range(len(pts))])
+    assert got.tobytes() == alone.tobytes()
 
 
 #: per axis a few coordinates, as fractions of the box, 0.0 and -0.0 among
