@@ -120,11 +120,17 @@ from scipy import special as sp
 from .specfun import EULER_GAMMA, SQRT_PI
 
 
-#: up to this many targets form a single block: below it the work per
-#: block costs more than the pairs that blocks cull.  At the sources the
-#: blocks own the pairs (_real_at_sources), so this sets the order of the
+#: real_space cuts its targets into spatial blocks of about this many
+#: (_target_blocks), and up to this many form a single block.  Each block
+#: pays for a scan of all P N image points, and at the sources for a mirror
+#: grid of them, so fewer, larger blocks pay off until their extra
+#: candidates cost more: on a 2-vCPU Xeon VM, against cells of r_cut/2,
+#: 96 ran the real layer of the bulk3p and map3p benchmarks at about 0.91x
+#: and 0.86x (8 blocks each), 128 at about 0.97x and 0.87x (4 and 8), and
+#: 64 left map3p at 18 blocks (BENCH_35.json).  At the sources the blocks
+#: own the pairs (_real_at_sources), so this sets the order of the
 #: real-space sum there; off the sources it sets no order
-_FEW_TARGETS = 128
+_FEW_TARGETS = 96
 
 #: every kernel takes its points in blocks of consecutive points (_blocks),
 #: each array of a block at most this many (k, point), (target, source) or
@@ -175,21 +181,47 @@ _EIN_COEFFS = (0.0,) + tuple((-1) ** k / (k * math.factorial(k))
 
 
 def _target_blocks(targets, r_cut):
-    """Index arrays that partition the targets into spatial blocks.
+    """Index arrays that partition the targets into spatial blocks of about
+    _FEW_TARGETS targets each.
 
-    A block is a cell of side r_cut/2 of a grid anchored at the smallest
-    target coordinates; blocks come in lexicographic cell order and hold
-    their targets in ascending index order.  All targets form one block
-    when r_cut is infinite or they are few.
+    The targets' bounding box, of extent ext_a along axis a, is tiled
+    evenly: n_a = round(ext_a / s) cells along axis a, one at least, and
+    no more than the grid of side r_cut/2 from the smallest coordinates
+    has, floor(ext_a / (r_cut/2)) + 1.  The side s is
+    (prod ext_a * _FEW_TARGETS / M)^(1/d) over the d axes cut, those at
+    least s long (the rest take one cell), so a cell holds about
+    _FEW_TARGETS targets on average; _FEW_TARGETS = 0 gives s = 0, and
+    each axis the r_cut/2 grid's count.  Along each axis cut, target t lies
+    in cell floor((t_a - lo_a) / (ext_a / n_a)), the last cell taking
+    the upper edge.  Blocks are the occupied cells in lexicographic cell
+    order and hold their targets in ascending index order.  The rule gives
+    one block to at most _FEW_TARGETS targets (the product of ext_a / s
+    over the axes cut, each at least 1, is M / _FEW_TARGETS <= 1) and for
+    an infinite r_cut (one cell per axis); both return at once.
     """
     m = targets.shape[0]
     if m <= _FEW_TARGETS or not math.isfinite(r_cut):
         return [np.arange(m)]
-    cell = np.floor((targets - targets.min(axis=0)) / (0.5 * r_cut))
-    order = np.lexsort(cell.T[::-1])
-    cell = cell[order]
-    new = np.any(cell[1:] != cell[:-1], axis=1)
-    return np.split(order, np.flatnonzero(new) + 1)
+    cols = np.ascontiguousarray(targets.T)    # rows reduce fastest
+    lo = cols.min(axis=1)
+    ext = cols.max(axis=1) - lo
+    cut = ext > 0.0
+    while cut.any():
+        side = (np.prod(ext[cut]) * _FEW_TARGETS / m) ** (1 / cut.sum())
+        if (ext[cut] >= side).all():
+            break
+        cut &= ext >= side
+    key = np.zeros(m, np.int64)    # the cells in lexicographic order
+    for a in np.flatnonzero(cut):
+        n = math.floor(ext[a] / (0.5 * r_cut)) + 1
+        if side > 0.0:
+            n = min(max(math.floor(ext[a] / side + 0.5), 1), n)
+        cell = ((cols[a] - lo[a]) / (ext[a] / n)).astype(np.int64)
+        key *= n
+        key += np.minimum(cell, n - 1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return np.split(order, np.flatnonzero(key[1:] != key[:-1]) + 1)
 
 
 def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
@@ -205,16 +237,21 @@ def real_space(pos, q, targets, at_sources, images, xi, r_cut, eps):
 
     Image point j = p N + n, source n shifted by image p, sits at
     x_n - images[p]; the points are held in that (image, source) order.
-    The targets are split into spatial blocks (_target_blocks).  Off the
-    sources a block takes as candidates the image points inside its
-    bounding box widened by reach, r_cut and a rounding margin, and in a
+    The targets are split into spatial blocks of about _FEW_TARGETS
+    targets, cells of an even tiling of their bounding box no more of
+    which lie along an axis than cells of side r_cut/2 would
+    (_target_blocks).  Each block scans all image points once, so the
+    block count, not the pair count, sets much of the layer's overhead.
+    Off the sources a block takes as candidates the image points inside
+    its bounding box widened by reach, r_cut and a rounding margin, and in a
     call of more than one block only those within reach of the box
     (_near_box), so every pair within r_cut is a candidate; at the
     sources it takes those it owns, pruned the same way
     (_real_at_sources).  Its targets are taken in runs of consecutive
     targets (_blocks over its candidates), each run with at most
     _ROW_ELEMENTS (target, candidate) pairs (one target at least); per run
-    only (run targets, candidates) arrays are held, never (M, N) ones.  Off the sources the order of every rounding step is fixed:
+    only (run targets, candidates) arrays are held, never (M, N) ones.
+    Off the sources the order of every rounding step is fixed:
 
         d^2     ((t_x - x_n + p_x)^2 + (t_y - ...)^2) + (t_z - ...)^2,
                 each component (t - x_n) + p, for every candidate pair;
@@ -339,13 +376,13 @@ def _real_at_sources(pos, q, images, axes, ycols, blocks, reach, xi, r_cut):
     leaves out its own point) and 3 b or from 3 b + 3 on, and, where the
     call has more than one block, only those whose distance to its
     targets' bounding box is at most reach (_near_box): every pair within
-    r_cut is one.  A single block (N <= _FEW_TARGETS) keeps every owned
-    point of its box widened by reach, and so the own sums it had before
-    the pruning.  The block takes its targets in runs of an even
-    number of them from an even offset, each run with at most
-    _ROW_ELEMENTS (target, candidate) pairs (two targets at least), and
-    forms d^2 and d as real_space does; the order of the other rounding
-    steps is fixed:
+    r_cut is one.  A single block (N <= _FEW_TARGETS, or a partition
+    into one cell) keeps every owned point of its box widened by reach,
+    and so the own sums it had before the pruning.  The block takes its
+    targets in runs of an even number of them from an even offset, each
+    run with at most _ROW_ELEMENTS (target, candidate) pairs (two targets
+    at least), and forms d^2 and d as real_space does; the order of the
+    other rounding steps is fixed:
 
         t       erfc(xi d) / d, for the owned pairs with d <= r_cut
         own     per target, q_n t over the block's candidates in ascending
@@ -368,8 +405,9 @@ def _real_at_sources(pos, q, images, axes, ycols, blocks, reach, xi, r_cut):
     -0.0, which the bincount of the mirror erases); a block of an odd
     number of targets ends in a pair with a zero row, whose sum is q_a t_a.
     The bytes thus depend on the blocks, which own the pairs and set the
-    candidates of the own sums, but not on the runs.  Besides a run's
-    arrays, a block holds (P N,) ones and log2 of its target count of
+    candidates of the own sums (so on _target_blocks and _FEW_TARGETS),
+    but not on the runs.  Besides a run's arrays, a block holds (P N,)
+    ones and log2 of its target count of
     (candidates,) partial sums, and _pairwise log2 of the block count of
     (N,) ones.
     """

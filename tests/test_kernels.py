@@ -1553,11 +1553,12 @@ def _uniform_system(n, box, seed):
 
 def _culled_matches_dense(monkeypatch, pos, q, tpos, at_sources, images, xi,
                           r_cut):
-    # the default partition and one block per occupied cell (blocking
-    # forced on) both lie within 1e-14 of the dense formula.  Off the
-    # sources they give the same bytes.  At the sources the blocks own the
-    # pairs and so set the order of the sum: there the two agree in value,
-    # and runs of one target, which set no order, give the default bytes
+    # the default partition and the finest one, of cells about r_cut/2
+    # wide (_FEW_TARGETS = 0), both lie within 1e-14 of the dense formula.
+    # Off the sources they give the same bytes.  At the sources the blocks
+    # own the pairs and so set the order of the sum: there the two agree
+    # in value, and runs of two targets (_ROW_ELEMENTS = 1), which set no
+    # order, give the default bytes
     args = (pos, q, tpos, at_sources, images, xi, r_cut, COINCIDE_RTOL)
     want = dense_real_space(*args[:-1])
     got = kernels_numpy.real_space(*args)
@@ -1617,20 +1618,27 @@ def test_real_space_cutoff_below_block_side(monkeypatch):
 
 
 def test_real_space_targets_on_block_edges(monkeypatch):
-    # targets spaced exactly r_cut/2 apart sit on the cell boundaries of
-    # the blocks; one source lies exactly r_cut below a corner target, on
-    # the edge of that block's candidate box
+    # a grid of k^3 targets, k = 2 round(_FEW_TARGETS^(1/3)) + 1, is cut
+    # into two cells per axis, so the targets of its middle planes sit
+    # exactly on the cell boundaries; one source lies on the boundaries of
+    # x and y, between two targets, and one exactly r_cut below a corner
+    # target, on the edge of that block's candidate box
     box = np.array([1.0, 1.0, 1.0])
     r_cut = 0.25
-    axis = -0.4 + 0.125 * np.arange(6)
+    k = 2 * round(kernels_numpy._FEW_TARGETS ** (1 / 3)) + 1
+    axis = (np.arange(k) - k // 2) / 16
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                     axis=-1).reshape(-1, 3)
+    lower = np.all(grid < 0.0, axis=1)
+    blocks = kernels_numpy._target_blocks(grid, r_cut)
+    assert len(blocks) == 8
+    assert np.array_equal(blocks[0], np.flatnonzero(lower))
     s = _uniform_system(24, box, 4)
     pos = np.array(s.positions)
-    pos[0] = [-0.4, -0.4, -0.4 - r_cut]
+    pos[0] = [axis[0], axis[0], axis[0] - r_cut]
+    pos[1] = [0.0, 0.0, axis[0] + 1 / 32]
     assert np.linalg.norm(grid[0] - pos[0]) == r_cut
     images = build_image_vectors(box, Periodicity.P3, 1)
-    assert len(kernels_numpy._target_blocks(grid, r_cut)) > 1
     _culled_matches_dense(monkeypatch, pos, s.charges, grid, False, images,
                           20.0, r_cut)
 
@@ -1753,8 +1761,9 @@ def test_real_space_memory_stays_below_the_pair_table():
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
 def test_real_space_bytes_do_not_depend_on_runs(monkeypatch, mode):
-    # runs of one target each against the default runs of up to
-    # _ROW_ELEMENTS pairs, at the sources and off them
+    # the shortest runs (_ROW_ELEMENTS = 1: one target each off the
+    # sources, two at the sources) against the default runs of up to
+    # _ROW_ELEMENTS pairs
     box = [1.0, 1.1, 0.9]
     s = _uniform_system(150, box, 14)
     par = default_params(box, mode)
@@ -1825,12 +1834,14 @@ def test_real_space_memory_stays_bounded_when_one_block_spans_the_cell(
 
 def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
         monkeypatch):
+    # enough targets for blocks of about _FEW_TARGETS to cut each axis
     box = [1.0, 1.1, 0.9]
-    s = _uniform_system(200, box, 11)
+    n = 4 * kernels_numpy._FEW_TARGETS
+    s = _uniform_system(n, box, 11)
     par = default_params(box, Periodicity.P3)
     images = build_image_vectors(box, Periodicity.P3, par.real_layers)
     rng = np.random.default_rng(12)
-    pts = rng.uniform(-0.5, 0.5, (180, 3)) * np.asarray(box)
+    pts = rng.uniform(-0.5, 0.5, (n - 20, 3)) * np.asarray(box)
     for tpos, at_sources in ((s.positions, True), (pts, False)):
         args = (s.positions, s.charges, tpos, at_sources, images, par.xi,
                 par.r_cut, COINCIDE_RTOL)
@@ -1843,7 +1854,7 @@ def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
                 got = kernels_numpy.real_space(*args)
                 if at_sources:
                     # the blocks own the pairs, so they set the order of
-                    # the sum; runs of one target set none
+                    # the sum; runs of two targets set none
                     mp.setattr(kernels_numpy, "_ROW_ELEMENTS", 1)
                     single = kernels_numpy.real_space(*args)
             if at_sources:
@@ -1860,6 +1871,96 @@ def test_real_space_bytes_do_not_depend_on_blocks_or_target_order(
     want = kernels_numpy.real_space(s.positions, s.charges, pts, False,
                                     images, par.xi, par.r_cut, COINCIDE_RTOL)
     assert got.tobytes() == want[perm].tobytes()
+
+
+def _half_r_cut_cells(targets, r_cut):
+    # the occupied cells of the grid of side r_cut/2 from the smallest
+    # coordinates, the partition before blocks were sized by their target
+    # count; _target_blocks takes no more cells along an axis than it has
+    cells = np.floor((targets - targets.min(axis=0)) / (0.5 * r_cut))
+    return len(np.unique(cells, axis=0))
+
+
+def test_target_blocks_hold_about_few_targets_and_no_finer_than_r_cut():
+    # the blocks partition the targets, each in ascending order: one block
+    # for at most _FEW_TARGETS targets and for an infinite r_cut, never
+    # more blocks than the grid of side r_cut/2 has occupied cells, and a
+    # z line, a z = const plane and coincident targets cut without error.
+    # A plane whose z spreads by less than a cell side is cut as the flat
+    # plane, not into cells sized as if z were one of the axes cut
+    few = kernels_numpy._FEW_TARGETS
+    box = np.array([1.0, 1.1, 0.9])
+    rng = np.random.default_rng(64)
+    r_cut = default_params(box, Periodicity.P3).r_cut
+    c = (np.arange(10) + 0.5) / 10 - 0.5
+    line = np.zeros((200, 3))
+    line[:, 2] = np.linspace(-0.4, 0.4, 200)
+    plane = np.stack(np.meshgrid(*[np.linspace(-0.45, 0.45, 30)] * 2,
+                                 [0.1], indexing="ij"), axis=-1)
+    sets = {
+        "few": rng.uniform(-0.5, 0.5, (few, 3)) * box,
+        "random": rng.uniform(-0.5, 0.5, (4 * few, 3)) * box,
+        "dense": rng.uniform(-0.5, 0.5, (40 * few, 3)) * box,
+        "grid": np.stack(np.meshgrid(c, c, c, indexing="ij"),
+                         axis=-1).reshape(-1, 3) * box,
+        "line": line, "plane": plane.reshape(-1, 3),
+        "coincident": np.full((4 * few, 3), 0.25),
+    }
+    k = math.isqrt(4 * few)
+    flat = np.stack(np.meshgrid(*[np.linspace(-0.45, 0.45, k)] * 2, [0.1],
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    thin = flat.copy()
+    thin[:, 2] += rng.uniform(-5e-4, 5e-4, len(thin))
+    assert (len(kernels_numpy._target_blocks(thin, r_cut))
+            == len(kernels_numpy._target_blocks(flat, r_cut)) == 4)
+    for name, t in sets.items():
+        blocks = kernels_numpy._target_blocks(t, r_cut)
+        assert np.array_equal(np.sort(np.concatenate(blocks)),
+                              np.arange(len(t))), name
+        assert all((np.diff(blk) > 0).all() for blk in blocks), name
+        assert len(blocks) <= _half_r_cut_cells(t, r_cut), name
+        assert len(kernels_numpy._target_blocks(t, math.inf)) == 1, name
+        if len(t) <= few or name == "coincident":
+            assert len(blocks) == 1, name
+        else:
+            assert len(blocks) > 1, name
+    # the grid of 1000 targets: two cells per axis, blocks of 125
+    assert [len(b) for b in kernels_numpy._target_blocks(sets["grid"],
+                                                         r_cut)] == [125] * 8
+
+
+@pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
+def test_real_space_bytes_do_not_depend_on_the_block_size(monkeypatch,
+                                                          mode):
+    # off the sources the blocks set no byte, so any _FEW_TARGETS gives
+    # the same bytes, from one block per cell of about r_cut/2 (0 and 1)
+    # to one block (10^6); at the sources each partition owns the pairs in
+    # its own way and lies within 1e-14 of the dense formula.  In 1p r_cut
+    # spans twice the cell, so every size gives one block
+    box = [1.0, 1.1, 0.9]
+    s = _uniform_system(4 * kernels_numpy._FEW_TARGETS, box, 65)
+    par = default_params(box, mode)
+    images = build_image_vectors(box, mode, par.real_layers)
+    pts = np.random.default_rng(66).uniform(-0.5, 0.5, (len(s), 3)) * box
+    for tpos, at_sources in ((pts, False), (s.positions, True)):
+        args = (s.positions, s.charges, tpos, at_sources, images, par.xi,
+                par.r_cut, COINCIDE_RTOL)
+        default = kernels_numpy.real_space(*args)
+        want = dense_real_space(*args[:-1])
+        scale = np.abs(want).max()
+        counts = set()
+        for few in (0, 1, kernels_numpy._FEW_TARGETS, 10 ** 6):
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels_numpy, "_FEW_TARGETS", few)
+                counts.add(len(kernels_numpy._target_blocks(tpos,
+                                                            par.r_cut)))
+                got = kernels_numpy.real_space(*args)
+            if at_sources:
+                assert np.abs(got - want).max() <= 1e-14 * scale
+            else:
+                assert got.tobytes() == default.tobytes()
+        assert (len(counts) > 1) == (_half_r_cut_cells(tpos, par.r_cut)
+                                     > 1)
 
 
 @pytest.mark.parametrize("mode", list(Periodicity), ids=lambda m: m.value)
@@ -1890,7 +1991,7 @@ def test_real_space_at_sources_raises_on_a_zero_distance(mode):
     images = build_image_vectors(box, mode, 1)
     a = mode.periodic_axes[0]
     for shift in (box[a], 0.0):
-        s = _uniform_system(kernels_numpy._FEW_TARGETS + 72, box, 16)
+        s = _uniform_system(4 * kernels_numpy._FEW_TARGETS, box, 16)
         pos = np.array(s.positions)
         pos[0] = [-0.25, -0.25, -0.25]
         pos[1] = pos[0]
@@ -2041,7 +2142,7 @@ def test_real_space_pruning_keeps_the_pairs_at_r_cut_to_the_last_ulp(
     r_cut = 0.26
     xi = 2.0 / r_cut
     rng = np.random.default_rng(63)
-    n = kernels_numpy._FEW_TARGETS + 40
+    n = 4 * kernels_numpy._FEW_TARGETS    # enough to cut each axis
     pos = rng.uniform(-0.2, 0.2, (n, 3))
     pos[0] = corner
     ds = [math.nextafter(r_cut, 0.0), r_cut, math.nextafter(r_cut, 1.0)]
@@ -2058,6 +2159,7 @@ def test_real_space_pruning_keeps_the_pairs_at_r_cut_to_the_last_ulp(
     images = build_image_vectors(box, Periodicity.P3, 1)
     blocks = kernels_numpy._target_blocks(pos, r_cut)
     assert len(blocks) > 1 and 0 in blocks[0]
+    assert np.array_equal(pos[blocks[0]].min(axis=0), corner)
     assert not np.isin([1, 2, 3], blocks[0]).any()
     args = []
     erfc = kernels_numpy.sp.erfc
@@ -2084,9 +2186,10 @@ def test_real_space_pruning_keeps_the_pairs_at_r_cut_to_the_last_ulp(
 def test_real_space_at_sources_forms_fewer_candidates_than_the_box():
     # work, not time: at the sources of a 3p N = 512 system at
     # default_params (the bulk3p inputs of perfbench, seed 0), the
-    # (target, candidate) elements whose d^2 is formed, 1,172,431 when each
-    # block took every owned image point of its widened bounding box;
-    # pruning to the block's reach leaves about 0.80 M
+    # (target, candidate) elements whose d^2 is formed against those of
+    # the same blocks if each took every owned image point of its
+    # bounding box widened by r_cut.  Pruning to the block's reach forms
+    # 979,952 on the 8 blocks of about _FEW_TARGETS = 96 targets
     box = [1.0, 1.1, 0.9]
     s = _uniform_system(512, box, 0)
     par = default_params(box, Periodicity.P3)
@@ -2104,7 +2207,25 @@ def test_real_space_at_sources_forms_fewer_candidates_than_the_box():
                                  images, par.xi, par.r_cut, COINCIDE_RTOL)
     finally:
         kernels_numpy._square_distances = distances
-    assert 0 < sum(elements) < 0.75 * 1_172_431, sum(elements)
+    # the box candidates: block b owns image point (p, n) where source n
+    # lies in a later block, or in block b with p in the upper half or 0
+    blocks = kernels_numpy._target_blocks(s.positions, par.r_cut)
+    owner = np.empty(len(s), int)
+    for b, blk in enumerate(blocks):
+        owner[blk] = b
+    halves = kernels_numpy._image_halves(images)
+    ys = s.positions[None, :, :] - images[:, None, :]
+    boxed = 0
+    for b, blk in enumerate(blocks):
+        tb = s.positions[blk]
+        inside = np.all((ys >= tb.min(axis=0) - par.r_cut)
+                        & (ys <= tb.max(axis=0) + par.r_cut), axis=2)
+        owned = (owner[None, :] > b) | ((owner[None, :] == b)
+                                        & (halves[:, None] < 2))
+        boxed += len(blk) * np.count_nonzero(inside & owned)
+    assert len(blocks) == 8
+    assert sum(elements) == 979_952
+    assert sum(elements) < 0.75 * boxed, (sum(elements), boxed)
 
 
 @pytest.mark.parametrize("module", ["scipy.spatial", "scipy.integrate"])
