@@ -185,37 +185,39 @@ def _target_blocks(targets, r_cut):
     _FEW_TARGETS targets each.
 
     The targets' bounding box, of extent ext_a along axis a, is tiled
-    evenly: n_a = round(ext_a / s) cells along axis a, one at least, and
-    no more than the grid of side r_cut/2 from the smallest coordinates
-    has, floor(ext_a / (r_cut/2)) + 1.  The side s is
-    (prod ext_a * _FEW_TARGETS / M)^(1/d) over the d axes cut, those at
-    least s long (the rest take one cell), so a cell holds about
-    _FEW_TARGETS targets on average; _FEW_TARGETS = 0 gives s = 0, and
-    each axis the r_cut/2 grid's count.  Along each axis cut, target t lies
-    in cell floor((t_a - lo_a) / (ext_a / n_a)), the last cell taking
-    the upper edge.  Blocks are the occupied cells in lexicographic cell
-    order and hold their targets in ascending index order.  The rule gives
-    one block to at most _FEW_TARGETS targets (the product of ext_a / s
-    over the axes cut, each at least 1, is M / _FEW_TARGETS <= 1) and for
-    an infinite r_cut (one cell per axis); both return at once.
+    evenly along each of the d axes of nonzero extent: n_a = round(ext_a /
+    s) cells, one at least, and no more than the grid of side r_cut/2 from
+    the smallest coordinates has, floor(ext_a / (r_cut/2)) + 1, nor than
+    M + 1, which keeps n_a finite for a subnormal r_cut.  The side s is
+    (prod ext_a * _FEW_TARGETS / M)^(1/d), so a cell holds about
+    _FEW_TARGETS targets on average and an axis much shorter than s takes
+    one cell; _FEW_TARGETS = 0 gives s = 0, and each axis the r_cut/2
+    grid's count.  Along each such axis, target t lies in cell
+    floor((t_a - lo_a) / (ext_a / n_a)), the last cell taking the upper
+    edge.  Blocks are the occupied cells in lexicographic cell order and
+    hold their targets in ascending index order.  At most _FEW_TARGETS
+    targets, an infinite r_cut and coincident targets form one block at
+    once.
     """
     m = targets.shape[0]
     if m <= _FEW_TARGETS or not math.isfinite(r_cut):
         return [np.arange(m)]
     cols = np.ascontiguousarray(targets.T)    # rows reduce fastest
     lo = cols.min(axis=1)
-    ext = cols.max(axis=1) - lo
-    cut = ext > 0.0
-    while cut.any():
-        side = (np.prod(ext[cut]) * _FEW_TARGETS / m) ** (1 / cut.sum())
-        if (ext[cut] >= side).all():
-            break
-        cut &= ext >= side
+    ext = (cols.max(axis=1) - lo).tolist()
+    cut = [a for a in range(len(ext)) if ext[a] > 0.0]
+    if not cut:
+        return [np.arange(m)]
+    side = math.prod(ext[a] for a in cut) * _FEW_TARGETS / m
+    side **= 1 / len(cut)
     key = np.zeros(m, np.int64)    # the cells in lexicographic order
-    for a in np.flatnonzero(cut):
-        n = math.floor(ext[a] / (0.5 * r_cut)) + 1
+    for a in cut:
+        # in floats, which take the inf of a subnormal r_cut: no more
+        # cells than the r_cut/2 grid has, nor than m + 1
+        n = min(ext[a] / r_cut * 2.0, m) // 1 + 1
         if side > 0.0:
-            n = min(max(math.floor(ext[a] / side + 0.5), 1), n)
+            n = max(min(ext[a] / side + 0.5, n) // 1, 1)
+        n = int(n)
         cell = ((cols[a] - lo[a]) / (ext[a] / n)).astype(np.int64)
         key *= n
         key += np.minimum(cell, n - 1)

@@ -1881,13 +1881,14 @@ def _half_r_cut_cells(targets, r_cut):
     return len(np.unique(cells, axis=0))
 
 
-def test_target_blocks_hold_about_few_targets_and_no_finer_than_r_cut():
+def test_target_blocks_hold_about_few_targets_and_no_finer_than_r_cut(
+        monkeypatch):
     # the blocks partition the targets, each in ascending order: one block
     # for at most _FEW_TARGETS targets and for an infinite r_cut, never
     # more blocks than the grid of side r_cut/2 has occupied cells, and a
     # z line, a z = const plane and coincident targets cut without error.
-    # A plane whose z spreads by less than a cell side is cut as the flat
-    # plane, not into cells sized as if z were one of the axes cut
+    # A subnormal r_cut, whose r_cut/2 grid has inf cells along an axis,
+    # still partitions, also with _FEW_TARGETS = 0 (no side s)
     few = kernels_numpy._FEW_TARGETS
     box = np.array([1.0, 1.1, 0.9])
     rng = np.random.default_rng(64)
@@ -1906,19 +1907,22 @@ def test_target_blocks_hold_about_few_targets_and_no_finer_than_r_cut():
         "line": line, "plane": plane.reshape(-1, 3),
         "coincident": np.full((4 * few, 3), 0.25),
     }
-    k = math.isqrt(4 * few)
-    flat = np.stack(np.meshgrid(*[np.linspace(-0.45, 0.45, k)] * 2, [0.1],
-                                indexing="ij"), axis=-1).reshape(-1, 3)
-    thin = flat.copy()
-    thin[:, 2] += rng.uniform(-5e-4, 5e-4, len(thin))
-    assert (len(kernels_numpy._target_blocks(thin, r_cut))
-            == len(kernels_numpy._target_blocks(flat, r_cut)) == 4)
-    for name, t in sets.items():
+
+    def partition(t, r_cut):
         blocks = kernels_numpy._target_blocks(t, r_cut)
         assert np.array_equal(np.sort(np.concatenate(blocks)),
-                              np.arange(len(t))), name
-        assert all((np.diff(blk) > 0).all() for blk in blocks), name
+                              np.arange(len(t)))
+        assert all((np.diff(blk) > 0).all() for blk in blocks)
+        return blocks
+
+    for name, t in sets.items():
+        blocks = partition(t, r_cut)
         assert len(blocks) <= _half_r_cut_cells(t, r_cut), name
+        for tiny in (1e-310, 5e-324):
+            partition(t, tiny)
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels_numpy, "_FEW_TARGETS", 0)
+                partition(t, tiny)
         assert len(kernels_numpy._target_blocks(t, math.inf)) == 1, name
         if len(t) <= few or name == "coincident":
             assert len(blocks) == 1, name
